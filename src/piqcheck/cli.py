@@ -11,8 +11,10 @@ Subcommands::
 
 Reports go to stdout (one line per report in text mode, one JSON object per
 line with ``--json``); diagnostics go to stderr.  Exit codes: 0 all checks
-verified/proved, 1 at least one falsified, 2 usage or parse error, 3 internal
-precondition violation (including reports with status ``error``).
+verified/proved, 1 at least one falsified, 2 usage or parse error or an
+unreadable input file, 3 internal precondition violation (including reports
+with status ``error``) or any other unexpected failure, reported in one line
+without a traceback.
 
 Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
@@ -380,11 +382,17 @@ def main(argv: list | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # an unreadable input file; UnicodeDecodeError is a ValueError, so it
+        # must be caught before the precondition handler below
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SeriesError, FieldError, ModularError, ValueError) as exc:
         print(f"internal precondition violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # exit 1 means "falsified", so no other failure may leave with it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

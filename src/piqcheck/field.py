@@ -36,7 +36,12 @@ class ZeroNormInverse(FieldError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an exact number to Fraction; a float is rejected as inexact."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact coefficient; use an int, a Fraction or a str")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,31 @@ The canonical zero-to-order series is represented with an empty coefficient
 tuple and ``valuation == order``, so precision keeps propagating through
 cancellations.
 
+Coefficients are exact: constructors accept ints, Fractions and anything
+else ``Fraction`` parses exactly, and reject floats with ``TypeError``.
+
+Product, quotient and square root share one scheme, the stride-compressed
+integer kernel.  Each finds the lattice step g shared by its operands: the
+gcd of the offsets, counted from the valuation, of every nonzero
+coefficient below the result window n.  Coefficients at or beyond the
+tracked order are unknown, so they never enter g.  The operands are then
+read at offsets 0, g, 2g, ... only (ceil(n/g) entries), with their
+denominators cleared (integer numerators over one common denominator), the
+recurrence runs on those Python ints, and the result is spread back onto
+the n-wide window with zeros between the lattice points.  For the catalog's series, which in t
+live on lattices of step 4 or 8, that makes the quadratic recurrences 16 to
+64 times shorter.
+
+  * Product: the sparser operand drives row updates, so zero rows cost
+    nothing.
+  * Quotient: long division by the leading integer b0.  Each step divides
+    exactly when b0 divides the partial sum and falls back to a Fraction
+    when it does not, so unit and non-unit divisors share one loop.
+  * Square root: of a / d, computed as sqrt(a * d) / d, so that its leading
+    term isqrt(a[0] * d) is an integer.  Each step sums every symmetric pair
+    of products once and divides by twice that leading term with the same
+    exact-or-Fraction step.
+
 All values are immutable after construction and all operations are pure
 functions, so series may be shared freely across threads or tasks.
 """
@@ -31,7 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain, compress, repeat
+from math import gcd, isqrt, lcm
+from operator import add, mul
+
+_ZERO = Fraction(0)
 
 
 class SeriesError(Exception):
@@ -73,20 +102,41 @@ def _scaled_ints(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
-    """First n coefficients of the product of two integer coefficient lists."""
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if not ai:
-            continue
-        jmax = min(len(b), n - i)
-        for j in range(jmax):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _frac(x) -> Fraction:
+    """Coerce an exact number to Fraction; a float is rejected as inexact."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact coefficient; use an int, a Fraction or a str")
+    return Fraction(x)
+
+
+def _stride(n: int, *windows: tuple[Fraction, ...]) -> int:
+    """Lattice step shared by the coefficient windows below offset n.
+
+    The gcd of every offset in 1..n-1 at which some window is nonzero, or n
+    when only the leading entries are nonzero.
+    """
+    return gcd(*chain.from_iterable(compress(range(1, n), w[1:n]) for w in windows)) or n
+
+
+def _exact_div(acc, d: int):
+    """acc / d: an int when d divides acc, otherwise a Fraction."""
+    q, r = divmod(acc, d)
+    return Fraction(acc, d) if r else q
+
+
+def _expand(vals: list, den: int, n: int, g: int) -> tuple[Fraction, ...]:
+    """The n-wide window holding vals[j] / den at offset j*g and zeros elsewhere."""
+    if den == 1:
+        fracs = [Fraction(v) for v in vals]
+    else:
+        fracs = [Fraction(v, den) for v in vals]
+    if g == 1:
+        return tuple(fracs)
+    out = [_ZERO] * n
+    out[::g] = fracs
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -104,23 +154,34 @@ class LaurentSeries:
     order: int
 
     def __post_init__(self) -> None:
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        window = self.order - self.valuation
+        coeffs = tuple(c if isinstance(c, Fraction) else _frac(c) for c in self.coeffs)
+        self._normalize(self.valuation, coeffs, self.order)
+
+    def _normalize(self, valuation: int, coeffs: tuple[Fraction, ...], order: int) -> None:
+        window = order - valuation
         if window < 0:
             raise ValueError("order must be >= valuation")
         if len(coeffs) > window:
             raise ValueError("coefficient list longer than order - valuation")
         if len(coeffs) < window:
-            coeffs = coeffs + (Fraction(0),) * (window - len(coeffs))
+            coeffs = coeffs + (_ZERO,) * (window - len(coeffs))
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
         if lead == len(coeffs):
-            object.__setattr__(self, "valuation", self.order)
+            object.__setattr__(self, "valuation", order)
             object.__setattr__(self, "coeffs", ())
         else:
-            object.__setattr__(self, "valuation", self.valuation + lead)
+            object.__setattr__(self, "valuation", valuation + lead)
             object.__setattr__(self, "coeffs", coeffs[lead:])
+        object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _of(cls, valuation: int, coeffs: tuple[Fraction, ...], order: int) -> LaurentSeries:
+        """Normalizing constructor for coefficients that are already Fractions."""
+        self = object.__new__(cls)
+        self._normalize(valuation, coeffs, order)
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -134,14 +195,14 @@ class LaurentSeries:
     def constant(value, order: int) -> LaurentSeries:
         if order <= 0:
             return LaurentSeries.zero(order)
-        return LaurentSeries(0, (Fraction(value),), order)
+        return LaurentSeries(0, (_frac(value),), order)
 
     @staticmethod
     def monomial(exponent: int, order: int, coeff=1) -> LaurentSeries:
         """coeff * t^exponent.  Collapses to zero-to-order when exponent >= order."""
         if exponent >= order:
             return LaurentSeries.zero(order)
-        return LaurentSeries(exponent, (Fraction(coeff),), order)
+        return LaurentSeries(exponent, (_frac(coeff),), order)
 
     @staticmethod
     def from_coefficients(valuation: int, coeffs, order: int) -> LaurentSeries:
@@ -198,8 +259,8 @@ class LaurentSeries:
     def _coerce(self, other) -> LaurentSeries | None:
         if isinstance(other, LaurentSeries):
             return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries.constant(other, self.order)
+        if isinstance(other, (int, Fraction, float)):
+            return LaurentSeries.constant(other, self.order)  # rejects the float
         return None
 
     def __add__(self, other) -> LaurentSeries:
@@ -207,16 +268,22 @@ class LaurentSeries:
         if rhs is None:
             return NotImplemented
         order = min(self.order, rhs.order)
-        start = min(self.valuation, rhs.valuation, order)
-        vals = [
-            self._at(n) + rhs._at(n) for n in range(start, order)
-        ]
-        return LaurentSeries(start, tuple(vals), order)
+        lo, hi = (self, rhs) if self.valuation <= rhs.valuation else (rhs, self)
+        start = min(lo.valuation, order)
+        # lo's window starts at `start`; hi's starts `off` places later and
+        # both end at `order`, so the overlap lines up slice against slice.
+        # Zeros of hi, most of a strided series, cost no Fraction addition.
+        coeffs = lo.coeffs[: order - start]
+        if hi.valuation < order:
+            off = hi.valuation - start
+            tail = zip(coeffs[off:], hi.coeffs[: order - hi.valuation])
+            coeffs = coeffs[:off] + tuple(x + y if y else x for x, y in tail)
+        return LaurentSeries._of(start, coeffs, order)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentSeries:
-        return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs), self.order)
+        return LaurentSeries._of(self.valuation, tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other) -> LaurentSeries:
         rhs = self._coerce(other)
@@ -226,12 +293,6 @@ class LaurentSeries:
 
     def __rsub__(self, other) -> LaurentSeries:
         return (-self) + other
-
-    def _at(self, n: int) -> Fraction:
-        # window read without the order check; callers stay below min(order)
-        if n < self.valuation or n >= self.order:
-            return Fraction(0)
-        return self.coeffs[n - self.valuation]
 
     def __mul__(self, other) -> LaurentSeries:
         rhs = self._coerce(other)
@@ -245,20 +306,25 @@ class LaurentSeries:
             )
         n = min(len(self.coeffs), len(rhs.coeffs))
         val = self.valuation + rhs.valuation
-        a, da = _scaled_ints(self.coeffs)
-        b, db = _scaled_ints(rhs.coeffs)
-        prod = _convolve(a, b, n)
-        dab = da * db
-        return LaurentSeries(val, tuple(Fraction(v, dab) for v in prod), val + n)
+        g = _stride(n, self.coeffs, rhs.coeffs)
+        rows, da = _scaled_ints(self.coeffs[:n:g])
+        other, db = _scaled_ints(rhs.coeffs[:n:g])
+        if sum(map(bool, rows)) > sum(map(bool, other)):
+            rows, other = other, rows
+        m = len(other)
+        prod = [0] * m
+        for i in compress(range(m), rows):
+            prod[i:] = map(add, prod[i:], map(mul, repeat(rows[i]), other[: m - i]))
+        return LaurentSeries._of(val, _expand(prod, da * db, n, g), val + n)
 
     def __rmul__(self, other) -> LaurentSeries:
         return self * other
 
     def scale(self, c) -> LaurentSeries:
-        c = Fraction(c)
+        c = _frac(c)
         if c == 0:
             return LaurentSeries.zero(self.order)
-        return LaurentSeries(self.valuation, tuple(c * v for v in self.coeffs), self.order)
+        return LaurentSeries._of(self.valuation, tuple(c * v for v in self.coeffs), self.order)
 
     def __truediv__(self, other) -> LaurentSeries:
         rhs = self._coerce(other)
@@ -276,29 +342,18 @@ class LaurentSeries:
             return LaurentSeries.zero(self.order - rhs.valuation)
         n = min(len(self.coeffs), len(rhs.coeffs))
         val = self.valuation - rhs.valuation
-        a, da = _scaled_ints(self.coeffs)
-        b, db = _scaled_ints(rhs.coeffs)
-        if b[0] in (1, -1):
-            # pure-integer long division; the common case (divisors built from
-            # Pochhammer products have leading coefficient 1)
-            sign = b[0]
-            q_int = [0] * n
-            for k in range(n):
-                acc = a[k] if k < len(a) else 0
-                for i in range(max(0, k - len(b) + 1), k):
-                    acc -= q_int[i] * b[k - i]
-                q_int[k] = acc * sign
-            coeffs = tuple(Fraction(v * db, da) for v in q_int)
-        else:
-            b0 = Fraction(b[0])
-            q: list[Fraction] = [Fraction(0)] * n
-            for k in range(n):
-                acc = Fraction(a[k] if k < len(a) else 0)
-                for i in range(max(0, k - len(b) + 1), k):
-                    acc -= q[i] * b[k - i]
-                q[k] = acc / b0
-            coeffs = tuple(v * db / da for v in q)
-        return LaurentSeries(val, coeffs, val + n)
+        g = _stride(n, self.coeffs, rhs.coeffs)
+        a, da = _scaled_ints(self.coeffs[:n:g])
+        b, db = _scaled_ints(rhs.coeffs[:n:g])
+        m = len(b)
+        tail = b[:0:-1]  # tail[m - 1 - k:] is b[k], ..., b[1]
+        quot: list = []
+        for k in range(m):
+            acc = a[k] - sum(map(mul, quot, tail[m - 1 - k:]))
+            quot.append(_exact_div(acc, b[0]))
+        if db != 1:
+            quot = [v * db for v in quot]
+        return LaurentSeries._of(val, _expand(quot, da, n, g), val + n)
 
     def __rtruediv__(self, other) -> LaurentSeries:
         if not isinstance(other, (int, Fraction)):
@@ -358,15 +413,19 @@ class LaurentSeries:
                 f"leading coefficient {self.coeffs[0]} is not the square of a rational"
             )
         n = len(self.coeffs)
-        r: list[Fraction] = [root0] + [Fraction(0)] * (n - 1)
-        twice = 2 * root0
-        for k in range(1, n):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= r[i] * r[k - i]
-            r[k] = acc / twice
+        g = _stride(n, self.coeffs)
+        a, d = _scaled_ints(self.coeffs[::g])
+        sq = [v * d for v in a]
+        root = [isqrt(sq[0])]
+        twice = 2 * root[0]
+        for k in range(1, len(sq)):
+            h = (k - 1) // 2  # pairs (i, k - i) with 1 <= i < k - i
+            acc = sq[k] - 2 * sum(map(mul, root[1 : h + 1], root[k - 1 : k - h - 1 : -1]))
+            if not k % 2:
+                acc -= root[k // 2] ** 2
+            root.append(_exact_div(acc, twice))
         val = self.valuation // 2
-        return LaurentSeries(val, tuple(r), val + n)
+        return LaurentSeries._of(val, _expand(root, d, n, g), val + n)
 
     def truncate(self, order: int) -> LaurentSeries:
         """Restrict the knowledge window to a smaller order."""

@@ -166,3 +166,26 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     assert cli.main(["no-such-command"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_unreadable_expr_file_is_usage_error(tmp_path, capsys):
+    # an unreadable file is a usage error, never exit 1, which means "falsified"
+    code, out, err = run(capsys, "verify", "--expr-file", str(tmp_path), "--order", "64")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("Pi(q) = Pi(q) # caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and "utf-8" in err and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
+    def boom(order):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli.catalog, "verify_all", boom)
+    code, out, err = run(capsys, "verify-all", "--order", "64")
+    assert code == cli.EXIT_INTERNAL
+    assert err == "internal error: RuntimeError: unexpected\n"

@@ -35,6 +35,14 @@ def test_poly_gcd_with_zero_is_monic_normalization():
     assert poly_gcd(2 * M + 2, Poly(())) == M + 1
 
 
+def test_poly_rejects_floats():
+    with pytest.raises(TypeError):
+        Poly((0.5,))
+    with pytest.raises(TypeError):
+        Poly((1, 2.0))
+    assert Poly((Fraction(1, 2),)).coeffs == (Fraction(1, 2),)
+
+
 def test_poly_divmod():
     q, r = divmod(M**3 + 1, M + 1)
     assert q * (M + 1) + r == M**3 + 1

@@ -51,6 +51,41 @@ def test_add_normalization_raises_valuation():
     assert total.coefficient(0) == 1
 
 
+def test_add_aligns_different_valuations_and_orders():
+    a = S(-2, [1, 0, 3, 0, 5], 3)   # t^-2 + 3 + 5t^2, known below t^3
+    b = S(1, [7, 11, 13], 4)        # 7t + 11t^2 + 13t^3, known below t^4
+    total = a + b
+    assert total.valuation == -2 and total.order == 3
+    assert total.coeffs == (1, 0, 3, 7, 16)
+    assert (b + a) == total
+    # b starts at or beyond the common order: only a's window survives
+    c = S(5, [1], 9)
+    assert (a + c) == a and (c + a) == a
+
+
+def test_add_complete_cancellation_is_canonical_zero():
+    a = S(-1, [2, Fraction(1, 3), 0, 4], 3)
+    total = a + S(-1, [-2, Fraction(-1, 3), 0, -4, 9], 4)
+    assert total.is_zero
+    assert total == LaurentSeries.zero(3)
+    assert (a - a) == LaurentSeries.zero(3)
+
+
+def test_floats_rejected_at_every_constructor():
+    with pytest.raises(TypeError):
+        LaurentSeries.constant(0.1, 4)
+    with pytest.raises(TypeError):
+        LaurentSeries.monomial(1, 4, 0.5)
+    with pytest.raises(TypeError):
+        S(0, [1, 0.5], 2)
+    with pytest.raises(TypeError):
+        ONE.scale(0.5)
+    for op in (lambda: ONE + 0.5, lambda: ONE * 0.5, lambda: ONE / 0.5, lambda: 0.5 - ONE):
+        with pytest.raises(TypeError):
+            op()
+    assert LaurentSeries.constant("1/10", 4).coefficient(0) == Fraction(1, 10)
+
+
 # ----------------------------------------------------------------------
 # multiplication
 
