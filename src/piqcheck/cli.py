@@ -150,7 +150,7 @@ def _proof_json(r: ProofReport) -> dict:
         "valid_order": None,
         "first_failure": None,
         "paper_form_match": r.paper_form_match,
-        "elapsed_ms": None,
+        "elapsed_ms": round(r.elapsed * 1000.0, 3),
         "degree": r.degree,
         "computed_form": None if r.paper_form_match else r.computed_form,
         "reference_form": None if r.paper_form_match else r.reference_form,
@@ -175,7 +175,7 @@ def _param_json(r: ParamSeriesReport) -> dict:
             None if r.verified else {"exponent": min(failures), "lhs": None, "rhs": None}
         ),
         "paper_form_match": None,
-        "elapsed_ms": None,
+        "elapsed_ms": round(r.elapsed * 1000.0, 3),
         "checks": [
             {"name": c.name, "holds": c.holds, "first_failure_exponent": c.first_failure_exponent}
             for c in r.checks
@@ -325,23 +325,18 @@ def _cmd_prove_modular(args) -> int:
             raise _Usage("--degree and --theorem disagree")
         degree = mapped
     if degree is None and args.eq is not None:
-        if args.eq in modular.DEGREE3_EQUATIONS:
-            degree = 3
-        elif args.eq in modular.DEGREE5_EQUATIONS:
-            degree = 5
-        else:
+        degree = next((d for d, eqs in modular.EQUATIONS.items() if args.eq in eqs), None)
+        if degree is None:
             raise _Usage(f"unknown equation id {args.eq!r}")
     reports: list[ProofReport] = []
-    degrees = (degree,) if degree is not None else (3, 5)
+    degrees = (degree,) if degree is not None else tuple(modular.EQUATIONS)
     for d in degrees:
-        if args.eq is not None:
-            prove = modular.prove_degree3 if d == 3 else modular.prove_degree5
-            known = modular.DEGREE3_EQUATIONS if d == 3 else modular.DEGREE5_EQUATIONS
-            if args.eq not in known:
-                raise _Usage(f"equation {args.eq!r} is not a degree-{d} goal")
-            reports.append(prove(args.eq))
-        else:
+        if args.eq is None:
             reports.extend(modular.prove_all(d))
+        elif args.eq in modular.EQUATIONS[d]:
+            reports.append(modular.prove(d, args.eq))
+        else:
+            raise _Usage(f"equation {args.eq!r} is not a degree-{d} goal")
     lines = [
         json.dumps(_proof_json(r)) if args.json else _proof_text(r) for r in reports
     ]

@@ -9,14 +9,38 @@ Three layers, all immutable with canonical forms so equality is structural:
   * :class:`QuadExt` -- an element a(m) + b(m)*s of the quadratic extension
     defined by s^2 = u(m), where the modulus u is itself a rational function.
 
-Degrees stay small (below ~40) in every computation performed here, so the
-dense representation and plain Euclidean gcd are entirely adequate.
+Coefficients stay ``Fraction`` tuples in the public representation; the
+arithmetic that dominates the modular goals runs beneath it on integers, the
+way the series kernels do.  A polynomial is read as integer numerators over
+one common denominator, and:
+
+  * ``Poly.__mul__`` multiplies the numerator lists and divides by the
+    product of the two denominators once per coefficient;
+  * :func:`poly_gcd` runs the primitive polynomial remainder sequence over Z
+    (Collins, "Subresultants and reduced polynomial remainder sequences",
+    JACM 1967): pseudo-remainders, each divided by its content, so no
+    Fraction arises until the primitive gcd is made monic;
+  * ``RatFunc`` divides the numerator and the denominator by that gcd
+    exactly, in integers (a monic gcd clears to a primitive integer
+    polynomial, and by Gauss's lemma it divides both there), then makes the
+    denominator monic with one Fraction per coefficient.
+
+The canonical forms are the same as the Euclidean algorithm over Q gives,
+coefficient for coefficient.  Degrees stay small (32 at most in the modular
+goals), so dense lists and quadratic loops are adequate; division with
+remainder (``divmod``, ``//``, ``%``) keeps the plain Fraction loop, as
+nothing on a hot path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd
+from operator import add, mul
+
+from .series import _scaled_ints
 
 
 class FieldError(Exception):
@@ -44,6 +68,85 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+# ----------------------------------------------------------------------
+# integer kernels: dense coefficient lists over Z, constant term first, no
+# trailing zeros
+
+
+def _zz_primitive(a: list[int]) -> list[int]:
+    """a divided by its content, the gcd of its entries."""
+    c = gcd(*a)
+    return a if c == 1 else [x // c for x in a]
+
+
+def _zz_prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b, deg a >= deg b.
+
+    Each step cancels the top entry of the running remainder r with
+    r = (lb/h) r - (c/h) m^k b, where lb is b's leading entry, c is r's and
+    h = gcd(lb, c): a pseudo-division that keeps the numbers small.
+    """
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        if c:
+            h = gcd(lb, c)
+            sa, sc = lb // h, c // h
+            if sa != 1:
+                r = [sa * x for x in r]
+            r[k:] = map(add, r[k:], map(mul, repeat(-sc), b[:db]))
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _zz_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of two nonzero integer polynomials, up to its sign.
+
+    The primitive polynomial remainder sequence (Collins, JACM 1967): each
+    pseudo-remainder is divided by its content before the next step.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _zz_primitive(a), _zz_primitive(b)
+    while len(b) > 1:
+        r = _zz_prem(a, b)
+        if not r:
+            return b
+        a, b = b, _zz_primitive(r)
+    return [1]
+
+
+def _zz_divexact(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b of integer polynomials when b divides a over Z."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop() // lb
+        q[k] = c
+        if c:
+            r[k:] = map(add, r[k:], map(mul, repeat(-c), b[:db]))
+    return q
+
+
+def _zz_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero integer polynomials; rows of a skip its zeros."""
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i in compress(range(len(a)), a):
+        out[i : i + n] = map(add, out[i : i + n], map(mul, repeat(a[i]), b))
+    return out
+
+
+def _fracs(a: list[int], den: int) -> tuple[Fraction, ...]:
+    """The coefficients a[i] / den as Fractions."""
+    if den == 1:
+        return tuple(map(Fraction, a))
+    return tuple(Fraction(x, den) for x in a)
+
+
 @dataclass(frozen=True)
 class Poly:
     """Dense polynomial sum(coeffs[i] * m^i) with canonical degree."""
@@ -55,6 +158,13 @@ class Poly:
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
+
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> Poly:
+        """Constructor for Fractions already free of trailing zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     # ------------------------------------------------------------------
 
@@ -118,14 +228,9 @@ class Poly:
             return NotImplemented
         if self.is_zero or rhs.is_zero:
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(rhs.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(rhs.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(tuple(out))
+        a, da = _scaled_ints(self.coeffs)
+        b, db = _scaled_ints(rhs.coeffs)
+        return Poly._of(_fracs(_zz_mul(a, b), da * db))
 
     __rmul__ = __mul__
 
@@ -192,10 +297,14 @@ M = Poly((0, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(p, 0) is the monic normalization of p."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor; gcd(p, 0) is the monic normalization of p.
+
+    Computed on the cleared-denominator integer forms by :func:`_zz_gcd`.
+    """
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    g = _zz_gcd(_scaled_ints(a.coeffs)[0], _scaled_ints(b.coeffs)[0])
+    return Poly._of(_fracs(g, g[-1]))
 
 
 @dataclass(frozen=True)
@@ -212,13 +321,18 @@ class RatFunc:
         if num.is_zero:
             num, den = Poly(()), Poly((Fraction(1),))
         else:
+            # num = n / dn and den = d / dd with integer n, d; the gcd and
+            # both exact quotients by it are taken over Z (Gauss's lemma: the
+            # gcd's cleared form is primitive, so it divides n and d there)
             g = poly_gcd(num, den)
+            n, dn = _scaled_ints(num.coeffs)
+            d, dd = _scaled_ints(den.coeffs)
             if g.degree > 0:
-                num, den = num // g, den // g
-            lc = den.leading_coefficient
-            if lc != 1:
-                num = num * (Fraction(1) / lc)
-                den = den.monic()
+                gz = _scaled_ints(g.coeffs)[0]
+                n, d = _zz_divexact(n, gz), _zz_divexact(d, gz)
+            lc = d[-1]
+            num = Poly._of(tuple(Fraction(x * dd, dn * lc) for x in n))
+            den = Poly._of(_fracs(d, lc))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -17,6 +17,13 @@ forms coincide.  Where a known closed form of the common value exists, the
 report also records whether the computed value matches it; that comparison is
 informational and never decides the proof (``sides_equal`` is the theorem).
 
+Goals and reference forms belong to a table: ``ParamTable3.goals`` and
+``.references`` (and those of ``ParamTable5``) are built on first use and
+then kept, so proving every goal of a degree builds that degree's goals
+once, and importing the module builds nothing.  Both degrees share one
+proving body; a report's ``elapsed`` covers that goal's own comparisons, not
+the shared build.
+
 The same parametrizations are cross-validated against the series world by
 :func:`check_param_series`, which clears denominators and compares both sides
 as Laurent series built from the theta constructors.
@@ -24,8 +31,11 @@ as Laurent series built from the theta constructors.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import ClassVar
 
 from . import theta
 from .field import M, Poly, QuadExt, RatFunc, quadext_equal
@@ -55,8 +65,20 @@ class ParamTable3:
     eighth_ab: QuadExt          # (alpha*beta)^(1/8) = s/2
     m: QuadExt
 
+    degree: ClassVar[int] = 3
+
     def scalar(self, value) -> QuadExt:
         return QuadExt.scalar(value, self.u)
+
+    @cached_property
+    def goals(self) -> dict[str, tuple[QuadExt, QuadExt]]:
+        """Both sides of every degree-3 goal, built on first use."""
+        return _goals3(self)
+
+    @cached_property
+    def references(self) -> dict[str, tuple[RatFunc | None, QuadExt]]:
+        """Recorded closed forms of the common values, built on first use."""
+        return _reference_quotients3(self.u)
 
 
 def _require(cond: bool, what: str) -> None:
@@ -116,8 +138,20 @@ class ParamTable5:
     sqrt_1a1b_prod: QuadExt     # ((1-alpha)(1-beta))^(1/2)
     m: QuadExt
 
+    degree: ClassVar[int] = 5
+
     def scalar(self, value) -> QuadExt:
         return QuadExt.scalar(value, self.u)
+
+    @cached_property
+    def goals(self) -> dict[str, tuple[QuadExt, QuadExt]]:
+        """Both sides of every degree-5 goal, built on first use."""
+        return _goals5(self)
+
+    @cached_property
+    def references(self) -> dict[str, tuple[RatFunc | None, QuadExt]]:
+        """Recorded closed forms of the common values, built on first use."""
+        return _reference_quotients5(self.u)
 
 
 def build_table5() -> ParamTable5:
@@ -191,6 +225,7 @@ class ProofReport:
     computed_form: str | None = None
     reference_form: str | None = None
     notes: str = ""
+    elapsed: float = 0.0
 
 
 def _half(x: QuadExt) -> QuadExt:
@@ -274,17 +309,19 @@ def _goals5(t: ParamTable5) -> dict[str, tuple[QuadExt, QuadExt]]:
 
 
 # Known closed forms of the common canonical values (informational comparison).
-def _reference_common3(u: RatFunc) -> dict[str, QuadExt]:
+# Each entry is (prefactor, reference): the common value divided by the
+# prefactor must equal the reference; a prefactor of None compares the common
+# value itself.
+def _reference_quotients3(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt]]:
     s = QuadExt.root(u)
     return {
-        "4-2": QuadExt.scalar(RatFunc.of((M - 1) * (M + 3) * (M**2 + 3), 4 * M), u),
-        "4-4": s * RatFunc.of(Poly((-27, 0, 18, 24, 1)), 16 * M**3 * (M + 3)),
-        "4-5": s * RatFunc.of(Poly((-3, 24, -6, 0, 1)), 16 * (M - 1)),
+        "4-2": (None, QuadExt.scalar(RatFunc.of((M - 1) * (M + 3) * (M**2 + 3), 4 * M), u)),
+        "4-4": (None, s * RatFunc.of(Poly((-27, 0, 18, 24, 1)), 16 * M**3 * (M + 3))),
+        "4-5": (None, s * RatFunc.of(Poly((-3, 24, -6, 0, 1)), 16 * (M - 1))),
     }
 
 
-# Degree-5: each common value equals prefactor * quotient; both are recorded.
-def _reference_quotients5(u: RatFunc) -> dict[str, tuple[RatFunc, QuadExt]]:
+def _reference_quotients5(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt]]:
     rho = QuadExt.root(u)
     lift = lambda p: QuadExt.scalar(RatFunc.of(p), u)
 
@@ -296,44 +333,53 @@ def _reference_quotients5(u: RatFunc) -> dict[str, tuple[RatFunc, QuadExt]]:
     c_rho = Poly((390625, -156250, 93750, -306250, 50000, -58750, -11750, -350, -1))
     d_rat = Poly((0, -6250, 6250, -500, 100, 510, 18))
     d_rho = Poly((3125, -3125, 1250, -1050, -135, -1))
+    common_2_5 = (lift(Poly((1, 7, -1, 1))) + rho * RatFunc.of(2 * M + 2)) \
+        * RatFunc.of((M - 5) ** 2, (M - 1) ** 4)
 
     return {
         "2-1": (RatFunc.of(4, (M - 1) ** 2), lift(a_rat) + rho * RatFunc.of(a_rho)),
         "2-2": (RatFunc.of(-4096 * M**2, (M - 5) ** 12), lift(c_rat) + rho * RatFunc.of(c_rho)),
         "2-3": (RatFunc.of(1 - M, 256 * M**6 * (M - 5)), lift(d_rat) + rho * RatFunc.of(d_rho)),
         "2-4": (RatFunc.of(M - 5, 256 * M * (M - 1)), lift(b_rat) + rho * RatFunc.of(b_rho)),
+        "2-5": (None, common_2_5),
     }
-
-
-def _reference_common5(u: RatFunc) -> QuadExt:
-    rho = QuadExt.root(u)
-    num = QuadExt.scalar(RatFunc.of(Poly((1, 7, -1, 1))), u) + rho * RatFunc.of(2 * M + 2)
-    scale = RatFunc.of((M - 5) ** 2, (M - 1) ** 4)
-    return num * scale
 
 
 DEGREE3_EQUATIONS = ("4-1", "4-2", "4-3", "4-4", "4-5", "4-6+", "4-6-", "44-7+", "44-7-")
 DEGREE5_EQUATIONS = ("2-1", "2-2", "2-3", "2-4", "2-5")
+EQUATIONS = {3: DEGREE3_EQUATIONS, 5: DEGREE5_EQUATIONS}
+
+
+def _prove(t: ParamTable3 | ParamTable5, eq_id: str) -> ProofReport:
+    """Compare the two sides of one goal, then its common value with the record.
+
+    The table's goals and references are built before the clock starts, so
+    ``elapsed`` covers this goal's own comparisons only.
+    """
+    goals, references = t.goals, t.references
+    if eq_id not in goals:
+        raise KeyError(
+            f"unknown degree-{t.degree} equation {eq_id!r}; expected one of {EQUATIONS[t.degree]}"
+        )
+    started = time.perf_counter()
+    lhs, rhs = goals[eq_id]
+    equal = quadext_equal(lhs, rhs)
+    match = computed = reference = None
+    if eq_id in references:
+        prefactor, ref = references[eq_id]
+        value = lhs if prefactor is None else lhs / QuadExt.scalar(prefactor, t.u)
+        match = quadext_equal(value, ref)
+        computed, reference = str(value), str(ref)
+    return ProofReport(
+        eq_id=eq_id, degree=t.degree, lhs=lhs, rhs=rhs, sides_equal=equal,
+        paper_form_match=match, computed_form=computed, reference_form=reference,
+        elapsed=time.perf_counter() - started,
+    )
 
 
 def prove_degree3(eq_id: str, table: ParamTable3 | None = None) -> ProofReport:
     """Replay one degree-3 equation goal; both sides are built from the atoms."""
-    t = table if table is not None else build_table3()
-    goals = _goals3(t)
-    if eq_id not in goals:
-        raise KeyError(f"unknown degree-3 equation {eq_id!r}; expected one of {DEGREE3_EQUATIONS}")
-    lhs, rhs = goals[eq_id]
-    equal = quadext_equal(lhs, rhs)
-    match = None
-    computed = reference = None
-    ref = _reference_common3(t.u).get(eq_id)
-    if ref is not None:
-        match = quadext_equal(lhs, ref)
-        computed, reference = str(lhs), str(ref)
-    return ProofReport(
-        eq_id=eq_id, degree=3, lhs=lhs, rhs=rhs, sides_equal=equal,
-        paper_form_match=match, computed_form=computed, reference_form=reference,
-    )
+    return _prove(table if table is not None else build_table3(), eq_id)
 
 
 def prove_degree5(eq_id: str, table: ParamTable5 | None = None) -> ProofReport:
@@ -344,38 +390,24 @@ def prove_degree5(eq_id: str, table: ParamTable5 | None = None) -> ProofReport:
     polynomial (or, for 2-5, the common value is compared directly); a
     mismatch there is informational only.
     """
-    t = table if table is not None else build_table5()
-    goals = _goals5(t)
-    if eq_id not in goals:
-        raise KeyError(f"unknown degree-5 equation {eq_id!r}; expected one of {DEGREE5_EQUATIONS}")
-    lhs, rhs = goals[eq_id]
-    equal = quadext_equal(lhs, rhs)
-    match = None
-    computed = reference = None
-    if eq_id == "2-5":
-        ref = _reference_common5(t.u)
-        match = quadext_equal(lhs, ref)
-        computed, reference = str(lhs), str(ref)
-    else:
-        prefactor, ref_quotient = _reference_quotients5(t.u)[eq_id]
-        quotient = lhs / QuadExt.scalar(prefactor, t.u)
-        match = quadext_equal(quotient, ref_quotient)
-        computed, reference = str(quotient), str(ref_quotient)
-    return ProofReport(
-        eq_id=eq_id, degree=5, lhs=lhs, rhs=rhs, sides_equal=equal,
-        paper_form_match=match, computed_form=computed, reference_form=reference,
-    )
+    return _prove(table if table is not None else build_table5(), eq_id)
+
+
+def prove(degree: int, eq_id: str, table: ParamTable3 | ParamTable5 | None = None) -> ProofReport:
+    """Replay one goal of degree 3 or 5 through :func:`prove_degree3` or :func:`prove_degree5`."""
+    if degree == 3:
+        return prove_degree3(eq_id, table)
+    if degree == 5:
+        return prove_degree5(eq_id, table)
+    raise ValueError("degree must be 3 or 5")
 
 
 def prove_all(degree: int) -> list[ProofReport]:
-    """All goals of one degree, in catalog order."""
-    if degree == 3:
-        table = build_table3()
-        return [prove_degree3(eq, table) for eq in DEGREE3_EQUATIONS]
-    if degree == 5:
-        table = build_table5()
-        return [prove_degree5(eq, table) for eq in DEGREE5_EQUATIONS]
-    raise ValueError("degree must be 3 or 5")
+    """All goals of one degree, in catalog order, over one table."""
+    if degree not in EQUATIONS:
+        raise ValueError("degree must be 3 or 5")
+    table = build_table3() if degree == 3 else build_table5()
+    return [prove(degree, eq, table) for eq in EQUATIONS[degree]]
 
 
 # ----------------------------------------------------------------------
@@ -424,6 +456,7 @@ class ParamSeriesReport:
     degree: int
     order: int
     checks: tuple[ParamCheck, ...] = field(default_factory=tuple)
+    elapsed: float = 0.0
 
     @property
     def verified(self) -> bool:
@@ -446,6 +479,7 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
     16 m^2 (5-m)^2 beta = (2m-rho)^2 (4m^3 - 16m^2 + 20m + rho(m^2-5)).
     Flipping the rho branch must falsify the degree-5 checks.
     """
+    started = time.perf_counter()
     if degree == 3:
         m = theta.m_series(3, order)
         alpha = theta.alpha_series(3, order)
@@ -456,8 +490,7 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
             _compare("16*m^3*alpha = (m-1)*(m+3)^3", (m**3 * alpha).scale(16), mm1 * mp3**3),
             _compare("16*m*beta = (m-1)^3*(m+3)", (m * beta).scale(16), mm1**3 * mp3),
         )
-        return ParamSeriesReport(3, order, checks)
-    if degree == 5:
+    elif degree == 5:
         m = theta.m_series(5, order)
         alpha = theta.alpha_series(5, order)
         beta = theta.beta_series(5, order)
@@ -478,5 +511,6 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
                 (m.scale(2) + rho) ** 2 * core,
             ),
         )
-        return ParamSeriesReport(5, order, checks)
-    raise ValueError("degree must be 3 or 5")
+    else:
+        raise ValueError("degree must be 3 or 5")
+    return ParamSeriesReport(degree, order, checks, time.perf_counter() - started)

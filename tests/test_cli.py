@@ -139,6 +139,26 @@ def test_check_param_both_degrees(capsys):
     assert len(payload["checks"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove-modular", "--json"],
+        ["prove-modular", "--eq", "4-4", "--json"],
+        ["check-param", "--degree", "3", "--order", "64", "--json"],
+        ["check-param", "--degree", "5", "--order", "64", "--json"],
+    ],
+)
+def test_proof_and_param_reports_carry_elapsed_ms(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payloads = [json.loads(line) for line in out.strip().splitlines()]
+    assert payloads
+    for p in payloads:
+        elapsed = p["elapsed_ms"]
+        assert isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool), p["id"]
+        assert elapsed >= 0, p["id"]
+
+
 def test_order_environment_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_ORDER, "64")
     code, out, _ = run(capsys, "verify", "--id", "EQ1-1", "--json")

@@ -1,8 +1,16 @@
 """Modular-equation goals: atom validation, proofs, and the series bridge."""
 
+import os
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from piqcheck import modular, theta
+import piqcheck
+from piqcheck import cli, modular, theta
 from piqcheck.field import M, Poly, QuadExt, RatFunc, quadext_equal
 
 
@@ -136,6 +144,65 @@ def test_prove_all_shapes():
     assert [r.eq_id for r in r3] == list(modular.DEGREE3_EQUATIONS)
     assert [r.eq_id for r in r5] == list(modular.DEGREE5_EQUATIONS)
     assert all(r.sides_equal for r in r3 + r5)
+
+
+# ----------------------------------------------------------------------
+# shared build
+
+
+def test_goals_and_references_are_built_once_per_table(monkeypatch, capsys):
+    builds = Counter()
+    names = ("_goals3", "_goals5", "_reference_quotients3", "_reference_quotients5")
+    for name in names:
+        def counted(arg, _build=getattr(modular, name), _name=name):
+            builds[_name] += 1
+            return _build(arg)
+        monkeypatch.setattr(modular, name, counted)
+
+    modular.prove_all(3)
+    modular.prove_all(5)
+    assert builds == Counter(dict.fromkeys(names, 1))
+    assert cli.main(["prove-modular"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert builds == Counter(dict.fromkeys(names, 2))
+
+    table = modular.build_table5()
+    for eq in modular.DEGREE5_EQUATIONS:
+        modular.prove_degree5(eq, table)
+    assert builds["_goals5"] == 3 and builds["_reference_quotients5"] == 3
+
+
+def test_import_builds_no_table():
+    probe = (
+        "import sys\n"
+        "names = {'build_table3', 'build_table5', '_goals3', '_goals5',\n"
+        "         '_reference_quotients3', '_reference_quotients5'}\n"
+        "seen = []\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in names:\n"
+        "        seen.append(frame.f_code.co_name)\n"
+        "sys.setprofile(hook)\n"
+        "import piqcheck\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(seen))\n"
+    )
+    src = str(Path(piqcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_first_goal_is_not_charged_with_the_shared_build(monkeypatch):
+    def slow(t, _build=modular._goals3):
+        time.sleep(0.3)
+        return _build(t)
+
+    monkeypatch.setattr(modular, "_goals3", slow)
+    reports = modular.prove_all(3)
+    assert all(0 <= r.elapsed < 0.3 for r in reports)
 
 
 # ----------------------------------------------------------------------
