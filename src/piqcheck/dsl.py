@@ -4,16 +4,24 @@ Grammar (whitespace insensitive)::
 
     expr     := term (('+' | '-') term)*
     term     := factor (('*' | '/') factor)*
-    factor   := atom ('^' integer)?
+    factor   := atom ('^' (integer | '(' '-' integer ')'))?
     atom     := 'Pi' '(' qarg ')' | 'psi' '(' qarg ')' | 'phi' '(' qarg ')'
-              | 'sqrt' '(' expr ')' | 'q' '^' rational | rational | '(' expr ')'
+              | 'sqrt' '(' expr ')' | 'q' '^' qexp | rational
+              | '(' '-' rational ')' | '(' expr ')'
     qarg     := 'q' ('^' posint)?
+    qexp     := rational | '{' rational '}' | '(' '-' rational ')'
     rational := integer ('/' integer)?
 
-A rational after '^' binds greedily, so ``q^1/2`` is the exponent 1/2; braces
-are also accepted there (``q^{1/2}``) and ignored.  ``q^r`` denotes the
+Negative numbers exist only in brackets: the constant ``(-3/4)``, the
+power ``x^(-2)`` and the q-power ``q^(-1/2)``.  A rational binds greedily,
+so ``q^1/2`` is the exponent 1/2 and ``1/2`` one constant; braces are also
+accepted after ``q^`` (``q^{1/2}``) and ignored.  ``q^r`` denotes the
 q-power q^r, which is the t-power t^(4r); r must therefore be a quarter
 integer (4r integral) or :class:`QPowNotQuarterIntegral` is raised.
+
+An expression tree more than :data:`MAX_DEPTH` levels deep, or with brackets
+and ``sqrt`` calls nested deeper than that, raises :class:`ParseError` at
+the operator or bracket that goes past the limit.
 
 Parse failures raise :class:`ParseError` carrying the byte offset into the
 UTF-8 encoding of the input and the set of token descriptions that were
@@ -28,6 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+MAX_DEPTH = 100
+"""Deepest expression tree, and deepest nesting of brackets, that parse accepts.
+
+The catalog's trees are at most 8 deep.  Evaluating and printing a tree
+recurse once or twice per level and parsing a bracket four or five times,
+so the limit keeps every such walk well inside the interpreter's
+recursion limit.
+"""
 
 
 class ParseError(Exception):
@@ -218,6 +236,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     # -- plumbing ------------------------------------------------------
 
@@ -245,16 +264,28 @@ class _Parser:
             )
         return self._advance()
 
+    def _checked(self, depth: int, tok: _Token) -> int:
+        """depth, or a ParseError at tok when it exceeds MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self._offset(tok))
+        return depth
+
+    def _open(self) -> None:
+        """Consume '(', one nesting level deeper."""
+        tok = self._expect("(", frozenset({"'('"}))
+        self.nesting += 1
+        self._checked(self.nesting, tok)
+
     @staticmethod
     def _describe(tok: _Token) -> str:
         if tok.kind == "end":
             return "end of input"
         return f"token {tok.text!r}"
 
-    # -- grammar -------------------------------------------------------
+    # -- grammar: each rule returns (node, depth of the node's tree) ----
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         if self.current.kind != "end":
             raise ParseError(
                 f"unexpected {self._describe(self.current)}",
@@ -263,45 +294,54 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while self.current.kind in ("+", "-"):
-            op = self._advance().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = self._advance()
+            rhs, rdepth = self.term()
+            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+            depth = self._checked(max(depth, rdepth) + 1, op)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while self.current.kind in ("*", "/"):
-            op = self._advance().kind
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            op = self._advance()
+            rhs, rdepth = self.factor()
+            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            depth = self._checked(max(depth, rdepth) + 1, op)
+        return node, depth
 
-    def factor(self) -> Expr:
-        node = self.atom()
-        if self._accept("^"):
-            tok = self._expect("int", frozenset({"integer"}))
-            node = PowInt(node, int(tok.text))
-        return node
+    def factor(self) -> tuple[Expr, int]:
+        node, depth = self.atom()
+        op = self._accept("^")
+        if op:
+            if self._at_negative():
+                exponent = -self._negative(self._integer)
+            else:
+                exponent = self._integer()
+            node, depth = PowInt(node, exponent), self._checked(depth + 1, op)
+        return node, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.current
         if tok.kind == "int":
-            return Const(self._rational())
+            return Const(self._rational()), 1
+        if self._at_negative():
+            return Const(-self._negative(self._rational)), 1
         if tok.kind == "(":
-            self._advance()
+            self._open()
             inner = self.expr()
             self._expect(")", frozenset({"')'"}))
+            self.nesting -= 1
             return inner
         if tok.kind == "name":
             if tok.text in ("Pi", "psi", "phi"):
-                return self._builder_call(tok.text)
+                return self._builder_call(tok.text), 1
             if tok.text == "sqrt":
                 return self._sqrt_call()
             if tok.text == "q":
-                return self._qpower()
+                return self._qpower(), 1
             raise ParseError(
                 f"unknown name {tok.text!r}",
                 self._offset(),
@@ -312,6 +352,20 @@ class _Parser:
             self._offset(),
             frozenset({"'Pi'", "'psi'", "'phi'", "'sqrt'", "'q'", "integer", "'('"}),
         )
+
+    def _at_negative(self) -> bool:
+        return self.current.kind == "(" and self.tokens[self.pos + 1].kind == "-"
+
+    def _negative(self, read):
+        """'(' '-' x ')' with x read by read(); returns x."""
+        self._expect("(", frozenset({"'('"}))
+        self._expect("-", frozenset({"'-'"}))
+        value = read()
+        self._expect(")", frozenset({"')'"}))
+        return value
+
+    def _integer(self) -> int:
+        return int(self._expect("int", frozenset({"integer"})).text)
 
     def _rational(self) -> Fraction:
         tok = self._expect("int", frozenset({"integer"}))
@@ -351,25 +405,30 @@ class _Parser:
             return k
         return 1
 
-    def _sqrt_call(self) -> Expr:
-        self._advance()  # sqrt
-        self._expect("(", frozenset({"'('"}))
+    def _sqrt_call(self) -> tuple[Expr, int]:
+        name = self._advance()  # sqrt
+        self._open()
         if self.current.kind == ")":
             raise ArityError("sqrt requires exactly one argument", self._offset())
-        inner = self.expr()
+        inner, depth = self.expr()
         if self.current.kind == ",":
             raise ArityError("sqrt takes exactly one argument", self._offset())
         self._expect(")", frozenset({"')'"}))
-        return Sqrt(inner)
+        self.nesting -= 1
+        return Sqrt(inner), self._checked(depth + 1, name)
 
     def _qpower(self) -> Expr:
         self._advance()  # q
         self._expect("^", frozenset({"'^'"}))
-        braced = self._accept("{") is not None
         rat_tok = self.current
-        r = self._rational()
-        if braced:
-            self._expect("}", frozenset({"'}'"}))
+        if self._at_negative():
+            r = -self._negative(self._rational)
+        else:
+            braced = self._accept("{") is not None
+            rat_tok = self.current
+            r = self._rational()
+            if braced:
+                self._expect("}", frozenset({"'}'"}))
         if (4 * r).denominator != 1:
             raise QPowNotQuarterIntegral(r, self._offset(rat_tok))
         return QPow(r)
@@ -403,6 +462,18 @@ def _render(e: Expr, min_level: int) -> str:
     return text
 
 
+def _joins_slash(e: Expr) -> bool:
+    """Whether the text of e ends in an integer that a following ``/ n``
+    would join into one rational, as ``x * 1`` followed by ``/ 2`` does."""
+    if isinstance(e, (Mul, Div)):
+        e = e.right
+    if isinstance(e, Const):
+        return e.value >= 0 and e.value.denominator == 1
+    if isinstance(e, QPow):
+        return e.r >= 0 and e.r.denominator == 1
+    return False
+
+
 def _render_raw(e: Expr) -> str:
     if isinstance(e, Pi):
         return "Pi(q)" if e.k == 1 else f"Pi(q^{e.k})"
@@ -411,9 +482,9 @@ def _render_raw(e: Expr) -> str:
     if isinstance(e, Phi):
         return "phi(q)" if e.k == 1 else f"phi(q^{e.k})"
     if isinstance(e, QPow):
-        return f"q^{e.r}"
+        return f"q^(-{-e.r})" if e.r < 0 else f"q^{e.r}"
     if isinstance(e, Const):
-        return str(e.value)
+        return f"({e.value})" if e.value < 0 else str(e.value)
     if isinstance(e, Add):
         return f"{_render(e.left, _LEVEL_ADD)} + {_render(e.right, _LEVEL_ADD + 1)}"
     if isinstance(e, Sub):
@@ -421,9 +492,13 @@ def _render_raw(e: Expr) -> str:
     if isinstance(e, Mul):
         return f"{_render(e.left, _LEVEL_MUL)} * {_render(e.right, _LEVEL_MUL + 1)}"
     if isinstance(e, Div):
-        return f"{_render(e.left, _LEVEL_MUL)} / {_render(e.right, _LEVEL_MUL + 1)}"
+        right = _render(e.right, _LEVEL_MUL + 1)
+        if right[0].isdigit() and _joins_slash(e.left):
+            right = f"({right})"
+        return f"{_render(e.left, _LEVEL_MUL)} / {right}"
     if isinstance(e, PowInt):
-        return f"{_render(e.base, _LEVEL_ATOM)}^{e.exponent}"
+        exponent = f"({e.exponent})" if e.exponent < 0 else e.exponent
+        return f"{_render(e.base, _LEVEL_ATOM)}^{exponent}"
     if isinstance(e, Sqrt):
         return f"sqrt({_render(e.arg, _LEVEL_ADD)})"
     raise TypeError(f"not an expression node: {e!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import Fraction, LaurentSeries, SeriesError
+from .series import LaurentSeries, SeriesError
 
 
 class ZeroFactor(SeriesError):
@@ -57,7 +57,7 @@ def pochhammer(e: int, p: int, order: int) -> LaurentSeries:
         for i in range(order - 1, j - 1, -1):
             coeffs[i] -= coeffs[i - j]
         j += p
-    return LaurentSeries(0, tuple(Fraction(c) for c in coeffs), order)
+    return LaurentSeries._build(0, order, 1, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +73,7 @@ def psi(k: int, order: int) -> LaurentSeries:
             break
         coeffs[exp] += 1
         n += 1
-    return LaurentSeries(0, tuple(Fraction(c) for c in coeffs), order)
+    return LaurentSeries._build(0, order, 1, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +98,7 @@ def phi(k: int, order: int) -> LaurentSeries:
             break
         coeffs[exp] += 2
         n += 1
-    return LaurentSeries(0, tuple(Fraction(c) for c in coeffs), order)
+    return LaurentSeries._build(0, order, 1, coeffs)
 
 
 @lru_cache(maxsize=None)

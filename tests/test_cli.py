@@ -52,6 +52,29 @@ def test_verify_expr_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "deep", ["(" * 3000 + "1" + ")" * 3000, "+".join(["1"] * 3000)], ids=["brackets", "sum"]
+)
+def test_too_deep_expression_is_a_usage_error(capsys, deep):
+    for argv in (["verify", "--expr", f"{deep} = 1"], ["expand", "--expr", deep]):
+        code, out, err = run(capsys, *argv, "--order", "64")
+        assert code == cli.EXIT_USAGE
+        assert "parse error: expression nested deeper than" in err and "at byte" in err
+        assert "internal error" not in err and out == ""
+
+
+def test_expressions_at_the_depth_limit_evaluate(capsys):
+    from piqcheck.dsl import MAX_DEPTH
+
+    for text in (
+        "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+        "+".join(["1"] * MAX_DEPTH),
+        "sqrt(" * (MAX_DEPTH - 1) + "phi(q)" + ")" * (MAX_DEPTH - 1),
+    ):
+        code, out, err = run(capsys, "verify", "--expr", f"{text} = {text}", "--order", "64")
+        assert code == 0 and err == "", err
+
+
 def test_verify_expr_file(tmp_path, capsys):
     path = tmp_path / "identities.txt"
     path.write_text(

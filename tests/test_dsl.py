@@ -3,15 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piqcheck import catalog
 from piqcheck.dsl import (
+    MAX_DEPTH,
     Add,
     ArityError,
     Const,
     Div,
     Mul,
     ParseError,
+    Phi,
     Pi,
     PowInt,
     Psi,
@@ -131,3 +135,91 @@ def test_node_validation_direct_construction():
         Pi(0)
     with pytest.raises(ValueError):
         QPow(Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "tree, text",
+    [
+        (Const(Fraction(-3)), "(-3)"),
+        (Const(Fraction(-3, 4)), "(-3/4)"),
+        (PowInt(Pi(1), -2), "Pi(q)^(-2)"),
+        (PowInt(Const(Fraction(-3)), 2), "(-3)^2"),
+        (QPow(Fraction(-1)), "q^(-1)"),
+        (QPow(Fraction(-1, 2)), "q^(-1/2)"),
+        (Div(Div(Pi(1), Const(Fraction(1))), Const(Fraction(2))), "Pi(q) / 1 / (2)"),
+        (Div(Div(Const(Fraction(1)), Const(Fraction(2))), Const(Fraction(3))), "1 / (2) / (3)"),
+        (Div(Const(Fraction(3)), Const(Fraction(4))), "3 / (4)"),
+        (Div(QPow(Fraction(1)), PowInt(Const(Fraction(2)), 3)), "q^1 / (2^3)"),
+        (Div(Mul(Pi(1), Const(Fraction(1))), Const(Fraction(3, 4))), "Pi(q) * 1 / (3/4)"),
+        (Div(Const(Fraction(3, 4)), Const(Fraction(5))), "3/4 / 5"),
+        (Div(PowInt(Pi(1), 2), Const(Fraction(3))), "Pi(q)^2 / 3"),
+    ],
+)
+def test_print_brackets_what_would_parse_otherwise(tree, text):
+    assert to_text(tree) == text
+    assert parse(text) == tree
+
+
+def _fractions(*denominators):
+    return st.builds(Fraction, st.integers(min_value=-20, max_value=20), st.sampled_from(denominators))
+
+
+_leaves = st.one_of(
+    st.builds(Pi, st.integers(min_value=1, max_value=12)),
+    st.builds(Psi, st.integers(min_value=1, max_value=12)),
+    st.builds(Phi, st.integers(min_value=1, max_value=12)),
+    st.builds(QPow, _fractions(1, 2, 4)),
+    st.builds(Const, _fractions(1, 1, 2, 3, 7)),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        *(st.builds(node, kids, kids) for node in (Add, Sub, Mul, Div)),
+        st.builds(PowInt, kids, st.integers(min_value=-5, max_value=5)),
+        st.builds(Sqrt, kids),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trees)
+def test_parse_inverts_to_text(tree):
+    assert parse(to_text(tree)) == tree
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 3000 + "1" + ")" * 3000, MAX_DEPTH),                # the first bracket too many
+        ("+".join(["1"] * 3000), 2 * MAX_DEPTH - 1),              # the operator that makes it too deep
+        ("sqrt(" * 3000 + "1" + ")" * 3000, 5 * MAX_DEPTH + 4),
+        ("Pi(q)" + "*Pi(q)" * 3000, 6 * MAX_DEPTH - 1),
+    ],
+)
+def test_depth_past_the_limit_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert f"deeper than {MAX_DEPTH}" in str(exc.value)
+
+
+def test_depth_at_the_limit_parses():
+    assert parse("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH) == Const(Fraction(1))
+    deep = parse("+".join(["1"] * MAX_DEPTH))
+    assert parse(to_text(deep)) == deep
+    assert parse("sqrt(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1)) is not None
+    # brackets side by side do not add up: 254 of them, nested at most 7 deep
+    balanced = "1"
+    for _ in range(7):
+        balanced = f"sqrt({balanced}) + ({balanced})"
+    assert parse(to_text(parse(balanced))) == parse(balanced)
+
+
+def test_catalog_lines_are_far_inside_the_depth_limit():
+    def depth(e):
+        kids = [getattr(e, a) for a in ("left", "right", "base", "arg") if hasattr(e, a)]
+        return 1 + max(map(depth, kids), default=0)
+
+    deepest = max(depth(side) for rec in catalog.list_identities() for side in (rec.lhs, rec.rhs))
+    assert deepest * 10 <= MAX_DEPTH

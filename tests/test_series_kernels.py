@@ -8,6 +8,7 @@ lattice step and with unknown tails that break the lattice beyond the window.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -154,3 +155,110 @@ def test_result_window_not_a_multiple_of_the_stride():
     for got, want in ((x * y, ref_mul(x, y)), (y / x, ref_div(y, x)), ((x * x).sqrt(), ref_sqrt(x * x))):
         same(got, want)
     assert (x * y).order == 8 and (y / x).order == 8
+
+
+# ----------------------------------------------------------------------
+# the stored integer form
+
+
+def at(x: LaurentSeries, e: int) -> Fraction:
+    """Coefficient of t^e read from the Fraction window alone."""
+    return x.coeffs[e - x.valuation] if x.valuation <= e < x.order else Fraction(0)
+
+
+def ref_add(x: LaurentSeries, y: LaurentSeries, sign: int = 1) -> LaurentSeries:
+    order = min(x.order, y.order)
+    start = min(x.valuation, y.valuation, order)
+    return LaurentSeries(start, tuple(at(x, e) + sign * at(y, e) for e in range(start, order)), order)
+
+
+def canonical(s: LaurentSeries) -> None:
+    """The stored form is the unique one: lattice step, trimmed numerators, reduced denominator."""
+    nums, g, den = s._nums, s._g, s._den
+    assert all(type(v) is int for v in nums) and type(den) is int and den > 0
+    if not nums:
+        assert (s.valuation, g, den) == (s.order, 0, 1)
+        return
+    assert nums[0] and nums[-1]
+    assert g == gcd(*(j * g for j, v in enumerate(nums) if v))
+    assert gcd(den, *nums) == 1
+    assert s.valuation + (len(nums) - 1) * g < s.order
+
+
+def same_and_canonical(got: LaurentSeries, want: LaurentSeries) -> None:
+    same(got, want)
+    canonical(got)
+    assert got == want and hash(got) == hash(want)
+
+
+@st.composite
+def unaligned_pairs(draw):
+    """Operands on lattices of any steps, with any valuations and windows."""
+    return draw(lattice_series(lead=rationals)), draw(lattice_series(lead=rationals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(operand_pairs(lead=rationals), unaligned_pairs()))
+def test_add_and_sub_match_reference(pair):
+    x, y = pair
+    same_and_canonical(x + y, ref_add(x, y))
+    same_and_canonical(y + x, ref_add(x, y))
+    same_and_canonical(x - y, ref_add(x, y, -1))
+    same_and_canonical(y - x, ref_add(y, x, -1))
+    same_and_canonical(x - x, LaurentSeries.zero(x.order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(lead=divisor_leads), lattice_series(lead=square_leads, even_valuation=True))
+def test_kernel_results_are_canonical(pair, radicand):
+    x, y = pair
+    same_and_canonical(x * y, ref_mul(x, y))
+    same_and_canonical(x / y, ref_div(x, y))
+    same_and_canonical(radicand.sqrt(), ref_sqrt(radicand))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(operand_pairs(lead=rationals), unaligned_pairs()))
+def test_coeffs_round_trip_through_the_constructor(pair):
+    for s in (*pair, pair[0] * pair[1], pair[0] - pair[1]):
+        canonical(s)
+        rebuilt = LaurentSeries(s.valuation, s.coeffs, s.order)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+        assert rebuilt.coeffs == s.coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_series(lead=divisor_leads), st.integers(min_value=1, max_value=12))
+def test_windows_that_differ(x, extra):
+    """Terms of the longer operand beyond the shorter window are never read."""
+    # y is x, known further, with two adjacent terms beyond x's order: off every lattice
+    y = LaurentSeries(x.valuation, x.coeffs + (0,) * (extra - 1) + (3, -1), x.order + extra + 1)
+    assert y._g == 1 and y.truncate(x.order) == x
+    for a, b in ((x, y), (y, x)):
+        same_and_canonical(a * b, ref_mul(a, b))
+        same_and_canonical(a / b, ref_div(a, b))
+        same_and_canonical(a + b, ref_add(a, b))
+        same_and_canonical(a - b, ref_add(a, b, -1))
+    assert (y - x).is_zero and (y - x).order == x.order
+
+
+def test_equal_series_from_fractions_and_from_kernels_are_equal_and_hash_equal():
+    one_minus_t4 = LaurentSeries(0, (Fraction(1), 0, 0, 0, Fraction(-1)), 40)
+    from_kernel = (one_minus_t4 * one_minus_t4) / one_minus_t4
+    from_fractions = LaurentSeries(0, [Fraction(1), 0, 0, 0, Fraction(-1)] + [0] * 35, 40)
+    assert from_kernel == from_fractions and hash(from_kernel) == hash(from_fractions)
+    assert len({from_kernel, from_fractions, one_minus_t4}) == 1
+    halves = LaurentSeries(3, (Fraction(1, 2), 0, Fraction(3, 2)), 9)
+    assert halves == LaurentSeries(3, ("1/2", 0, "3/2", 0, 0, 0), 9)
+    assert halves != halves.truncate(8) and halves != halves.shift(1)
+    assert (halves._g, halves._nums, halves._den) == (2, (1, 3), 2)
+
+
+def test_builders_store_their_lattice_once():
+    from piqcheck import theta
+
+    assert theta.pochhammer(8, 8, 800)._g == 8
+    assert theta.phi(1, 800)._g == 4 and theta.psi(2, 800)._g == 8
+    assert theta.phi(1, 800)._nums == tuple(1 if j == 0 else 2 if isqrt(j) ** 2 == j else 0 for j in range(197))
+    assert theta.phi(1, 800)._den == 1
+    assert theta.phi(1, 800).coeffs == LaurentSeries(0, theta.phi(1, 800).coeffs, 800).coeffs
