@@ -7,15 +7,18 @@ pattern are expanded into two records at registration; ids follow the stable
 scheme ``EQ<label>`` with a ``+`` or ``-`` suffix for the sign variants.
 
 Each record stores its two sides as expression trees (see :mod:`.dsl`).
-Verification evaluates both sides as Laurent series in t (q = t^4) at a
-requested order and reports either ``verified`` (the difference vanishes at
-every comparable exponent), ``falsified`` (with the first failing exponent
-and both coefficients), or ``error`` when evaluation could not produce a
-meaningful comparison range.
+:func:`verify_sides` is the one comparison: it evaluates two sides as
+Laurent series in t (q = t^4) at a requested order and reports either
+``verified`` (the difference vanishes at every comparable exponent),
+``falsified`` (with the first failing exponent and both coefficients), or
+``error`` when evaluation could not produce a meaningful comparison range.
+:func:`verify` looks a registered id up and compares its sides; user
+identities and mutated records go to :func:`verify_sides` directly.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +26,7 @@ from fractions import Fraction
 from . import theta
 from .dsl import (
     Add,
+    Builder,
     Const,
     Div,
     Expr,
@@ -34,6 +38,7 @@ from .dsl import (
     QPow,
     Sqrt,
     Sub,
+    check_depth,
     parse,
     to_text,
 )
@@ -62,53 +67,52 @@ class EvalError(SeriesError):
 # evaluation
 
 
-def _eval(e: Expr, order: int, path: str) -> LaurentSeries:
+# the theta function that builds each builder's series, looked up by name in
+# the module at call time so that a wrapped builder sees every call
+_THETA = {Pi: "pi_product", Psi: "psi", Phi: "phi"}
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _apply(path: str, op, *args) -> LaurentSeries:
+    """op(*args), with a series error annotated with path."""
     try:
-        if isinstance(e, Pi):
-            return theta.pi_product(e.k, order)
-        if isinstance(e, Psi):
-            return theta.psi(e.k, order)
-        if isinstance(e, Phi):
-            return theta.phi(e.k, order)
-        if isinstance(e, QPow):
-            exp = e.t_exponent
-            return LaurentSeries.monomial(exp, order + max(exp, 0))
-        if isinstance(e, Const):
-            return LaurentSeries.constant(e.value, order)
+        return op(*args)
     except SeriesError as err:
         raise EvalError(path, err) from err
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        lhs = _eval(e.left, order, f"{path}/{type(e).__name__}.left")
-        rhs = _eval(e.right, order, f"{path}/{type(e).__name__}.right")
-        try:
-            if isinstance(e, Add):
-                return lhs + rhs
-            if isinstance(e, Sub):
-                return lhs - rhs
-            if isinstance(e, Mul):
-                return lhs * rhs
-            return lhs / rhs
-        except SeriesError as err:
-            raise EvalError(f"{path}/{type(e).__name__}", err) from err
-    if isinstance(e, PowInt):
-        base = _eval(e.base, order, f"{path}/PowInt.base")
-        try:
-            return base**e.exponent
-        except SeriesError as err:
-            raise EvalError(f"{path}/PowInt", err) from err
-    if isinstance(e, Sqrt):
-        arg = _eval(e.arg, order, f"{path}/Sqrt.arg")
-        try:
-            return arg.sqrt()
-        except SeriesError as err:
-            raise EvalError(f"{path}/Sqrt", err) from err
+
+
+def _eval(e: Expr, order: int, path: str) -> LaurentSeries:
+    match e:
+        case Builder(k):
+            return _apply(path, getattr(theta, _THETA[type(e)]), k, order)
+        case QPow():
+            exp = e.t_exponent
+            return _apply(path, LaurentSeries.monomial, exp, order + max(exp, 0))
+        case Const(value):
+            return _apply(path, LaurentSeries.constant, value, order)
+        case Add(left, right) | Sub(left, right) | Mul(left, right) | Div(left, right):
+            node = f"{path}/{type(e).__name__}"
+            lhs = _eval(left, order, f"{node}.left")
+            rhs = _eval(right, order, f"{node}.right")
+            return _apply(node, _BINARY[type(e)], lhs, rhs)
+        case PowInt(base, exponent):
+            base = _eval(base, order, f"{path}/PowInt.base")
+            return _apply(f"{path}/PowInt", pow, base, exponent)
+        case Sqrt(arg):
+            arg = _eval(arg, order, f"{path}/Sqrt.arg")
+            return _apply(f"{path}/Sqrt", LaurentSeries.sqrt, arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate(e: Expr, order: int) -> LaurentSeries:
-    """Evaluate an expression tree to a Laurent series with tracked order."""
+    """Evaluate an expression tree to a Laurent series with tracked order.
+
+    A tree more than ``dsl.MAX_DEPTH`` levels deep raises ValueError.
+    """
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
+    check_depth(e)
     return _eval(e, order, "")
 
 
@@ -392,16 +396,6 @@ def verify(ident: str, order: int = DEFAULT_ORDER) -> VerifyReport:
     """Verify a registered identity at the given t-order."""
     rec = get_identity(ident)
     return verify_sides(rec.id, rec.lhs, rec.rhs, order)
-
-
-def verify_record(rec: IdentityRecord, order: int = DEFAULT_ORDER) -> VerifyReport:
-    """Verify an (possibly unregistered) record, e.g. a mutated identity."""
-    return verify_sides(rec.id, rec.lhs, rec.rhs, order)
-
-
-def verify_expressions(lhs: Expr, rhs: Expr, order: int = DEFAULT_ORDER, ident: str = "user") -> VerifyReport:
-    """Verify a user-supplied lhs/rhs pair."""
-    return verify_sides(ident, lhs, rhs, order)
 
 
 def verify_all(order: int = DEFAULT_ORDER) -> list[VerifyReport]:

@@ -10,11 +10,20 @@ Subcommands::
     check-param               series-level cross-check of a parametrization
 
 Reports go to stdout (one line per report in text mode, one JSON object per
-line with ``--json``); diagnostics go to stderr.  Exit codes: 0 all checks
+line with ``--json``); diagnostics go to stderr.  Every report kind (an
+identity check, a modular goal, a parametrization check) is one JSON object
+that starts with the same seven fields (``id``, ``status``, ``order``,
+``valid_order``, ``first_failure``, ``paper_form_match``, ``elapsed_ms``)
+and then adds its own.  Every command ends in :func:`_finish`, which prints
+the reports and applies one exit rule.  Exit codes: 0 all checks
 verified/proved, 1 at least one falsified, 2 usage or parse error or an
 unreadable input file, 3 internal precondition violation (including reports
 with status ``error``) or any other unexpected failure, reported in one line
 without a traceback.
+
+Parse errors give a byte offset counted from the start of the identity text
+(for an ``--expr-file`` line, from the start of the line as written) and,
+for a file, the line number.
 
 Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
@@ -28,11 +37,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog, modular
 from .catalog import MIN_ORDER, VerifyReport
-from .dsl import ParseError, parse
+from .dsl import Expr, ParseError, parse
 from .field import FieldError
 from .modular import ModularError, ParamSeriesReport, ProofReport
 from .series import SeriesError
@@ -106,96 +114,86 @@ def _build_parser() -> argparse.ArgumentParser:
 # report rendering
 
 
-def _frac_str(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
-
-
-def _verify_json(r: VerifyReport) -> dict:
-    failure = None
-    if r.first_failure is not None:
-        failure = {
-            "exponent": r.first_failure.exponent,
-            "lhs": _frac_str(r.first_failure.lhs),
-            "rhs": _frac_str(r.first_failure.rhs),
-        }
+def _fields(
+    ident: str, status: str, elapsed: float, *, order=None, valid_order=None,
+    first_failure=None, paper_form_match=None, **kind,
+) -> dict:
+    """The JSON object of one report: the shared fields, then those of its kind."""
     return {
-        "id": r.id,
-        "status": r.status,
-        "order": r.order,
-        "valid_order": r.valid_order,
-        "first_failure": failure,
-        "paper_form_match": None,
-        "elapsed_ms": round(r.elapsed * 1000.0, 3),
-        "error": r.error,
+        "id": ident,
+        "status": status,
+        "order": order,
+        "valid_order": valid_order,
+        "first_failure": first_failure,
+        "paper_form_match": paper_form_match,
+        "elapsed_ms": round(elapsed * 1000.0, 3),
+        **kind,
     }
 
 
-def _verify_text(r: VerifyReport) -> str:
+def _verify_report(r: VerifyReport) -> tuple[str, dict]:
+    f = r.first_failure
     if r.status == "verified":
-        return f"{r.id} verified order={r.order} valid_order={r.valid_order}"
-    if r.status == "falsified":
-        f = r.first_failure
-        return (
-            f"{r.id} falsified at t^{f.exponent}: lhs={f.lhs} rhs={f.rhs} "
-            f"diff={f.lhs - f.rhs}"
-        )
-    return f"{r.id} error: {r.error}"
+        text = f"{r.id} verified order={r.order} valid_order={r.valid_order}"
+    elif r.status == "falsified":
+        text = f"{r.id} falsified at t^{f.exponent}: lhs={f.lhs} rhs={f.rhs} diff={f.lhs - f.rhs}"
+    else:
+        text = f"{r.id} error: {r.error}"
+    failure = None if f is None else {"exponent": f.exponent, "lhs": str(f.lhs), "rhs": str(f.rhs)}
+    return text, _fields(
+        r.id, r.status, r.elapsed, order=r.order, valid_order=r.valid_order,
+        first_failure=failure, error=r.error,
+    )
 
 
-def _proof_json(r: ProofReport) -> dict:
-    return {
-        "id": r.eq_id,
-        "status": "proved" if r.sides_equal else "falsified",
-        "order": None,
-        "valid_order": None,
-        "first_failure": None,
-        "paper_form_match": r.paper_form_match,
-        "elapsed_ms": round(r.elapsed * 1000.0, 3),
-        "degree": r.degree,
-        "computed_form": None if r.paper_form_match else r.computed_form,
-        "reference_form": None if r.paper_form_match else r.reference_form,
-    }
-
-
-def _proof_text(r: ProofReport) -> str:
-    line = f"{r.eq_id} {'proved' if r.sides_equal else 'FAILED'}"
+def _proof_report(r: ProofReport) -> tuple[str, dict]:
+    text = f"{r.eq_id} {'proved' if r.sides_equal else 'FAILED'}"
     if r.paper_form_match is not None:
-        line += f" paper_form={'match' if r.paper_form_match else 'mismatch'}"
-    return line
+        text += f" paper_form={'match' if r.paper_form_match else 'mismatch'}"
+    return text, _fields(
+        r.eq_id, "proved" if r.sides_equal else "falsified", r.elapsed,
+        paper_form_match=r.paper_form_match,
+        degree=r.degree,
+        computed_form=None if r.paper_form_match else r.computed_form,
+        reference_form=None if r.paper_form_match else r.reference_form,
+    )
 
 
-def _param_json(r: ParamSeriesReport) -> dict:
-    failures = [c.first_failure_exponent for c in r.checks if not c.holds]
-    return {
-        "id": f"param-degree-{r.degree}",
-        "status": "verified" if r.verified else "falsified",
-        "order": r.order,
-        "valid_order": None,
-        "first_failure": (
-            None if r.verified else {"exponent": min(failures), "lhs": None, "rhs": None}
-        ),
-        "paper_form_match": None,
-        "elapsed_ms": round(r.elapsed * 1000.0, 3),
-        "checks": [
-            {"name": c.name, "holds": c.holds, "first_failure_exponent": c.first_failure_exponent}
-            for c in r.checks
-        ],
-    }
-
-
-def _param_text(r: ParamSeriesReport) -> str:
-    if r.verified:
-        return f"degree-{r.degree} parametrization verified order={r.order} checks={len(r.checks)}"
+def _param_report(r: ParamSeriesReport) -> tuple[str, dict]:
     failing = [c for c in r.checks if not c.holds]
-    spots = ", ".join(f"{c.name} at t^{c.first_failure_exponent}" for c in failing)
-    return f"degree-{r.degree} parametrization FALSIFIED order={r.order}: {spots}"
+    failure = None
+    if r.verified:
+        text = f"degree-{r.degree} parametrization verified order={r.order} checks={len(r.checks)}"
+    else:
+        spots = ", ".join(f"{c.name} at t^{c.first_failure_exponent}" for c in failing)
+        text = f"degree-{r.degree} parametrization FALSIFIED order={r.order}: {spots}"
+        exponent = min(c.first_failure_exponent for c in failing)
+        failure = {"exponent": exponent, "lhs": None, "rhs": None}
+    checks = [
+        {"name": c.name, "holds": c.holds, "first_failure_exponent": c.first_failure_exponent}
+        for c in r.checks
+    ]
+    return text, _fields(
+        f"param-degree-{r.degree}", "verified" if r.verified else "falsified", r.elapsed,
+        order=r.order, first_failure=failure, checks=checks,
+    )
 
 
-def _emit(lines: list[str], quiet: bool) -> None:
-    if quiet:
-        return
-    for line in lines:
-        print(line)
+def _finish(args, reports: list[tuple[str, dict]]) -> int:
+    """Print each (text, JSON object) report unless quiet; return the exit code.
+
+    The exit code is EXIT_INTERNAL when any report has status ``error``,
+    EXIT_FALSIFIED when any is falsified, and EXIT_OK otherwise.
+    """
+    if not args.quiet:
+        for text, fields in reports:
+            print(json.dumps(fields) if args.json else text)
+    statuses = {fields.get("status") for _, fields in reports}
+    if "error" in statuses:
+        return EXIT_INTERNAL
+    if "falsified" in statuses:
+        return EXIT_FALSIFIED
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -214,35 +212,28 @@ class _Usage(Exception):
 
 
 def _cmd_list(args) -> int:
-    lines = []
-    for rec in catalog.list_identities():
-        if args.json:
-            lines.append(json.dumps({
+    return _finish(args, [
+        (
+            f"{rec.id}\t{rec.lhs_text} = {rec.rhs_text}",
+            {
                 "id": rec.id,
                 "label": rec.label,
                 "sign_variant": rec.sign_variant,
                 "lhs": rec.lhs_text,
                 "rhs": rec.rhs_text,
-            }))
-        else:
-            lines.append(f"{rec.id}\t{rec.lhs_text} = {rec.rhs_text}")
-    _emit(lines, args.quiet)
-    return EXIT_OK
+            },
+        )
+        for rec in catalog.list_identities()
+    ])
 
 
-def _split_identity(text: str) -> tuple:
+def _split_identity(text: str) -> tuple[Expr, Expr]:
+    """Both sides of 'LHS = RHS', with parse-error offsets counted from the start of text."""
     if text.count("=") != 1:
         raise _Usage("a user identity must contain exactly one '=' separating LHS and RHS")
     lhs_text, rhs_text = text.split("=")
-    return parse(lhs_text), parse(rhs_text)
-
-
-def _reports_exit(reports: list[VerifyReport]) -> int:
-    if any(r.status == "error" for r in reports):
-        return EXIT_INTERNAL
-    if any(r.status == "falsified" for r in reports):
-        return EXIT_FALSIFIED
-    return EXIT_OK
+    # the right side is parsed behind one blank byte per byte of 'LHS ='
+    return parse(lhs_text), parse(" " * (len(lhs_text.encode("utf-8")) + 1) + rhs_text)
 
 
 def _cmd_verify(args) -> int:
@@ -259,62 +250,41 @@ def _cmd_verify(args) -> int:
                 f"unknown identity {args.ident!r}; see 'piqcheck list'"
             ) from None
     elif args.expr:
-        lhs, rhs = _split_identity(args.expr)
-        reports.append(catalog.verify_expressions(lhs, rhs, order, ident="user"))
+        reports.append(catalog.verify_sides("user", *_split_identity(args.expr), order))
     else:
         with open(args.expr_file, "r", encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
+                if not line.strip() or line.lstrip().startswith("#"):
                     continue
-                lhs, rhs = _split_identity(line)
-                reports.append(
-                    catalog.verify_expressions(lhs, rhs, order, ident=f"line-{i}")
-                )
-    lines = [
-        json.dumps(_verify_json(r)) if args.json else _verify_text(r) for r in reports
-    ]
-    _emit(lines, args.quiet)
-    return _reports_exit(reports)
+                try:
+                    lhs, rhs = _split_identity(line.rstrip("\n"))
+                except ParseError as exc:
+                    exc.args = (f"line {i}: {exc}",)
+                    raise
+                reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))
+    return _finish(args, [_verify_report(r) for r in reports])
 
 
 def _cmd_verify_all(args) -> int:
-    order = _resolve_order(args)
-    reports = catalog.verify_all(order)
-    lines = [
-        json.dumps(_verify_json(r)) if args.json else _verify_text(r) for r in reports
-    ]
-    _emit(lines, args.quiet)
-    return _reports_exit(reports)
+    return _finish(args, [_verify_report(r) for r in catalog.verify_all(_resolve_order(args))])
 
 
 def _cmd_expand(args) -> int:
     order = _resolve_order(args)
     series = catalog.evaluate(parse(args.expr), order)
-    if args.json:
-        payload = {
-            "expr": args.expr,
-            "valuation": None if series.is_zero else series.valuation,
-            "order": series.order,
-            "coefficients": [
-                {"exponent": series.valuation + i, "value": str(c)}
-                for i, c in enumerate(series.coeffs)
-                if c != 0
-            ],
-        }
-        _emit([json.dumps(payload)], args.quiet)
-    else:
-        lines = [
-            f"t^{series.valuation + i}: {c}"
-            for i, c in enumerate(series.coeffs)
-            if c != 0
-        ]
-        lines.append(
-            f"# valuation={'-' if series.is_zero else series.valuation} "
-            f"order={series.order} nonzero_terms={len(lines)}"
-        )
-        _emit(lines, args.quiet)
-    return EXIT_OK
+    terms = [(series.valuation + i, c) for i, c in enumerate(series.coeffs) if c != 0]
+    lines = [f"t^{exp}: {c}" for exp, c in terms]
+    lines.append(
+        f"# valuation={'-' if series.is_zero else series.valuation} "
+        f"order={series.order} nonzero_terms={len(terms)}"
+    )
+    payload = {
+        "expr": args.expr,
+        "valuation": None if series.is_zero else series.valuation,
+        "order": series.order,
+        "coefficients": [{"exponent": exp, "value": str(c)} for exp, c in terms],
+    }
+    return _finish(args, [("\n".join(lines), payload)])
 
 
 def _cmd_prove_modular(args) -> int:
@@ -337,19 +307,12 @@ def _cmd_prove_modular(args) -> int:
             reports.append(modular.prove(d, args.eq))
         else:
             raise _Usage(f"equation {args.eq!r} is not a degree-{d} goal")
-    lines = [
-        json.dumps(_proof_json(r)) if args.json else _proof_text(r) for r in reports
-    ]
-    _emit(lines, args.quiet)
-    return EXIT_OK if all(r.sides_equal for r in reports) else EXIT_FALSIFIED
+    return _finish(args, [_proof_report(r) for r in reports])
 
 
 def _cmd_check_param(args) -> int:
     order = _resolve_order(args)
-    report = modular.check_param_series(args.degree, order)
-    line = json.dumps(_param_json(report)) if args.json else _param_text(report)
-    _emit([line], args.quiet)
-    return EXIT_OK if report.verified else EXIT_FALSIFIED
+    return _finish(args, [_param_report(modular.check_param_series(args.degree, order))])
 
 
 _COMMANDS = {

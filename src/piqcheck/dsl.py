@@ -21,7 +21,9 @@ integer (4r integral) or :class:`QPowNotQuarterIntegral` is raised.
 
 An expression tree more than :data:`MAX_DEPTH` levels deep, or with brackets
 and ``sqrt`` calls nested deeper than that, raises :class:`ParseError` at
-the operator or bracket that goes past the limit.
+the operator or bracket that goes past the limit.  A deeper tree built
+through the API is refused with ValueError by :func:`to_text` and by
+``catalog.evaluate``, which measure it with :func:`check_depth`.
 
 Parse failures raise :class:`ParseError` carrying the byte offset into the
 UTF-8 encoding of the input and the set of token descriptions that were
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 
 MAX_DEPTH = 100
@@ -44,7 +47,8 @@ MAX_DEPTH = 100
 The catalog's trees are at most 8 deep.  Evaluating and printing a tree
 recurse once or twice per level and parsing a bracket four or five times,
 so the limit keeps every such walk well inside the interpreter's
-recursion limit.
+recursion limit.  :func:`check_depth` enforces it on trees built through
+the API before they are evaluated or printed.
 """
 
 
@@ -83,39 +87,38 @@ class Expr:
     __slots__ = ()
 
 
-def _check_power_index(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("builder power index must be a positive integer")
+@dataclass(frozen=True)
+class Builder(Expr):
+    """A theta builder at q^k; ``name`` is how the DSL spells it."""
+
+    k: int
+
+    name: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or self.k < 1:
+            raise ValueError("builder power index must be a positive integer")
 
 
 @dataclass(frozen=True)
-class Pi(Expr):
+class Pi(Builder):
     """Pi_{q^k}."""
 
-    k: int
-
-    def __post_init__(self) -> None:
-        _check_power_index(self.k)
+    name = "Pi"
 
 
 @dataclass(frozen=True)
-class Psi(Expr):
+class Psi(Builder):
     """psi(q^k)."""
 
-    k: int
-
-    def __post_init__(self) -> None:
-        _check_power_index(self.k)
+    name = "psi"
 
 
 @dataclass(frozen=True)
-class Phi(Expr):
+class Phi(Builder):
     """phi(q^k)."""
 
-    k: int
-
-    def __post_init__(self) -> None:
-        _check_power_index(self.k)
+    name = "phi"
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ class Sqrt(Expr):
 # tokenizer
 
 _SYMBOLS = "+-*/^(){},="
-_KEYWORDS = ("Pi", "psi", "phi", "sqrt", "q")
+_BUILDERS = {cls.name: cls for cls in (Pi, Psi, Phi)}
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ class _Parser:
             self.nesting -= 1
             return inner
         if tok.kind == "name":
-            if tok.text in ("Pi", "psi", "phi"):
+            if tok.text in _BUILDERS:
                 return self._builder_call(tok.text), 1
             if tok.text == "sqrt":
                 return self._sqrt_call()
@@ -389,7 +392,7 @@ class _Parser:
         if self.current.kind == ",":
             raise ArityError(f"{name} takes exactly one argument", self._offset())
         self._expect(")", frozenset({"')'"}))
-        return {"Pi": Pi, "psi": Psi, "phi": Phi}[name](k)
+        return _BUILDERS[name](k)
 
     def _qarg(self, name: str) -> int:
         tok = self._expect("name", frozenset({"'q'"}))
@@ -440,18 +443,46 @@ def parse(text: str) -> Expr:
 
 
 # ----------------------------------------------------------------------
+# tree depth
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    match e:
+        case Add(left, right) | Sub(left, right) | Mul(left, right) | Div(left, right):
+            return left, right
+        case PowInt(inner) | Sqrt(inner):
+            return (inner,)
+    return ()
+
+
+def check_depth(e: Expr) -> None:
+    """Raise ValueError when the tree of e is more than MAX_DEPTH levels deep.
+
+    A leaf is one level deep, as in :func:`parse`.  The walk keeps its own
+    stack, so a tree of any depth is measured without recursion.
+    """
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ValueError(f"expression tree deeper than MAX_DEPTH = {MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in _children(node))
+
+
+# ----------------------------------------------------------------------
 # printer
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4
 
 
 def _level(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, PowInt):
-        return _LEVEL_POW
+    match e:
+        case Add() | Sub():
+            return _LEVEL_ADD
+        case Mul() | Div():
+            return _LEVEL_MUL
+        case PowInt():
+            return _LEVEL_POW
     return _LEVEL_ATOM
 
 
@@ -465,45 +496,46 @@ def _render(e: Expr, min_level: int) -> str:
 def _joins_slash(e: Expr) -> bool:
     """Whether the text of e ends in an integer that a following ``/ n``
     would join into one rational, as ``x * 1`` followed by ``/ 2`` does."""
-    if isinstance(e, (Mul, Div)):
-        e = e.right
-    if isinstance(e, Const):
-        return e.value >= 0 and e.value.denominator == 1
-    if isinstance(e, QPow):
-        return e.r >= 0 and e.r.denominator == 1
+    match e:
+        case Mul(right=last) | Div(right=last):
+            e = last
+    match e:
+        case Const(value=x) | QPow(r=x):
+            return x >= 0 and x.denominator == 1
     return False
 
 
 def _render_raw(e: Expr) -> str:
-    if isinstance(e, Pi):
-        return "Pi(q)" if e.k == 1 else f"Pi(q^{e.k})"
-    if isinstance(e, Psi):
-        return "psi(q)" if e.k == 1 else f"psi(q^{e.k})"
-    if isinstance(e, Phi):
-        return "phi(q)" if e.k == 1 else f"phi(q^{e.k})"
-    if isinstance(e, QPow):
-        return f"q^(-{-e.r})" if e.r < 0 else f"q^{e.r}"
-    if isinstance(e, Const):
-        return f"({e.value})" if e.value < 0 else str(e.value)
-    if isinstance(e, Add):
-        return f"{_render(e.left, _LEVEL_ADD)} + {_render(e.right, _LEVEL_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_render(e.left, _LEVEL_ADD)} - {_render(e.right, _LEVEL_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_render(e.left, _LEVEL_MUL)} * {_render(e.right, _LEVEL_MUL + 1)}"
-    if isinstance(e, Div):
-        right = _render(e.right, _LEVEL_MUL + 1)
-        if right[0].isdigit() and _joins_slash(e.left):
-            right = f"({right})"
-        return f"{_render(e.left, _LEVEL_MUL)} / {right}"
-    if isinstance(e, PowInt):
-        exponent = f"({e.exponent})" if e.exponent < 0 else e.exponent
-        return f"{_render(e.base, _LEVEL_ATOM)}^{exponent}"
-    if isinstance(e, Sqrt):
-        return f"sqrt({_render(e.arg, _LEVEL_ADD)})"
+    match e:
+        case Builder(k):
+            return f"{e.name}(q)" if k == 1 else f"{e.name}(q^{k})"
+        case QPow(r):
+            return f"q^(-{-r})" if r < 0 else f"q^{r}"
+        case Const(value):
+            return f"({value})" if value < 0 else str(value)
+        case Add(left, right):
+            return f"{_render(left, _LEVEL_ADD)} + {_render(right, _LEVEL_ADD + 1)}"
+        case Sub(left, right):
+            return f"{_render(left, _LEVEL_ADD)} - {_render(right, _LEVEL_ADD + 1)}"
+        case Mul(left, right):
+            return f"{_render(left, _LEVEL_MUL)} * {_render(right, _LEVEL_MUL + 1)}"
+        case Div(left, right):
+            divisor = _render(right, _LEVEL_MUL + 1)
+            if divisor[0].isdigit() and _joins_slash(left):
+                divisor = f"({divisor})"
+            return f"{_render(left, _LEVEL_MUL)} / {divisor}"
+        case PowInt(base, exponent):
+            exponent = f"({exponent})" if exponent < 0 else exponent
+            return f"{_render(base, _LEVEL_ATOM)}^{exponent}"
+        case Sqrt(arg):
+            return f"sqrt({_render(arg, _LEVEL_ADD)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def to_text(e: Expr) -> str:
-    """Render an expression tree in the DSL grammar; inverse of :func:`parse`."""
+    """Render an expression tree in the DSL grammar; inverse of :func:`parse`.
+
+    A tree more than :data:`MAX_DEPTH` levels deep raises ValueError.
+    """
+    check_depth(e)
     return _render(e, _LEVEL_ADD)

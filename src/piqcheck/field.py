@@ -40,7 +40,7 @@ from itertools import compress, repeat
 from math import gcd
 from operator import add, mul
 
-from .series import _scaled_ints
+from .series import _frac, _scaled_ints
 
 
 class FieldError(Exception):
@@ -57,15 +57,6 @@ class ModulusMismatch(FieldError):
 
 class ZeroNormInverse(FieldError):
     """Inversion of a quadratic-extension element with zero norm."""
-
-
-def _frac(x) -> Fraction:
-    """Coerce an exact number to Fraction; a float is rejected as inexact."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"float {x!r} is not an exact coefficient; use an int, a Fraction or a str")
-    return Fraction(x)
 
 
 # ----------------------------------------------------------------------

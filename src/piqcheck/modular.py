@@ -17,12 +17,12 @@ forms coincide.  Where a known closed form of the common value exists, the
 report also records whether the computed value matches it; that comparison is
 informational and never decides the proof (``sides_equal`` is the theorem).
 
-Goals and reference forms belong to a table: ``ParamTable3.goals`` and
-``.references`` (and those of ``ParamTable5``) are built on first use and
-then kept, so proving every goal of a degree builds that degree's goals
-once, and importing the module builds nothing.  Both degrees share one
-proving body; a report's ``elapsed`` covers that goal's own comparisons, not
-the shared build.
+Goals and reference forms belong to a table: ``ParamTable3`` and
+``ParamTable5`` share one base, :class:`ParamTable`, whose ``goals`` and
+``references`` are built on first use and then kept, so proving every goal
+of a degree builds that degree's goals once, and importing the module
+builds nothing.  Both degrees share one proving body; a report's
+``elapsed`` covers that goal's own comparisons, not the shared build.
 
 The same parametrizations are cross-validated against the series world by
 :func:`check_param_series`, which clears denominators and compares both sides
@@ -46,15 +46,36 @@ class ModularError(Exception):
     """A parametrization atom failed its power-back-substitution check."""
 
 
+@dataclass(frozen=True)
+class ParamTable:
+    """Validated atoms of one degree over s^2 = u, with its goals and references."""
+
+    u: RatFunc
+
+    degree: ClassVar[int]
+
+    def scalar(self, value) -> QuadExt:
+        return QuadExt.scalar(value, self.u)
+
+    @cached_property
+    def goals(self) -> dict[str, tuple[QuadExt, QuadExt]]:
+        """Both sides of every goal of this degree, built on first use."""
+        return (_goals3 if self.degree == 3 else _goals5)(self)
+
+    @cached_property
+    def references(self) -> dict[str, tuple[RatFunc | None, QuadExt]]:
+        """Recorded closed forms of the common values, built on first use."""
+        return (_reference_quotients3 if self.degree == 3 else _reference_quotients5)(self.u)
+
+
 # ----------------------------------------------------------------------
 # degree 3
 
 
 @dataclass(frozen=True)
-class ParamTable3:
+class ParamTable3(ParamTable):
     """Validated degree-3 atoms over s^2 = (m-1)(m+3)/m."""
 
-    u: RatFunc
     alpha: QuadExt
     beta: QuadExt
     sqrt_alpha: QuadExt         # alpha^(1/2) = ((m+3)/(4m)) s
@@ -66,19 +87,6 @@ class ParamTable3:
     m: QuadExt
 
     degree: ClassVar[int] = 3
-
-    def scalar(self, value) -> QuadExt:
-        return QuadExt.scalar(value, self.u)
-
-    @cached_property
-    def goals(self) -> dict[str, tuple[QuadExt, QuadExt]]:
-        """Both sides of every degree-3 goal, built on first use."""
-        return _goals3(self)
-
-    @cached_property
-    def references(self) -> dict[str, tuple[RatFunc | None, QuadExt]]:
-        """Recorded closed forms of the common values, built on first use."""
-        return _reference_quotients3(self.u)
 
 
 def _require(cond: bool, what: str) -> None:
@@ -122,10 +130,9 @@ def build_table3() -> ParamTable3:
 
 
 @dataclass(frozen=True)
-class ParamTable5:
+class ParamTable5(ParamTable):
     """Validated degree-5 atoms over rho^2 = m^3 - 2m^2 + 5m."""
 
-    u: RatFunc
     alpha: QuadExt
     beta: QuadExt
     one_minus_alpha: QuadExt
@@ -139,19 +146,6 @@ class ParamTable5:
     m: QuadExt
 
     degree: ClassVar[int] = 5
-
-    def scalar(self, value) -> QuadExt:
-        return QuadExt.scalar(value, self.u)
-
-    @cached_property
-    def goals(self) -> dict[str, tuple[QuadExt, QuadExt]]:
-        """Both sides of every degree-5 goal, built on first use."""
-        return _goals5(self)
-
-    @cached_property
-    def references(self) -> dict[str, tuple[RatFunc | None, QuadExt]]:
-        """Recorded closed forms of the common values, built on first use."""
-        return _reference_quotients5(self.u)
 
 
 def build_table5() -> ParamTable5:
@@ -350,7 +344,7 @@ DEGREE5_EQUATIONS = ("2-1", "2-2", "2-3", "2-4", "2-5")
 EQUATIONS = {3: DEGREE3_EQUATIONS, 5: DEGREE5_EQUATIONS}
 
 
-def _prove(t: ParamTable3 | ParamTable5, eq_id: str) -> ProofReport:
+def _prove(t: ParamTable, eq_id: str) -> ProofReport:
     """Compare the two sides of one goal, then its common value with the record.
 
     The table's goals and references are built before the clock starts, so
@@ -393,7 +387,7 @@ def prove_degree5(eq_id: str, table: ParamTable5 | None = None) -> ProofReport:
     return _prove(table if table is not None else build_table5(), eq_id)
 
 
-def prove(degree: int, eq_id: str, table: ParamTable3 | ParamTable5 | None = None) -> ProofReport:
+def prove(degree: int, eq_id: str, table: ParamTable | None = None) -> ProofReport:
     """Replay one goal of degree 3 or 5 through :func:`prove_degree3` or :func:`prove_degree5`."""
     if degree == 3:
         return prove_degree3(eq_id, table)

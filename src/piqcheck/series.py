@@ -223,10 +223,6 @@ class LaurentSeries:
         c = _frac(coeff)
         return LaurentSeries._build(exponent, order, 0, [c.numerator], c.denominator)
 
-    @staticmethod
-    def from_coefficients(valuation: int, coeffs, order: int) -> LaurentSeries:
-        return LaurentSeries(valuation, tuple(coeffs), order)
-
     # ------------------------------------------------------------------
     # inspection
 

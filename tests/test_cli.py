@@ -75,6 +75,40 @@ def test_expressions_at_the_depth_limit_evaluate(capsys):
         assert code == 0 and err == "", err
 
 
+DEEP_SUM = "+".join(["1"] * 3000)
+
+
+@pytest.mark.parametrize(
+    "identity, offset",
+    [
+        (f"{DEEP_SUM} = 1", 199),               # the operator that makes the left side too deep
+        (f"1 = {DEEP_SUM}", 203),               # the same operator, 4 bytes later on the right
+        ("Pi(q) = Pi(q,q)", 12),
+    ],
+    ids=["lhs", "rhs", "rhs-arity"],
+)
+def test_parse_error_offsets_count_from_the_start_of_the_identity(capsys, identity, offset):
+    code, out, err = run(capsys, "verify", "--expr", identity, "--order", "64")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("parse error: ") and f" at byte {offset}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 = 1\n\n  Pi(q = 1\n", "line 3: unexpected end of input at byte 7"),
+        ("1 = 1\n  1 = Pi(q^2\n", "line 2: unexpected end of input at byte 12"),
+    ],
+    ids=["lhs", "rhs"],
+)
+def test_expr_file_parse_error_names_the_line(tmp_path, capsys, text, message):
+    path = tmp_path / "identities.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"parse error: {message} (expected one of: ')')\n"
+
+
 def test_verify_expr_file(tmp_path, capsys):
     path = tmp_path / "identities.txt"
     path.write_text(

@@ -216,6 +216,35 @@ def test_depth_at_the_limit_parses():
     assert parse(to_text(parse(balanced))) == parse(balanced)
 
 
+def _api_tree(depth: int, shape: str):
+    """A tree built without parse, `depth` levels deep (a leaf is 1)."""
+    e = Phi(1) if shape == "towers" else Const(1)
+    for i in range(depth - 1):
+        if shape == "sum":
+            e = Add(e, Const(1))
+        else:
+            e = Sqrt(e) if i % 2 else PowInt(e, 2)
+    return e
+
+
+@pytest.mark.parametrize("shape", ["sum", "towers"])
+def test_api_trees_at_the_depth_limit_evaluate_and_print(shape):
+    tree = _api_tree(MAX_DEPTH, shape)
+    expected = Const(MAX_DEPTH) if shape == "sum" else PowInt(Phi(1), 2)
+    assert catalog.evaluate(tree, 16) == catalog.evaluate(expected, 16)
+    assert parse(to_text(tree)) == tree
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+@pytest.mark.parametrize("shape", ["sum", "towers"])
+def test_api_trees_past_the_depth_limit_raise_value_error(shape, depth):
+    tree = _api_tree(depth, shape)
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        catalog.evaluate(tree, 16)
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        to_text(tree)
+
+
 def test_catalog_lines_are_far_inside_the_depth_limit():
     def depth(e):
         kids = [getattr(e, a) for a in ("left", "right", "base", "arg") if hasattr(e, a)]

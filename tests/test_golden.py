@@ -1,12 +1,16 @@
-"""Text reports stay byte-identical to the recorded ones under ``tests/data/``.
+"""Reports stay identical to the recorded ones under ``tests/data/``.
 
-Each file holds the stdout of one CLI invocation.  The series files were
-recorded before the series kernels were rewritten around stride-compressed
-integer arrays; the ``prove_modular`` and ``check_param_3_120`` files before
-the field tower moved to integer kernels and the prover to goals built once.
-A change to any layer that moves a single coefficient, order, status or
-canonical form shows up here.  JSON reports are compared as parsed lines
-without ``elapsed_ms``, the one field that carries a timing.
+Each file holds the stdout of one CLI invocation, and each case names the
+exit code that invocation returned.  The series files were recorded before
+the series kernels were rewritten around stride-compressed integer arrays;
+the ``prove_modular`` and ``check_param_3_120`` files before the field tower
+moved to integer kernels and the prover to goals built once; the
+``verify_all_200.jsonl``, ``check_param_*.jsonl`` and ``verify_mixed_64``
+files before the verify entry points and the JSON report builders were
+folded into one.  A change to any layer that moves a single coefficient,
+order, status, canonical form or exit code shows up here.  JSON reports are
+compared as ordered ``(key, value)`` lists without ``elapsed_ms``, the one
+field that carries a timing, so the order of the keys is pinned too.
 """
 
 import json
@@ -17,37 +21,43 @@ import pytest
 from piqcheck import cli
 
 DATA = Path(__file__).parent / "data"
+MIXED = str(DATA / "mixed_identities.txt")
 
 GOLDEN = [
-    ("verify_all_200.txt", ["verify-all", "--order", "200"]),
-    ("expand_sqrt_pi_q_pi_q9_200.txt", ["expand", "--expr", "sqrt(Pi(q)*Pi(q^9))", "--order", "200"]),
-    ("expand_sqrt_4_9_40.txt", ["expand", "--expr", "sqrt(4/9 + q^{3/4})", "--order", "40"]),
-    ("check_param_5_120.txt", ["check-param", "--degree", "5", "--order", "120"]),
-    ("check_param_3_120.txt", ["check-param", "--degree", "3", "--order", "120"]),
-    ("prove_modular.txt", ["prove-modular"]),
+    ("verify_all_200.txt", ["verify-all", "--order", "200"], cli.EXIT_OK),
+    ("expand_sqrt_pi_q_pi_q9_200.txt", ["expand", "--expr", "sqrt(Pi(q)*Pi(q^9))", "--order", "200"], cli.EXIT_OK),
+    ("expand_sqrt_4_9_40.txt", ["expand", "--expr", "sqrt(4/9 + q^{3/4})", "--order", "40"], cli.EXIT_OK),
+    ("check_param_5_120.txt", ["check-param", "--degree", "5", "--order", "120"], cli.EXIT_OK),
+    ("check_param_3_120.txt", ["check-param", "--degree", "3", "--order", "120"], cli.EXIT_OK),
+    ("prove_modular.txt", ["prove-modular"], cli.EXIT_OK),
+    ("verify_mixed_64.txt", ["verify", "--expr-file", MIXED, "--order", "64"], cli.EXIT_INTERNAL),
 ]
 
 GOLDEN_JSON = [
-    ("prove_modular.jsonl", ["prove-modular", "--json"]),
+    ("prove_modular.jsonl", ["prove-modular", "--json"], cli.EXIT_OK),
+    ("verify_all_200.jsonl", ["verify-all", "--order", "200", "--json"], cli.EXIT_OK),
+    ("check_param_3_120.jsonl", ["check-param", "--degree", "3", "--order", "120", "--json"], cli.EXIT_OK),
+    ("check_param_5_120.jsonl", ["check-param", "--degree", "5", "--order", "120", "--json"], cli.EXIT_OK),
+    ("verify_mixed_64.jsonl", ["verify", "--expr-file", MIXED, "--order", "64", "--json"], cli.EXIT_INTERNAL),
 ]
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN, ids=[name for name, _ in GOLDEN])
-def test_text_output_is_byte_identical(name, argv, capsys):
-    assert cli.main(argv) == cli.EXIT_OK
+@pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[name for name, _, _ in GOLDEN])
+def test_text_output_is_byte_identical(name, argv, code, capsys):
+    assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / name).read_bytes()
 
 
-def _untimed(lines: str) -> list[dict]:
-    rows = [json.loads(line) for line in lines.splitlines()]
-    for row in rows:
-        del row["elapsed_ms"]
-    return rows
+def _untimed(lines: str) -> list[list[tuple]]:
+    return [
+        [(key, value) for key, value in json.loads(line).items() if key != "elapsed_ms"]
+        for line in lines.splitlines()
+    ]
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_JSON, ids=[name for name, _ in GOLDEN_JSON])
-def test_json_output_is_identical_apart_from_timing(name, argv, capsys):
-    assert cli.main(argv) == cli.EXIT_OK
+@pytest.mark.parametrize("name, argv, code", GOLDEN_JSON, ids=[name for name, _, _ in GOLDEN_JSON])
+def test_json_output_is_identical_apart_from_timing(name, argv, code, capsys):
+    assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert _untimed(out) == _untimed((DATA / name).read_text(encoding="utf-8"))
