@@ -363,22 +363,14 @@ def verify_sides(ident: str, lhs: Expr, rhs: Expr, order: int) -> VerifyReport:
             id=ident, status="error", order=order, error=str(err),
             elapsed=time.perf_counter() - started,
         )
-    diff = left - right
-    valid = diff.order
-    # the comparison is vacuous when every known exponent sits below the
-    # content of both sides
-    floor = min(
-        (s.valuation for s in (left, right) if not s.is_zero), default=None
-    )
-    if floor is not None and valid <= floor:
+    try:
+        diff = left.compare(right)
+    except InsufficientPrecision as err:
         return VerifyReport(
-            id=ident, status="error", order=order, valid_order=valid,
-            error=(
-                "InsufficientPrecision: no comparable coefficients below "
-                f"t^{valid} (content starts at t^{floor})"
-            ),
-            elapsed=time.perf_counter() - started,
+            id=ident, status="error", order=order, valid_order=min(left.order, right.order),
+            error=f"InsufficientPrecision: {err}", elapsed=time.perf_counter() - started,
         )
+    valid = diff.order
     if diff.is_zero:
         return VerifyReport(
             id=ident, status="verified", order=order, valid_order=valid,

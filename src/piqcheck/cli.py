@@ -23,7 +23,8 @@ without a traceback.
 
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
-for a file, the line number.
+for a file, the line number.  A file line without exactly one ``=`` names
+its line too.
 
 Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
@@ -258,7 +259,7 @@ def _cmd_verify(args) -> int:
                     continue
                 try:
                     lhs, rhs = _split_identity(line.rstrip("\n"))
-                except ParseError as exc:
+                except (ParseError, _Usage) as exc:
                     exc.args = (f"line {i}: {exc}",)
                     raise
                 reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))

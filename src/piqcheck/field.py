@@ -9,27 +9,29 @@ Three layers, all immutable with canonical forms so equality is structural:
   * :class:`QuadExt` -- an element a(m) + b(m)*s of the quadratic extension
     defined by s^2 = u(m), where the modulus u is itself a rational function.
 
-Coefficients stay ``Fraction`` tuples in the public representation; the
-arithmetic that dominates the modular goals runs beneath it on integers, the
-way the series kernels do.  A polynomial is read as integer numerators over
-one common denominator, and:
+A polynomial is stored once, in one canonical integer form, the way a
+Laurent series is: integer numerators with no trailing zeros over one
+positive denominator coprime to their content.  ``coeffs`` is a Fraction
+view built when it is read.  The form is unique, so equality and hashing
+compare the stored integers, and the kernels read them directly:
 
-  * ``Poly.__mul__`` multiplies the numerator lists and divides by the
-    product of the two denominators once per coefficient;
+  * ``Poly.__mul__`` multiplies the numerator lists over the product of the
+    two denominators;
+  * one exact division kernel over Z serves ``divmod`` (on the dividend
+    scaled by lb^(deg a - deg b + 1), lb the divisor's leading entry, so
+    every step divides exactly), the pseudo-remainders of :func:`poly_gcd`
+    and the exact division of a ``RatFunc`` by its gcd;
   * :func:`poly_gcd` runs the primitive polynomial remainder sequence over Z
     (Collins, "Subresultants and reduced polynomial remainder sequences",
-    JACM 1967): pseudo-remainders, each divided by its content, so no
-    Fraction arises until the primitive gcd is made monic;
-  * ``RatFunc`` divides the numerator and the denominator by that gcd
-    exactly, in integers (a monic gcd clears to a primitive integer
-    polynomial, and by Gauss's lemma it divides both there), then makes the
-    denominator monic with one Fraction per coefficient.
+    JACM 1967): pseudo-remainders, each divided by its content; the monic
+    gcd it returns has that primitive gcd as its numerators;
+  * ``RatFunc`` divides the numerator and the denominator numerators by it
+    exactly (by Gauss's lemma the primitive gcd divides both over Z), then
+    makes the denominator monic.
 
 The canonical forms are the same as the Euclidean algorithm over Q gives,
 coefficient for coefficient.  Degrees stay small (32 at most in the modular
-goals), so dense lists and quadratic loops are adequate; division with
-remainder (``divmod``, ``//``, ``%``) keeps the plain Fraction loop, as
-nothing on a hot path calls it.
+goals), so dense lists and quadratic loops are adequate.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 from .series import _frac, _scaled_ints
@@ -64,32 +66,34 @@ class ZeroNormInverse(FieldError):
 # trailing zeros
 
 
+def _scaled(a, c: int):
+    """The entries of a times the integer c."""
+    return a if c == 1 else [c * x for x in a]
+
+
 def _zz_primitive(a: list[int]) -> list[int]:
     """a divided by its content, the gcd of its entries."""
     c = gcd(*a)
     return a if c == 1 else [x // c for x in a]
 
 
-def _zz_prem(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of the remainder of a by b, deg a >= deg b.
+def _zz_divmod(a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over Z, when every step divides exactly.
 
-    Each step cancels the top entry of the running remainder r with
-    r = (lb/h) r - (c/h) m^k b, where lb is b's leading entry, c is r's and
-    h = gcd(lb, c): a pseudo-division that keeps the numbers small.
+    That holds when b divides a, and when a was scaled by lb^(deg a - deg b + 1)
+    for b's leading entry lb (then the remainder is the pseudo-remainder).
     """
     r = list(a)
     db, lb = len(b) - 1, b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = r.pop()
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop() // lb
+        q[k] = c
         if c:
-            h = gcd(lb, c)
-            sa, sc = lb // h, c // h
-            if sa != 1:
-                r = [sa * x for x in r]
-            r[k:] = map(add, r[k:], map(mul, repeat(-sc), b[:db]))
+            r[k:] = map(add, r[k:], map(mul, repeat(-c), b[:db]))
     while r and not r[-1]:
         r.pop()
-    return r
+    return q, r
 
 
 def _zz_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -102,27 +106,14 @@ def _zz_gcd(a: list[int], b: list[int]) -> list[int]:
         a, b = b, a
     a, b = _zz_primitive(a), _zz_primitive(b)
     while len(b) > 1:
-        r = _zz_prem(a, b)
+        r = _zz_divmod(_scaled(a, b[-1] ** (len(a) - len(b) + 1)), b)[1]
         if not r:
             return b
         a, b = b, _zz_primitive(r)
     return [1]
 
 
-def _zz_divexact(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b of integer polynomials when b divides a over Z."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = r.pop() // lb
-        q[k] = c
-        if c:
-            r[k:] = map(add, r[k:], map(mul, repeat(-c), b[:db]))
-    return q
-
-
-def _zz_mul(a: list[int], b: list[int]) -> list[int]:
+def _zz_mul(a, b) -> list[int]:
     """Product of two nonzero integer polynomials; rows of a skip its zeros."""
     n = len(b)
     out = [0] * (len(a) + n - 1)
@@ -131,54 +122,79 @@ def _zz_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _fracs(a: list[int], den: int) -> tuple[Fraction, ...]:
-    """The coefficients a[i] / den as Fractions."""
-    if den == 1:
-        return tuple(map(Fraction, a))
-    return tuple(Fraction(x, den) for x in a)
+def _power(base, e: int, result):
+    """result * base^e for e >= 0, by repeated squaring."""
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Poly:
-    """Dense polynomial sum(coeffs[i] * m^i) with canonical degree."""
+    """Dense polynomial sum(coeffs[i] * m^i), stored as _nums[i] / _den.
 
-    coeffs: tuple[Fraction, ...]
+    ``Poly(coeffs)`` accepts ints, Fractions and anything else ``Fraction``
+    parses exactly, and rejects floats with ``TypeError``.
+    """
 
-    def __post_init__(self) -> None:
-        cs = tuple(_frac(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    _nums: tuple[int, ...]
+    _den: int
+
+    def __init__(self, coeffs) -> None:
+        self._set(*_scaled_ints(tuple(map(_frac, coeffs))))
+
+    def _set(self, nums, den: int) -> None:
+        """Store nums / den in canonical form; den is a nonzero int."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        c = gcd(den, *nums)  # |den| when nums is empty, so zero gets den 1
+        if den < 0:
+            c = -c
+        if c != 1:
+            nums, den = [x // c for x in nums], den // c
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _of(cls, coeffs: tuple[Fraction, ...]) -> Poly:
-        """Constructor for Fractions already free of trailing zeros."""
+    def _build(cls, nums, den: int) -> Poly:
+        """The polynomial with coefficients nums[i] / den, in canonical form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(nums, den)
         return self
+
+    def __repr__(self) -> str:
+        return f"Poly(coeffs={self.coeffs!r})"
 
     # ------------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first (built on each read)."""
+        if self._den == 1:
+            return tuple(map(Fraction, self._nums))
+        return tuple(Fraction(x, self._den) for x in self._nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self._nums[-1], self._den) if self._nums else Fraction(0)
 
     def monic(self) -> Poly:
-        if self.is_zero:
+        if self.is_zero or self._nums[-1] == self._den:
             return self
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return Poly(tuple(c / lc for c in self.coeffs))
+        return Poly._build(self._nums, self._nums[-1])
 
     # ------------------------------------------------------------------
 
@@ -187,22 +203,23 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly((_frac(other),))
+            return Poly._build((other.numerator,), other.denominator)
         return None
 
     def __add__(self, other) -> Poly:
         rhs = Poly._lift(other)
         if rhs is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(rhs.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = rhs.coeffs + (Fraction(0),) * (n - len(rhs.coeffs))
-        return Poly(tuple(x + y for x, y in zip(a, b)))
+        den = lcm(self._den, rhs._den)
+        a, b = _scaled(self._nums, den // self._den), _scaled(rhs._nums, den // rhs._den)
+        if len(a) > len(b):
+            a, b = b, a
+        return Poly._build([*map(add, a, b), *b[len(a) :]], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._build([-x for x in self._nums], self._den)
 
     def __sub__(self, other) -> Poly:
         rhs = Poly._lift(other)
@@ -218,60 +235,35 @@ class Poly:
         if rhs is None:
             return NotImplemented
         if self.is_zero or rhs.is_zero:
-            return Poly(())
-        a, da = _scaled_ints(self.coeffs)
-        b, db = _scaled_ints(rhs.coeffs)
-        return Poly._of(_fracs(_zz_mul(a, b), da * db))
+            return _ZERO
+        return Poly._build(_zz_mul(self._nums, rhs._nums), self._den * rhs._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> Poly:
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
-        result = Poly((Fraction(1),))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, _ONE)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero:
             raise DivisionByZeroRatFunc("polynomial division by zero")
         if self.degree < other.degree:
-            return Poly(()), self
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quot = [Fraction(0)] * (dq + 1)
-        blc = other.coeffs[-1]
-        for shift in range(dq, -1, -1):
-            c = rem[shift + other.degree] / blc
-            quot[shift] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[shift + j] -= c * b
-        return Poly(tuple(quot)), Poly(tuple(rem[: other.degree]))
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            return _ZERO, self
+        # lb^k a = q b + r over Z, with k = deg a - deg b + 1; then
+        # (a/da) = (q db / (lb^k da)) (b/db) + r / (lb^k da)
+        scale = other._nums[-1] ** (self.degree - other.degree + 1)
+        q, r = _zz_divmod(_scaled(self._nums, scale), other._nums)
+        den = scale * self._den
+        return Poly._build(_scaled(q, other._den), den), Poly._build(r, den)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        cs = self.coeffs
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -283,6 +275,8 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+_ZERO = Poly(())
+_ONE = Poly((1,))
 M = Poly((0, 1))
 """The polynomial variable m."""
 
@@ -290,12 +284,13 @@ M = Poly((0, 1))
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) is the monic normalization of p.
 
-    Computed on the cleared-denominator integer forms by :func:`_zz_gcd`.
+    Computed on the integer numerators by :func:`_zz_gcd`; the result's
+    numerators are that primitive gcd, with a positive leading entry.
     """
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    g = _zz_gcd(_scaled_ints(a.coeffs)[0], _scaled_ints(b.coeffs)[0])
-    return Poly._of(_fracs(g, g[-1]))
+    g = _zz_gcd(a._nums, b._nums)
+    return Poly._build(g, g[-1])
 
 
 @dataclass(frozen=True)
@@ -310,20 +305,18 @@ class RatFunc:
         if den.is_zero:
             raise DivisionByZeroRatFunc("rational function with zero denominator")
         if num.is_zero:
-            num, den = Poly(()), Poly((Fraction(1),))
+            num, den = _ZERO, _ONE
         else:
-            # num = n / dn and den = d / dd with integer n, d; the gcd and
-            # both exact quotients by it are taken over Z (Gauss's lemma: the
-            # gcd's cleared form is primitive, so it divides n and d there)
+            # num = n / dn and den = d / dd; the primitive gcd g divides the
+            # integer numerators n and d exactly (Gauss's lemma), and
+            # num / den = (n/g) dd / ((d/g) dn)
             g = poly_gcd(num, den)
-            n, dn = _scaled_ints(num.coeffs)
-            d, dd = _scaled_ints(den.coeffs)
+            n, d = num._nums, den._nums
             if g.degree > 0:
-                gz = _scaled_ints(g.coeffs)[0]
-                n, d = _zz_divexact(n, gz), _zz_divexact(d, gz)
+                n, d = _zz_divmod(n, g._nums)[0], _zz_divmod(d, g._nums)[0]
             lc = d[-1]
-            num = Poly._of(tuple(Fraction(x * dd, dn * lc) for x in n))
-            den = Poly._of(_fracs(d, lc))
+            num = Poly._build(_scaled(n, den._den), num._den * lc)
+            den = Poly._build(d, lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -344,7 +337,7 @@ class RatFunc:
         p = Poly._lift(other)
         if p is None:
             return None
-        return RatFunc(p, Poly((Fraction(1),)))
+        return RatFunc(p, _ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -501,14 +494,7 @@ class QuadExt:
             raise ValueError("power must be an integer")
         if e < 0:
             return self.inverse() ** (-e)
-        result = QuadExt.scalar(1, self.u)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, QuadExt.scalar(1, self.u))
 
     def __str__(self) -> str:
         if self.b.is_zero:

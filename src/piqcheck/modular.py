@@ -39,7 +39,7 @@ from typing import ClassVar
 
 from . import theta
 from .field import M, Poly, QuadExt, RatFunc, quadext_equal
-from .series import LaurentSeries
+from .series import InsufficientPrecision, LaurentSeries
 
 
 class ModularError(Exception):
@@ -458,7 +458,10 @@ class ParamSeriesReport:
 
 
 def _compare(name: str, lhs: LaurentSeries, rhs: LaurentSeries) -> ParamCheck:
-    diff = lhs - rhs
+    try:
+        diff = lhs.compare(rhs)
+    except InsufficientPrecision as err:
+        raise InsufficientPrecision(f"check {name!r}: {err}") from None
     if diff.is_zero:
         return ParamCheck(name, True)
     return ParamCheck(name, False, diff.first_nonzero_exponent())

@@ -15,7 +15,9 @@ never claims knowledge of a coefficient it cannot derive from the known
 windows of its inputs.  Multiplication and division propagate orders by the
 min rule (relative precision is preserved); addition takes the minimum of the
 two orders.  Comparisons only ever look below the tracked order; asking for a
-specific coefficient at or beyond it raises :class:`InsufficientPrecision`.
+specific coefficient at or beyond it raises :class:`InsufficientPrecision`,
+and so does ``compare`` when the difference is known only below the content
+of both sides.
 
 The known window is stored in its canonical integer form:
 
@@ -279,6 +281,21 @@ class LaurentSeries:
         if n is not None:
             bound = min(bound, n)
         return (self - other).is_zero_up_to(bound)
+
+    def compare(self, other: LaurentSeries) -> LaurentSeries:
+        """self - other, refusing a comparison that reads no coefficient.
+
+        The comparison is vacuous when the difference is known only below
+        the exponent where the content of both sides starts; that raises
+        :class:`InsufficientPrecision` naming both exponents.
+        """
+        diff = self - other
+        floor = min((s.valuation for s in (self, other) if not s.is_zero), default=None)
+        if floor is not None and diff.order <= floor:
+            raise InsufficientPrecision(
+                f"no comparable coefficients below t^{diff.order} (content starts at t^{floor})"
+            )
+        return diff
 
     def _lattice(self, step: int, n: int):
         """Numerators at offsets 0, step, 2*step, ... below n, without trailing zeros.

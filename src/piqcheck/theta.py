@@ -8,7 +8,7 @@ The functions constructed here:
   * ``psi(k, order)``  -- psi(q^k) = sum_{n>=0} q^(k*n(n+1)/2);
   * ``phi(k, order)``  -- phi(q^k) = sum_{n in Z} q^(k*n^2) = 1 + 2*sum t^(4k*n^2);
   * ``pi_product(k, order)`` -- Pi_{q^k} = q^(k/4) (q^(2k);q^(2k))^2 / (q^k;q^(2k))^2,
-    which also equals q^(k/4) * psi(q^k)^2;
+    built as q^(k/4) * psi(q^k)^2;
   * ``z_series / m_series`` -- z_n = phi(q^n)^2 and the multiplier m = z_1/z_n;
   * ``alpha_series / beta_series`` -- the series-level modular parameters
     alpha = 16 q psi^4(q^2)/phi^4(q) and beta = 16 q^n psi^4(q^(2n))/phi^4(q^n);
@@ -103,16 +103,14 @@ def phi(k: int, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def pi_product(k: int, order: int) -> LaurentSeries:
-    """Pi_{q^k} in t-space: t^k * (t^(8k);t^(8k))^2 / (t^(4k);t^(8k))^2.
+    """Pi_{q^k} in t-space: t^k * (t^(8k);t^(8k))^2 / (t^(4k);t^(8k))^2 = t^k psi(q^k)^2.
 
     The t^k prefactor is exact, so the result is known below order + k;
     the valuation is exactly k.
     """
     _check_k(k)
     _check_order(order)
-    num = pochhammer(8 * k, 8 * k, order)
-    den = pochhammer(4 * k, 8 * k, order)
-    return ((num * num) / (den * den)).shift(k)
+    return (psi(k, order) ** 2).shift(k)
 
 
 @lru_cache(maxsize=None)

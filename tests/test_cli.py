@@ -109,6 +109,16 @@ def test_expr_file_parse_error_names_the_line(tmp_path, capsys, text, message):
     assert err == f"parse error: {message} (expected one of: ')')\n"
 
 
+def test_expr_file_line_without_one_equals_names_the_line(tmp_path, capsys):
+    path = tmp_path / "identities.txt"
+    path.write_text("1 = 1\nno equals here\n")
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == (
+        "error: line 2: a user identity must contain exactly one '=' separating LHS and RHS\n"
+    )
+
+
 def test_verify_expr_file(tmp_path, capsys):
     path = tmp_path / "identities.txt"
     path.write_text(
@@ -194,6 +204,26 @@ def test_check_param_both_degrees(capsys):
     payload = json.loads(out)
     assert payload["status"] == "verified"
     assert len(payload["checks"]) == 2
+
+
+@pytest.mark.parametrize("order, known", [(8, 16), (12, 20)])
+def test_check_param_without_comparable_coefficients_fails(capsys, order, known):
+    # the degree-5 beta check's content starts at t^20, and at these orders
+    # its difference is known only below t^known
+    code, out, err = run(capsys, "check-param", "--degree", "5", "--order", str(order))
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err == (
+        "internal precondition violation: check "
+        "'16*m^2*(5-m)^2*beta = (2m-rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))': "
+        f"no comparable coefficients below t^{known} (content starts at t^20)\n"
+    )
+
+
+def test_check_param_with_comparable_coefficients_still_verifies(capsys):
+    for degree in ("3", "5"):
+        code, out, _ = run(capsys, "check-param", "--degree", degree, "--order", "16")
+        assert code == 0
+        assert out == f"degree-{degree} parametrization verified order=16 checks=2\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Polynomials, rational functions, and quadratic extensions over Q(m)."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,39 @@ def test_poly_rejects_floats():
     with pytest.raises(TypeError):
         Poly((1, 2.0))
     assert Poly((Fraction(1, 2),)).coeffs == (Fraction(1, 2),)
+
+
+def test_poly_equal_forms_compare_and_hash_equal():
+    forms = [
+        Poly((1, Fraction(-1, 2), Fraction(3, 4))),
+        Poly((Fraction(2, 2), "-1/2", "0.75")),
+        Poly(("1", Fraction(-2, 4), Fraction(6, 8), 0, Fraction(0, 5))),
+        Fraction(1, 4) * Poly((4, -2, 3)),
+    ]
+    for p in forms:
+        assert p == forms[0]
+        assert hash(p) == hash(forms[0])
+    assert len(set(forms)) == 1
+    assert Poly((1, 2)) != Poly((1, 2, 1))
+    assert Poly((0, 0)) == Poly(()) and hash(Poly((0,))) == hash(Poly(()))
+
+
+def test_poly_repr_keeps_fraction_text():
+    assert repr(Poly((1, Fraction(-1, 2), 0))) == "Poly(coeffs=(Fraction(1, 1), Fraction(-1, 2)))"
+    assert repr(Poly(())) == "Poly(coeffs=())"
+    assert repr(RatFunc.of(M, 2 * M + 2)) == (
+        "RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(1, 2))), "
+        "den=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1))))"
+    )
+
+
+def test_poly_is_frozen():
+    p = Poly((1, 2))
+    with pytest.raises(FrozenInstanceError):
+        p.coeffs = (Fraction(3),)
+    with pytest.raises(FrozenInstanceError):
+        p.degree = 4
+    assert p == Poly((1, 2))
 
 
 def test_poly_divmod():

@@ -219,6 +219,18 @@ def test_coefficient_access():
         s.coefficient(4)
 
 
+def test_compare_refuses_a_comparison_that_reads_no_coefficient():
+    content = LaurentSeries.monomial(20, 40, 3)
+    short = LaurentSeries.monomial(20, 16, 3)  # zero, known only below t^16
+    with pytest.raises(InsufficientPrecision, match=r"below t\^16 \(content starts at t\^20\)"):
+        content.compare(short)
+    with pytest.raises(InsufficientPrecision, match=r"below t\^20 \(content starts at t\^20\)"):
+        LaurentSeries.zero(20).compare(content)
+    assert content.compare(S(20, [3], 21)).is_zero
+    assert content.compare(S(19, [1], 21)).valuation == 19
+    assert LaurentSeries.zero(8).compare(LaurentSeries.zero(4)).order == 4
+
+
 def test_equal_up_to_uses_common_window():
     a = S(0, [1, 2, 3], 3)
     b = S(0, [1, 2, 7], 3)

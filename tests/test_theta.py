@@ -60,11 +60,14 @@ def test_pi_product_valuation():
         assert theta.pi_product(k, 96).valuation == k
 
 
-def test_pi_product_equals_shifted_psi_square():
+def test_pi_product_equals_product_definition():
     for k in (1, 2, 3):
         pi = theta.pi_product(k, 200)
-        psi2 = (theta.psi(k, 200) ** 2).shift(k)
-        assert pi.equal_up_to(psi2)
+        num = theta.pochhammer(8 * k, 8 * k, 200)
+        den = theta.pochhammer(4 * k, 8 * k, 200)
+        product = ((num * num) / (den * den)).shift(k)
+        assert pi == product
+        assert pi.equal_up_to(product)
 
 
 def test_pi_product_substitution_coherence():
