@@ -30,6 +30,7 @@ Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
 ``elapsed_ms`` field.  The default order is 200 and may be overridden with
 the ``PIQCHECK_ORDER`` environment variable; an explicit ``--order`` wins.
+An order above ``catalog.MAX_ORDER`` (100000) is a usage error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import os
 import sys
 
 from . import catalog, modular
-from .catalog import MIN_ORDER, VerifyReport
+from .catalog import MAX_ORDER, MIN_ORDER, VerifyReport
 from .dsl import Expr, ParseError, parse
 from .field import FieldError
 from .modular import ModularError, ParamSeriesReport, ProofReport
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--order", type=int, default=None,
                 help=f"t-order for series comparisons (default {catalog.DEFAULT_ORDER}, "
-                f"env {ENV_ORDER}; minimum {MIN_ORDER})",
+                f"env {ENV_ORDER}; minimum {MIN_ORDER}, maximum {MAX_ORDER})",
             )
         p.add_argument("--json", action="store_true", help="one JSON object per report")
         p.add_argument("--quiet", action="store_true", help="suppress per-report output")
@@ -203,8 +204,10 @@ def _finish(args, reports: list[tuple[str, dict]]) -> int:
 
 def _resolve_order(args) -> int:
     order = args.order if getattr(args, "order", None) is not None else _default_order()
-    if order < MIN_ORDER:
-        raise _Usage(f"--order must be at least {MIN_ORDER}")
+    try:
+        catalog.check_order(order, "--order")
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     return order
 
 

@@ -457,14 +457,23 @@ class ParamSeriesReport:
         return all(c.holds for c in self.checks)
 
 
-def _compare(name: str, lhs: LaurentSeries, rhs: LaurentSeries) -> ParamCheck:
-    try:
-        diff = lhs.compare(rhs)
-    except InsufficientPrecision as err:
-        raise InsufficientPrecision(f"check {name!r}: {err}") from None
-    if diff.is_zero:
-        return ParamCheck(name, True)
-    return ParamCheck(name, False, diff.first_nonzero_exponent())
+def _compare(*pairs: tuple[str, LaurentSeries, LaurentSeries]) -> tuple[ParamCheck, ...]:
+    """One ParamCheck per named (lhs, rhs) pair.
+
+    Every pair is compared first; when any comparison reads no coefficient,
+    one InsufficientPrecision names each such check.
+    """
+    checks, vacuous = [], []
+    for name, lhs, rhs in pairs:
+        try:
+            diff = lhs.compare(rhs)
+        except InsufficientPrecision as err:
+            vacuous.append(f"check {name!r}: {err}")
+            continue
+        checks.append(ParamCheck(name, diff.is_zero, diff.first_nonzero_exponent()))
+    if vacuous:
+        raise InsufficientPrecision("; ".join(vacuous))
+    return tuple(checks)
 
 
 def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -> ParamSeriesReport:
@@ -483,9 +492,9 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
         beta = theta.beta_series(3, order)
         mm1 = m - 1
         mp3 = m + 3
-        checks = (
-            _compare("16*m^3*alpha = (m-1)*(m+3)^3", (m**3 * alpha).scale(16), mm1 * mp3**3),
-            _compare("16*m*beta = (m-1)^3*(m+3)", (m * beta).scale(16), mm1**3 * mp3),
+        checks = _compare(
+            ("16*m^3*alpha = (m-1)*(m+3)^3", (m**3 * alpha).scale(16), mm1 * mp3**3),
+            ("16*m*beta = (m-1)^3*(m+3)", (m * beta).scale(16), mm1**3 * mp3),
         )
     elif degree == 5:
         m = theta.m_series(5, order)
@@ -496,13 +505,13 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
             rho = -rho
         core = (m**3).scale(4) - (m**2).scale(16) + m.scale(20) + rho * (m**2 - 5)
         m2 = m**2
-        checks = (
-            _compare(
+        checks = _compare(
+            (
                 "16*m^2*(5-m)^2*beta = (2m-rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))",
                 (m2 * (5 - m) ** 2 * beta).scale(16),
                 (m.scale(2) - rho) ** 2 * core,
             ),
-            _compare(
+            (
                 "16*m^4*(m-1)^2*alpha = (2m+rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))",
                 (m2**2 * (m - 1) ** 2 * alpha).scale(16),
                 (m.scale(2) + rho) ** 2 * core,

@@ -48,8 +48,11 @@ dropped, g read from the offsets of the nonzero entries, content divided out
 of the denominator.  For the catalog's series, which in t live on lattices
 of step 4 or 8, that makes the quadratic recurrences 16 to 64 times shorter.
 
-  * Product: the sparser operand drives row updates, so zero rows cost
-    nothing.
+  * Product: both lattice lists, cut to the result window, are packed into
+    one signed big integer each (Kronecker substitution), multiplied once,
+    and read back slot by slot; a slot is wide enough for every coefficient
+    of the product, so nothing carries between slots.  Packing is linear in
+    the operands, so a short factor such as m - 1 stays cheap too.
   * Quotient: long division by the leading integer b0.  Each step divides
     exactly when b0 divides the partial sum and falls back to a Fraction
     when it does not, so unit and non-unit divisors share one loop.
@@ -128,6 +131,43 @@ def _exact_div(acc, d: int):
     """acc / d: an int when d divides acc, otherwise a Fraction."""
     q, r = divmod(acc, d)
     return Fraction(acc, d) if r else q
+
+
+def _pack(vals, width: int) -> int:
+    """The signed integer sum(vals[i] * 256**(width*i)), each |vals[i]| < 256**width.
+
+    The positive and the negated negative entries are joined into one byte
+    string each, and the two integers they spell are subtracted.
+    """
+    zero = bytes(width)
+    pos = b"".join([v.to_bytes(width, "little") if v > 0 else zero for v in vals])
+    neg = b"".join([(-v).to_bytes(width, "little") if v < 0 else zero for v in vals])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _packed_mul(a, b, m: int, square: bool) -> list[int]:
+    """The first m coefficients of the product of the integer lists a and b.
+
+    Kronecker substitution: each list is packed into one integer with a slot
+    of ``width`` bytes per entry, and the two are multiplied once (CPython
+    multiplies long integers by Karatsuba).  Every product coefficient is
+    less than min(len(a), len(b)) * 2**(bits_a + bits_b) in absolute value,
+    so it fits a signed slot of bits_a + bits_b + bitlen(min length) + 1
+    bits; the width keeps one bit more and rounds up to whole bytes.  Half a
+    slot added to each of the first m slots makes them non-negative, so they
+    are read back as unsigned bytes less that half.  ``square`` says that a
+    and b are the same list, which is then packed once.
+    """
+    bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+    width = -(-(bits + min(len(a), len(b)).bit_length() + 2) // 8)
+    x = _pack(a, width)
+    prod = x * x if square else x * _pack(b, width)
+    half = 1 << (8 * width - 1)
+    prod += int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    # the slots above the first m may be negative and the biased top slot may
+    # use its sign bit, so the signed conversion gets one spare byte
+    raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * width + 1, "little", signed=True))
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, m * width, width)]
 
 
 def _canonical(valuation: int, order: int, step: int, vals, den: int) -> tuple:
@@ -382,15 +422,9 @@ class LaurentSeries:
         n = min(self.precision, rhs.precision)
         val = self.valuation + rhs.valuation
         step = gcd(self._g, rhs._g) or n
-        rows, other = self._lattice(step, n), rhs._lattice(step, n)
-        if sum(map(bool, rows)) > sum(map(bool, other)):
-            rows, other = other, rows
-        m = min(-(-n // step), len(rows) + len(other) - 1)
-        prod = [0] * m
-        for i in compress(range(len(rows)), rows):
-            seg = other[: m - i]
-            end = i + len(seg)
-            prod[i:end] = map(add, prod[i:end], map(mul, repeat(rows[i]), seg))
+        a, b = self._lattice(step, n), rhs._lattice(step, n)
+        m = min(-(-n // step), len(a) + len(b) - 1)
+        prod = _packed_mul(a[:m], b[:m], m, self is rhs)
         return LaurentSeries._build(val, val + n, step, prod, self._den * rhs._den)
 
     def __rmul__(self, other) -> LaurentSeries:

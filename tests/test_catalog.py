@@ -117,3 +117,10 @@ def test_psi_form_and_pi_form_agree_pairwise():
     for pi_form, psi_form in (("EQ11-2", "EQ21-1"), ("EQ1-7", "EQ3-1")):
         assert catalog.verify(pi_form, 120).status == "verified"
         assert catalog.verify(psi_form, 120).status == "verified"
+
+
+def test_evaluate_rejects_orders_beyond_the_limit():
+    with pytest.raises(ValueError, match="at most 100000"):
+        evaluate(parse("Pi(q)"), catalog.MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="at most 100000"):
+        catalog.verify("EQ1-1", catalog.MAX_ORDER + 1)

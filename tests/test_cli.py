@@ -206,17 +206,30 @@ def test_check_param_both_degrees(capsys):
     assert len(payload["checks"]) == 2
 
 
+BETA5 = "16*m^2*(5-m)^2*beta = (2m-rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))"
+ALPHA5 = "16*m^4*(m-1)^2*alpha = (2m+rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))"
+
+
 @pytest.mark.parametrize("order, known", [(8, 16), (12, 20)])
 def test_check_param_without_comparable_coefficients_fails(capsys, order, known):
-    # the degree-5 beta check's content starts at t^20, and at these orders
-    # its difference is known only below t^known
+    # the degree-5 beta check's content starts at t^20 and the alpha check's
+    # at t^12; at these orders the beta difference is known only below
+    # t^known and the alpha difference only below t^order
     code, out, err = run(capsys, "check-param", "--degree", "5", "--order", str(order))
     assert code == cli.EXIT_INTERNAL and out == ""
     assert err == (
-        "internal precondition violation: check "
-        "'16*m^2*(5-m)^2*beta = (2m-rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))': "
-        f"no comparable coefficients below t^{known} (content starts at t^20)\n"
+        f"internal precondition violation: check '{BETA5}': "
+        f"no comparable coefficients below t^{known} (content starts at t^20); "
+        f"check '{ALPHA5}': "
+        f"no comparable coefficients below t^{order} (content starts at t^12)\n"
     )
+
+
+def test_check_param_names_every_vacuous_check(capsys):
+    code, _, err = run(capsys, "check-param", "--degree", "5", "--order", "8")
+    assert code == cli.EXIT_INTERNAL
+    assert f"check '{BETA5}'" in err and f"check '{ALPHA5}'" in err
+    assert err.count("\n") == 1
 
 
 def test_check_param_with_comparable_coefficients_still_verifies(capsys):
@@ -259,6 +272,15 @@ def test_order_environment_override(capsys, monkeypatch):
 def test_order_below_minimum_rejected(capsys):
     code, _, err = run(capsys, "verify", "--id", "EQ1-1", "--order", "4")
     assert code == cli.EXIT_USAGE
+
+
+def test_order_above_maximum_rejected(capsys):
+    # without the limit this would run for minutes and take gigabytes
+    code, out, err = run(capsys, "expand", "--expr", "Pi(q)", "--order", "100000000")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: --order must be at most 100000\n"
+    code, out, err = run(capsys, "check-param", "--degree", "3", "--order", "100001")
+    assert code == cli.EXIT_USAGE and out == "" and "at most 100000" in err
 
 
 def test_quiet_suppresses_reports_keeps_exit_code(capsys):

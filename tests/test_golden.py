@@ -7,10 +7,12 @@ the ``prove_modular`` and ``check_param_3_120`` files before the field tower
 moved to integer kernels and the prover to goals built once; the
 ``verify_all_200.jsonl``, ``check_param_*.jsonl`` and ``verify_mixed_64``
 files before the verify entry points and the JSON report builders were
-folded into one.  A change to any layer that moves a single coefficient,
-order, status, canonical form or exit code shows up here.  JSON reports are
-compared as ordered ``(key, value)`` lists without ``elapsed_ms``, the one
-field that carries a timing, so the order of the keys is pinned too.
+folded into one; the ``verify_all_800`` and ``expand_mixed_400`` files
+before long products moved to one packed big-integer multiply.  A change to
+any layer that moves a single coefficient, order, status, canonical form or
+exit code shows up here.  JSON reports are compared as ordered
+``(key, value)`` lists without ``elapsed_ms``, the one field that carries a
+timing, so the order of the keys is pinned too.
 """
 
 import json
@@ -22,9 +24,13 @@ from piqcheck import cli
 
 DATA = Path(__file__).parent / "data"
 MIXED = str(DATA / "mixed_identities.txt")
+# off-lattice terms, rational coefficients, and products long enough for the packed kernel
+EXPAND_MIXED = "(Pi(q) + q^{1/4}*phi(q^3)/2)^3 * psi(q^5) / (3 - Pi(q^2))"
 
 GOLDEN = [
     ("verify_all_200.txt", ["verify-all", "--order", "200"], cli.EXIT_OK),
+    ("verify_all_800.txt", ["verify-all", "--order", "800"], cli.EXIT_OK),
+    ("expand_mixed_400.txt", ["expand", "--expr", EXPAND_MIXED, "--order", "400"], cli.EXIT_OK),
     ("expand_sqrt_pi_q_pi_q9_200.txt", ["expand", "--expr", "sqrt(Pi(q)*Pi(q^9))", "--order", "200"], cli.EXIT_OK),
     ("expand_sqrt_4_9_40.txt", ["expand", "--expr", "sqrt(4/9 + q^{3/4})", "--order", "40"], cli.EXIT_OK),
     ("check_param_5_120.txt", ["check-param", "--degree", "5", "--order", "120"], cli.EXIT_OK),
@@ -36,6 +42,7 @@ GOLDEN = [
 GOLDEN_JSON = [
     ("prove_modular.jsonl", ["prove-modular", "--json"], cli.EXIT_OK),
     ("verify_all_200.jsonl", ["verify-all", "--order", "200", "--json"], cli.EXIT_OK),
+    ("expand_mixed_400.json", ["expand", "--expr", EXPAND_MIXED, "--order", "400", "--json"], cli.EXIT_OK),
     ("check_param_3_120.jsonl", ["check-param", "--degree", "3", "--order", "120", "--json"], cli.EXIT_OK),
     ("check_param_5_120.jsonl", ["check-param", "--degree", "5", "--order", "120", "--json"], cli.EXIT_OK),
     ("verify_mixed_64.jsonl", ["verify", "--expr-file", MIXED, "--order", "64", "--json"], cli.EXIT_INTERNAL),

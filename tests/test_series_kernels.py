@@ -20,9 +20,10 @@ from piqcheck.series import LaurentSeries, sqrt_fraction
 def ref_mul(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
     if x.is_zero or y.is_zero:
         return LaurentSeries.zero(min(x.order + y.valuation, y.order + x.valuation))
-    n = min(len(x.coeffs), len(y.coeffs))
+    xc, yc = x.coeffs, y.coeffs  # each read builds the window
+    n = min(len(xc), len(yc))
     val = x.valuation + y.valuation
-    coeffs = [sum((x.coeffs[i] * y.coeffs[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+    coeffs = [sum((xc[i] * yc[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
     return LaurentSeries(val, tuple(coeffs), val + n)
 
 
@@ -262,3 +263,81 @@ def test_builders_store_their_lattice_once():
     assert theta.phi(1, 800)._nums == tuple(1 if j == 0 else 2 if isqrt(j) ** 2 == j else 0 for j in range(197))
     assert theta.phi(1, 800)._den == 1
     assert theta.phi(1, 800).coeffs == LaurentSeries(0, theta.phi(1, 800).coeffs, 800).coeffs
+
+
+# ----------------------------------------------------------------------
+# the packed product
+
+
+@st.composite
+def packed_operands(draw, g: int, length: int, window: int):
+    """A series with `length` entries on the lattice of step g, known for `window` exponents.
+
+    Numerators reach 170 bits and take either sign.  A row whose entries all
+    have the magnitude 2^B - 1 puts the product's coefficients next to the
+    slot bound; one of all 2^B sits just past a bit-length boundary; random
+    rows mix zeros in.  Entries over 3 or 7 give a stored denominator other than 1.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    bits = draw(st.integers(min_value=1, max_value=170))
+    shape = draw(st.sampled_from(["random", "2^B", "2^B-1"]))
+    signs = draw(st.sampled_from(["+", "-", "alternating", "random"]))
+    den = draw(st.sampled_from([1, 1, 3, 7, None]))  # None: a denominator per entry
+    nums = []
+    for i in range(length):
+        if shape == "random":
+            v = rnd.getrandbits(bits) if rnd.random() < 0.8 else 0
+        else:
+            v = (1 << bits) - (shape == "2^B-1")
+        sign = {"+": 1, "-": -1, "alternating": (-1) ** i, "random": rnd.choice((1, -1))}[signs]
+        nums.append(sign * v)
+    nums[0] = nums[0] or 1
+    coeffs = [0] * ((length - 1) * g + 1)
+    coeffs[::g] = [Fraction(v, den or rnd.choice((1, 2, 3, 7))) for v in nums]
+    val = draw(st.integers(min_value=-6, max_value=6))
+    return LaurentSeries(val, coeffs, val + window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_products_match_reference(data):
+    """Products of 1 to 300 entries, truncated to the shorter window or complete, on lattices that differ."""
+    g = data.draw(st.sampled_from([1, 1, 2]), label="step")
+    k = data.draw(st.sampled_from([1, 1, 2]), label="second operand's step / step")
+    full = data.draw(st.booleans(), label="complete product")
+    cap = (150 if full else 300) // g
+    la = data.draw(st.integers(min_value=1, max_value=cap), label="entries of x")
+    lb = data.draw(st.integers(min_value=1, max_value=cap // k), label="entries of y")
+    # windows past both operands' last entries keep the whole product; windows
+    # that end with their entries cut it to the shorter one
+    both = la * g + lb * g * k
+    x = data.draw(packed_operands(g, la, both if full else la * g))
+    y = data.draw(packed_operands(g * k, lb, both if full else lb * g * k))
+    want = ref_mul(x, y)
+    same_and_canonical(x * y, want)
+    same_and_canonical(y * x, want)
+    # a square packs its operand once
+    assert x * x == x * LaurentSeries(x.valuation, x.coeffs, x.order)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), ("alternating", "alternating")])
+@pytest.mark.parametrize("bits, length", [(164, 200), (61, 40), (20, 250), (170, 12)])
+def test_packed_slot_bound_is_tight(bits, length, signs):
+    """Rows of 2^B - 1 with one sign product: the middle coefficient nears the slot bound.
+
+    2B + bitlen(length) is a multiple of 8 in every case, so a slot one bit
+    narrower than the least that holds every coefficient fills whole bytes
+    and overflows.
+    """
+    assert (2 * bits + length.bit_length()) % 8 == 0
+    magnitude = (1 << bits) - 1
+
+    def row(sign):
+        return [magnitude * (sign if sign != "alternating" else (-1) ** i) for i in range(length)]
+
+    x, y = (LaurentSeries(0, row(s), length) for s in signs)
+    want = ref_mul(x, y)
+    assert abs(want.coefficient(length - 1)) >= 1 << (2 * bits + length.bit_length() - 1)
+    same_and_canonical(x * y, want)
+    same_and_canonical(x * x, ref_mul(x, x))
+
