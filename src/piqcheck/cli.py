@@ -30,7 +30,8 @@ Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
 ``elapsed_ms`` field.  The default order is 200 and may be overridden with
 the ``PIQCHECK_ORDER`` environment variable; an explicit ``--order`` wins.
-An order above ``catalog.MAX_ORDER`` (100000) is a usage error.
+An order outside ``catalog.check_order``'s range (8 to 100000) is a usage
+error whose message names where the order came from.
 """
 
 from __future__ import annotations
@@ -203,9 +204,13 @@ def _finish(args, reports: list[tuple[str, dict]]) -> int:
 
 
 def _resolve_order(args) -> int:
-    order = args.order if getattr(args, "order", None) is not None else _default_order()
+    """The flag's order, else the environment's or the default; a bad value names its source."""
+    if args.order is not None:
+        order, source = args.order, "--order"
+    else:
+        order, source = _default_order(), ENV_ORDER
     try:
-        catalog.check_order(order, "--order")
+        catalog.check_order(order, source)
     except ValueError as e:
         raise _Usage(str(e)) from None
     return order

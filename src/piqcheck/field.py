@@ -42,7 +42,7 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .series import _frac, _scaled_ints
+from .series import _frac, _power, _scaled_ints
 
 
 class FieldError(Exception):
@@ -120,16 +120,6 @@ def _zz_mul(a, b) -> list[int]:
     for i in compress(range(len(a)), a):
         out[i : i + n] = map(add, out[i : i + n], map(mul, repeat(a[i]), b))
     return out
-
-
-def _power(base, e: int, result):
-    """result * base^e for e >= 0, by repeated squaring."""
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -243,7 +233,7 @@ class Poly:
     def __pow__(self, e: int) -> Poly:
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
-        return _power(self, e, _ONE)
+        return _power(self, e) if e else _ONE
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero:
@@ -494,7 +484,7 @@ class QuadExt:
             raise ValueError("power must be an integer")
         if e < 0:
             return self.inverse() ** (-e)
-        return _power(self, e, QuadExt.scalar(1, self.u))
+        return _power(self, e) if e else QuadExt.scalar(1, self.u)
 
     def __str__(self) -> str:
         if self.b.is_zero:

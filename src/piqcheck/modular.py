@@ -2,12 +2,12 @@
 
 The multiplier parametrizations express the modular parameters alpha and beta
 (and the radicals built from them) as explicit elements of a quadratic
-extension of the rational function field Q(m):
-
-  * degree 3: s^2 = (m-1)(m+3)/m, with
-      alpha = (m-1)(m+3)^3 / (16 m^3),   beta = (m-1)^3 (m+3) / (16 m);
-  * degree 5: rho^2 = m^3 - 2m^2 + 5m, with alpha, beta, 1-alpha, 1-beta given
-      by squares of (2m +/- rho)/(...) times (4m^3 - 16m^2 + 20m +/- rho(m^2-5))/(16m^2).
+extension of the rational function field Q(m): s^2 = (m-1)(m+3)/m for degree
+3 and rho^2 = m^3 - 2m^2 + 5m for degree 5.  Each is written once, as plain
+ring arithmetic: ``_modulus3``/``_modulus5`` give the radicand and
+``_atoms3``/``_atoms5`` every atom, keyed by table field, from m and the
+root.  They use only ``+ - * / **`` with ints, so the same functions build
+the tables over Q(m)(s) and feed the series bridge below.
 
 Every radical atom is validated by raising it back to the matching power and
 comparing with the rational function it is supposed to be a root of; only
@@ -24,9 +24,11 @@ of a degree builds that degree's goals once, and importing the module
 builds nothing.  Both degrees share one proving body; a report's
 ``elapsed`` covers that goal's own comparisons, not the shared build.
 
-The same parametrizations are cross-validated against the series world by
-:func:`check_param_series`, which clears denominators and compares both sides
-as Laurent series built from the theta constructors.
+The series bridge, :func:`check_param_series`, evaluates the same atom
+functions at the multiplier series m and the positive-branch root of the
+modulus there, and compares the alpha and beta atoms with the theta-series
+alpha and beta.  A wrong alpha or beta formula therefore reaches the
+bridge, not only the table.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import cached_property
 from typing import ClassVar
 
 from . import theta
+from .catalog import check_order
 from .field import M, Poly, QuadExt, RatFunc, quadext_equal
 from .series import InsufficientPrecision, LaurentSeries
 
@@ -69,7 +72,67 @@ class ParamTable:
 
 
 # ----------------------------------------------------------------------
-# degree 3
+# the parametrizations, each written once: ring arithmetic that runs over
+# Q(m)(s) for the tables and over Laurent series for check_param_series
+
+
+def _modulus3(m):
+    """s^2 for the degree-3 multiplier m."""
+    return (m - 1) * (m + 3) / m
+
+
+def _atoms3(m, s):
+    """The degree-3 atoms at m and s, keyed by ParamTable3 field."""
+    # quarter_ba as an inverse: at series, dividing by m + 3 (leading
+    # coefficient 4) does not divide exactly and falls back to Fractions
+    quarter_ab = s / (m - 1)
+    return {
+        "alpha": (m - 1) * (m + 3) ** 3 / (16 * m**3),
+        "beta": (m - 1) ** 3 * (m + 3) / (16 * m),
+        "sqrt_alpha": s * ((m + 3) / (4 * m)),
+        "sqrt_beta": s * ((m - 1) / 4),
+        "quarter_ba": 1 / quarter_ab,
+        "quarter_ab": quarter_ab,
+        "sqrt_ba": m * (m - 1) / (m + 3),
+        "eighth_ab": s / 2,
+        "m": m,
+    }
+
+
+def _modulus5(m):
+    """rho^2 for the degree-5 multiplier m."""
+    return m**3 - 2 * m**2 + 5 * m
+
+
+def _atoms5(m, rho):
+    """The degree-5 atoms at m and rho, keyed by ParamTable5 field."""
+    plus, minus = 2 * m + rho, 2 * m - rho
+    pole, zero = m * (m - 1), 5 - m
+    rational = 4 * m**3 - 16 * m**2 + 20 * m
+    radical = rho * (m**2 - 5)
+    den = 16 * m**2
+    quarter_ab, quarter_ba = plus / pole, minus / zero
+    quarter_1b1a, quarter_1a1b = plus / zero, minus / pole
+    sqrt_ab_prod = (rational + radical) / den
+    sqrt_1a1b_prod = (rational - radical) / den
+    return {
+        "alpha": quarter_ab**2 * sqrt_ab_prod,
+        "beta": quarter_ba**2 * sqrt_ab_prod,
+        "one_minus_alpha": quarter_1a1b**2 * sqrt_1a1b_prod,
+        "one_minus_beta": quarter_1b1a**2 * sqrt_1a1b_prod,
+        "quarter_ab": quarter_ab,
+        "quarter_ba": quarter_ba,
+        "quarter_1b1a": quarter_1b1a,
+        "quarter_1a1b": quarter_1a1b,
+        "sqrt_ab_prod": sqrt_ab_prod,
+        "sqrt_1a1b_prod": sqrt_1a1b_prod,
+        "m": m,
+    }
+
+
+def _lifted(atoms: dict, u: RatFunc) -> dict[str, QuadExt]:
+    """The atoms as elements of Q(m)(s), the rational ones lifted."""
+    return {k: v if isinstance(v, QuadExt) else QuadExt.scalar(v, u) for k, v in atoms.items()}
 
 
 @dataclass(frozen=True)
@@ -78,12 +141,12 @@ class ParamTable3(ParamTable):
 
     alpha: QuadExt
     beta: QuadExt
-    sqrt_alpha: QuadExt         # alpha^(1/2) = ((m+3)/(4m)) s
-    sqrt_beta: QuadExt          # beta^(1/2)  = ((m-1)/4) s
-    quarter_ba: QuadExt         # (beta/alpha)^(1/4) = (m/(m+3)) s
-    quarter_ab: QuadExt         # (alpha/beta)^(1/4) = s/(m-1)
-    sqrt_ba: QuadExt            # (beta/alpha)^(1/2) = m(m-1)/(m+3), rational
-    eighth_ab: QuadExt          # (alpha*beta)^(1/8) = s/2
+    sqrt_alpha: QuadExt         # alpha^(1/2)
+    sqrt_beta: QuadExt          # beta^(1/2)
+    quarter_ba: QuadExt         # (beta/alpha)^(1/4)
+    quarter_ab: QuadExt         # (alpha/beta)^(1/4)
+    sqrt_ba: QuadExt            # (beta/alpha)^(1/2), rational
+    eighth_ab: QuadExt          # (alpha*beta)^(1/8)
     m: QuadExt
 
     degree: ClassVar[int] = 3
@@ -95,38 +158,20 @@ def _require(cond: bool, what: str) -> None:
 
 
 def build_table3() -> ParamTable3:
-    """Construct and validate the degree-3 parametrization atoms."""
-    u = RatFunc.of((M - 1) * (M + 3), M)
-    s = QuadExt.root(u)
-    lift = lambda r: QuadExt.scalar(r, u)
+    """Evaluate and validate the degree-3 atoms over Q(m)(s)."""
+    m = RatFunc.of(M)
+    u = _modulus3(m)
+    t = ParamTable3(u=u, **_lifted(_atoms3(m, QuadExt.root(u)), u))
 
-    alpha = lift(RatFunc.of((M - 1) * (M + 3) ** 3, 16 * M**3))
-    beta = lift(RatFunc.of((M - 1) ** 3 * (M + 3), 16 * M))
-    sqrt_alpha = s * RatFunc.of(M + 3, 4 * M)
-    sqrt_beta = s * RatFunc.of(M - 1, 4)
-    quarter_ba = s * RatFunc.of(M, M + 3)
-    quarter_ab = quarter_ba.inverse()
-    sqrt_ba = lift(RatFunc.of(M * (M - 1), M + 3))
-    eighth_ab = s * Fraction(1, 2)
-
-    _require(quadext_equal(sqrt_alpha**2, alpha), "(alpha^(1/2))^2 = alpha")
-    _require(quadext_equal(sqrt_beta**2, beta), "(beta^(1/2))^2 = beta")
-    _require(quadext_equal(quarter_ba**4, beta / alpha), "((beta/alpha)^(1/4))^4 = beta/alpha")
-    _require(quadext_equal(quarter_ab**4, alpha / beta), "((alpha/beta)^(1/4))^4 = alpha/beta")
-    _require(quadext_equal(sqrt_ba**2, beta / alpha), "((beta/alpha)^(1/2))^2 = beta/alpha")
-    _require(quadext_equal(quarter_ba**2, sqrt_ba), "(beta/alpha)^(1/4) squares to (beta/alpha)^(1/2)")
-    _require(quadext_equal(eighth_ab**8, alpha * beta), "((alpha*beta)^(1/8))^8 = alpha*beta")
-    _require(quadext_equal(quarter_ba * quarter_ab, lift(1)), "quarter roots are mutual inverses")
-
-    return ParamTable3(
-        u=u, alpha=alpha, beta=beta, sqrt_alpha=sqrt_alpha, sqrt_beta=sqrt_beta,
-        quarter_ba=quarter_ba, quarter_ab=quarter_ab, sqrt_ba=sqrt_ba,
-        eighth_ab=eighth_ab, m=lift(RatFunc.of(M)),
-    )
-
-
-# ----------------------------------------------------------------------
-# degree 5
+    _require(quadext_equal(t.sqrt_alpha**2, t.alpha), "(alpha^(1/2))^2 = alpha")
+    _require(quadext_equal(t.sqrt_beta**2, t.beta), "(beta^(1/2))^2 = beta")
+    _require(quadext_equal(t.quarter_ba**4, t.beta / t.alpha), "((beta/alpha)^(1/4))^4 = beta/alpha")
+    _require(quadext_equal(t.quarter_ab**4, t.alpha / t.beta), "((alpha/beta)^(1/4))^4 = alpha/beta")
+    _require(quadext_equal(t.sqrt_ba**2, t.beta / t.alpha), "((beta/alpha)^(1/2))^2 = beta/alpha")
+    _require(quadext_equal(t.quarter_ba**2, t.sqrt_ba), "(beta/alpha)^(1/4) squares to (beta/alpha)^(1/2)")
+    _require(quadext_equal(t.eighth_ab**8, t.alpha * t.beta), "((alpha*beta)^(1/8))^8 = alpha*beta")
+    _require(quadext_equal(t.quarter_ba * t.quarter_ab, t.scalar(1)), "quarter roots are mutual inverses")
+    return t
 
 
 @dataclass(frozen=True)
@@ -137,10 +182,10 @@ class ParamTable5(ParamTable):
     beta: QuadExt
     one_minus_alpha: QuadExt
     one_minus_beta: QuadExt
-    quarter_ab: QuadExt         # (alpha/beta)^(1/4) = (2m+rho)/(m(m-1))
-    quarter_ba: QuadExt         # (beta/alpha)^(1/4) = (2m-rho)/(5-m)
-    quarter_1b1a: QuadExt       # ((1-beta)/(1-alpha))^(1/4) = (2m+rho)/(5-m)
-    quarter_1a1b: QuadExt       # ((1-alpha)/(1-beta))^(1/4) = (2m-rho)/(m(m-1))
+    quarter_ab: QuadExt         # (alpha/beta)^(1/4)
+    quarter_ba: QuadExt         # (beta/alpha)^(1/4)
+    quarter_1b1a: QuadExt       # ((1-beta)/(1-alpha))^(1/4)
+    quarter_1a1b: QuadExt       # ((1-alpha)/(1-beta))^(1/4)
     sqrt_ab_prod: QuadExt       # (alpha*beta)^(1/2)
     sqrt_1a1b_prod: QuadExt     # ((1-alpha)(1-beta))^(1/2)
     m: QuadExt
@@ -149,57 +194,36 @@ class ParamTable5(ParamTable):
 
 
 def build_table5() -> ParamTable5:
-    """Construct and validate the degree-5 parametrization atoms."""
-    u = RatFunc.of(M**3 - 2 * M**2 + 5 * M)
+    """Evaluate and validate the degree-5 atoms over Q(m)(rho)."""
+    m = RatFunc.of(M)
+    u = _modulus5(m)
     rho = QuadExt.root(u)
-    lift = lambda r: QuadExt.scalar(r, u)
-    m = lift(RatFunc.of(M))
+    t = ParamTable5(u=u, **_lifted(_atoms5(m, rho), u))
 
-    quarter_ab = (2 * m + rho) / lift(RatFunc.of(M * (M - 1)))
-    quarter_ba = (2 * m - rho) / lift(RatFunc.of(5 - M))
-    quarter_1b1a = (2 * m + rho) / lift(RatFunc.of(5 - M))
-    quarter_1a1b = (2 * m - rho) / lift(RatFunc.of(M * (M - 1)))
-
-    core_plus = (lift(RatFunc.of(4 * M**3 - 16 * M**2 + 20 * M)) + rho * RatFunc.of(M**2 - 5)) \
-        / lift(RatFunc.of(16 * M**2))
-    core_minus = (lift(RatFunc.of(4 * M**3 - 16 * M**2 + 20 * M)) - rho * RatFunc.of(M**2 - 5)) \
-        / lift(RatFunc.of(16 * M**2))
-
-    beta = quarter_ba**2 * core_plus
-    one_minus_beta = quarter_1b1a**2 * core_minus
-    alpha = quarter_ab**2 * core_plus
-    one_minus_alpha = quarter_1a1b**2 * core_minus
-
-    one = lift(1)
-    _require(quadext_equal(alpha + one_minus_alpha, one), "alpha + (1-alpha) = 1")
-    _require(quadext_equal(beta + one_minus_beta, one), "beta + (1-beta) = 1")
-    _require(quadext_equal(quarter_ab * quarter_ba, one), "quarter roots are mutual inverses")
-    _require(quadext_equal(quarter_ab**4, alpha / beta), "((alpha/beta)^(1/4))^4 = alpha/beta")
-    _require(quadext_equal(quarter_ba**4, beta / alpha), "((beta/alpha)^(1/4))^4 = beta/alpha")
+    one = t.scalar(1)
+    _require(quadext_equal(t.alpha + t.one_minus_alpha, one), "alpha + (1-alpha) = 1")
+    _require(quadext_equal(t.beta + t.one_minus_beta, one), "beta + (1-beta) = 1")
+    _require(quadext_equal(t.quarter_ab * t.quarter_ba, one), "quarter roots are mutual inverses")
+    _require(quadext_equal(t.quarter_ab**4, t.alpha / t.beta), "((alpha/beta)^(1/4))^4 = alpha/beta")
+    _require(quadext_equal(t.quarter_ba**4, t.beta / t.alpha), "((beta/alpha)^(1/4))^4 = beta/alpha")
     _require(
-        quadext_equal(quarter_1b1a**4, one_minus_beta / one_minus_alpha),
+        quadext_equal(t.quarter_1b1a**4, t.one_minus_beta / t.one_minus_alpha),
         "(((1-beta)/(1-alpha))^(1/4))^4 = (1-beta)/(1-alpha)",
     )
     _require(
-        quadext_equal(quarter_1a1b**4, one_minus_alpha / one_minus_beta),
+        quadext_equal(t.quarter_1a1b**4, t.one_minus_alpha / t.one_minus_beta),
         "(((1-alpha)/(1-beta))^(1/4))^4 = (1-alpha)/(1-beta)",
     )
-    _require(quadext_equal(core_plus**2, alpha * beta), "((alpha*beta)^(1/2))^2 = alpha*beta")
+    _require(quadext_equal(t.sqrt_ab_prod**2, t.alpha * t.beta), "((alpha*beta)^(1/2))^2 = alpha*beta")
     _require(
-        quadext_equal(core_minus**2, one_minus_alpha * one_minus_beta),
+        quadext_equal(t.sqrt_1a1b_prod**2, t.one_minus_alpha * t.one_minus_beta),
         "(((1-alpha)(1-beta))^(1/2))^2 = (1-alpha)(1-beta)",
     )
     _require(
-        quadext_equal((2 * m + rho) * (2 * m - rho), lift(RatFunc.of(M * (M - 1) * (5 - M)))),
+        quadext_equal((2 * t.m + rho) * (2 * t.m - rho), t.scalar(RatFunc.of(M * (M - 1) * (5 - M)))),
         "(2m+rho)(2m-rho) = m(m-1)(5-m)",
     )
-
-    return ParamTable5(
-        u=u, alpha=alpha, beta=beta, one_minus_alpha=one_minus_alpha,
-        one_minus_beta=one_minus_beta, quarter_ab=quarter_ab, quarter_ba=quarter_ba,
-        quarter_1b1a=quarter_1b1a, quarter_1a1b=quarter_1a1b,
-        sqrt_ab_prod=core_plus, sqrt_1a1b_prod=core_minus, m=m,
-    )
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -408,35 +432,9 @@ def prove_all(degree: int) -> list[ProofReport]:
 # series bridge
 
 
-def poly_at_series(p: Poly, m_val: LaurentSeries) -> LaurentSeries:
-    """Evaluate a polynomial at a series argument (Horner)."""
-    acc = LaurentSeries.zero(m_val.order)
-    for c in reversed(p.coeffs):
-        acc = acc * m_val + LaurentSeries.constant(c, m_val.order)
-    return acc
-
-
-def ratfunc_at_series(r: RatFunc, m_val: LaurentSeries) -> LaurentSeries:
-    """Evaluate a rational function at a series argument."""
-    return poly_at_series(r.num, m_val) / poly_at_series(r.den, m_val)
-
-
-def eval_at_series(x: QuadExt, m_val: LaurentSeries, s_val: LaurentSeries) -> LaurentSeries:
-    """Evaluate a + b*s at series values of m and s.
-
-    The caller supplies s_val with s_val^2 agreeing with the modulus evaluated
-    at m_val on the valid range; the usual series errors propagate if a
-    denominator vanishes to its tracked order.
-    """
-    out = ratfunc_at_series(x.a, m_val)
-    if not x.b.is_zero:
-        out = out + ratfunc_at_series(x.b, m_val) * s_val
-    return out
-
-
 @dataclass(frozen=True)
 class ParamCheck:
-    """One cleared-denominator series comparison."""
+    """One atom evaluated at series, compared with its theta series."""
 
     name: str
     holds: bool
@@ -477,46 +475,26 @@ def _compare(*pairs: tuple[str, LaurentSeries, LaurentSeries]) -> tuple[ParamChe
 
 
 def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -> ParamSeriesReport:
-    """Cross-validate the degree-3 or degree-5 parametrization at series level.
+    """Evaluate one degree's parametrization at series and compare alpha and beta.
 
-    Degree 3 compares 16 m^3 alpha = (m-1)(m+3)^3 and 16 m beta = (m-1)^3 (m+3).
-    Degree 5 compares the cleared-denominator forms of the alpha and beta
-    parametrizations, e.g.
-    16 m^2 (5-m)^2 beta = (2m-rho)^2 (4m^3 - 16m^2 + 20m + rho(m^2-5)).
-    Flipping the rho branch must falsify the degree-5 checks.
+    The atoms are those of the table, from the same ``_atoms*`` function,
+    evaluated at m = ``theta.m_series`` and at the positive-branch root of
+    the modulus there; ``alpha`` and ``beta`` are compared with
+    ``theta.alpha_series`` and ``theta.beta_series``.  Flipping the root's
+    branch must falsify degree 5; degree 3's alpha and beta do not involve
+    s.  The order must pass
+    :func:`catalog.check_order`.
     """
-    started = time.perf_counter()
-    if degree == 3:
-        m = theta.m_series(3, order)
-        alpha = theta.alpha_series(3, order)
-        beta = theta.beta_series(3, order)
-        mm1 = m - 1
-        mp3 = m + 3
-        checks = _compare(
-            ("16*m^3*alpha = (m-1)*(m+3)^3", (m**3 * alpha).scale(16), mm1 * mp3**3),
-            ("16*m*beta = (m-1)^3*(m+3)", (m * beta).scale(16), mm1**3 * mp3),
-        )
-    elif degree == 5:
-        m = theta.m_series(5, order)
-        alpha = theta.alpha_series(5, order)
-        beta = theta.beta_series(5, order)
-        rho = theta.rho_series(order)
-        if flip_rho_branch:
-            rho = -rho
-        core = (m**3).scale(4) - (m**2).scale(16) + m.scale(20) + rho * (m**2 - 5)
-        m2 = m**2
-        checks = _compare(
-            (
-                "16*m^2*(5-m)^2*beta = (2m-rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))",
-                (m2 * (5 - m) ** 2 * beta).scale(16),
-                (m.scale(2) - rho) ** 2 * core,
-            ),
-            (
-                "16*m^4*(m-1)^2*alpha = (2m+rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))",
-                (m2**2 * (m - 1) ** 2 * alpha).scale(16),
-                (m.scale(2) + rho) ** 2 * core,
-            ),
-        )
-    else:
+    if degree not in EQUATIONS:
         raise ValueError("degree must be 3 or 5")
+    check_order(order)
+    started = time.perf_counter()
+    modulus, atoms = (_modulus3, _atoms3) if degree == 3 else (_modulus5, _atoms5)
+    m = theta.m_series(degree, order)
+    root = modulus(m).sqrt()
+    series = atoms(m, -root if flip_rho_branch else root)
+    checks = _compare(
+        ("alpha", series["alpha"], theta.alpha_series(degree, order)),
+        ("beta", series["beta"], theta.beta_series(degree, order)),
+    )
     return ParamSeriesReport(degree, order, checks, time.perf_counter() - started)

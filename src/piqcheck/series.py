@@ -133,6 +133,22 @@ def _exact_div(acc, d: int):
     return Fraction(acc, d) if r else q
 
 
+def _power(base, e: int):
+    """base^e for e >= 1 by repeated squaring, with no square after the top bit.
+
+    Shared by series, polynomials and extension elements; each handles
+    e <= 0 itself.
+    """
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 def _pack(vals, width: int) -> int:
     """The signed integer sum(vals[i] * 256**(width*i)), each |vals[i]| < 256**width.
 
@@ -485,16 +501,7 @@ class LaurentSeries:
             return (1 / self) ** (-e)
         if e == 0:
             return LaurentSeries.constant(1, max(self.precision, 1))
-        result = None
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, e)
 
     def shift(self, j: int) -> LaurentSeries:
         """Multiply by the exact monomial t^j (shifts the knowledge window too)."""

@@ -206,29 +206,25 @@ def test_check_param_both_degrees(capsys):
     assert len(payload["checks"]) == 2
 
 
-BETA5 = "16*m^2*(5-m)^2*beta = (2m-rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))"
-ALPHA5 = "16*m^4*(m-1)^2*alpha = (2m+rho)^2*(4m^3-16m^2+20m+rho*(m^2-5))"
-
-
 @pytest.mark.parametrize("order, known", [(8, 16), (12, 20)])
 def test_check_param_without_comparable_coefficients_fails(capsys, order, known):
-    # the degree-5 beta check's content starts at t^20 and the alpha check's
-    # at t^12; at these orders the beta difference is known only below
-    # t^known and the alpha difference only below t^order
+    # degree 5's alpha atom divides by m(m-1) and is known only below
+    # t^(order - 8), its content starting at t^4; the beta atom is known
+    # only below t^known = t^(order + 8), its content starting at t^20
     code, out, err = run(capsys, "check-param", "--degree", "5", "--order", str(order))
     assert code == cli.EXIT_INTERNAL and out == ""
     assert err == (
-        f"internal precondition violation: check '{BETA5}': "
-        f"no comparable coefficients below t^{known} (content starts at t^20); "
-        f"check '{ALPHA5}': "
-        f"no comparable coefficients below t^{order} (content starts at t^12)\n"
+        f"internal precondition violation: check 'alpha': "
+        f"no comparable coefficients below t^{order - 8} (content starts at t^4); "
+        f"check 'beta': "
+        f"no comparable coefficients below t^{known} (content starts at t^20)\n"
     )
 
 
 def test_check_param_names_every_vacuous_check(capsys):
     code, _, err = run(capsys, "check-param", "--degree", "5", "--order", "8")
     assert code == cli.EXIT_INTERNAL
-    assert f"check '{BETA5}'" in err and f"check '{ALPHA5}'" in err
+    assert "check 'alpha'" in err and "check 'beta'" in err
     assert err.count("\n") == 1
 
 
@@ -267,6 +263,17 @@ def test_order_environment_override(capsys, monkeypatch):
     # an explicit flag wins over the environment
     code, out, _ = run(capsys, "verify", "--id", "EQ1-1", "--order", "96", "--json")
     assert json.loads(out)["order"] == 96
+
+
+@pytest.mark.parametrize("raw, bound", [("5", "at least 8"), ("200000", "at most 100000")])
+def test_order_from_the_environment_is_blamed_on_the_environment(raw, bound, capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_ORDER, raw)
+    code, out, err = run(capsys, "check-param", "--degree", "3")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: {cli.ENV_ORDER} must be {bound}\n"
+    # a bad flag is still blamed on the flag, whatever the environment holds
+    code, _, err = run(capsys, "verify", "--id", "EQ1-1", "--order", "4")
+    assert code == cli.EXIT_USAGE and err == "error: --order must be at least 8\n"
 
 
 def test_order_below_minimum_rejected(capsys):

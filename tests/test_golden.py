@@ -5,10 +5,13 @@ exit code that invocation returned.  The series files were recorded before
 the series kernels were rewritten around stride-compressed integer arrays;
 the ``prove_modular`` and ``check_param_3_120`` files before the field tower
 moved to integer kernels and the prover to goals built once; the
-``verify_all_200.jsonl``, ``check_param_*.jsonl`` and ``verify_mixed_64``
-files before the verify entry points and the JSON report builders were
-folded into one; the ``verify_all_800`` and ``expand_mixed_400`` files
-before long products moved to one packed big-integer multiply.  A change to
+``verify_all_200.jsonl`` and ``verify_mixed_64`` files before the verify
+entry points and the JSON report builders were folded into one; the
+``verify_all_800`` and ``expand_mixed_400`` files before long products moved
+to one packed big-integer multiply.  The ``check_param_*.jsonl`` files were
+re-recorded when ``check-param`` began to evaluate the tables' own
+parametrization at series: its two checks are now named ``alpha`` and
+``beta``, in that order, and nothing else in them moved.  A change to
 any layer that moves a single coefficient, order, status, canonical form or
 exit code shows up here.  JSON reports are compared as ordered
 ``(key, value)`` lists without ``elapsed_ms``, the one field that carries a

@@ -11,6 +11,7 @@ import pytest
 
 import piqcheck
 from piqcheck import cli, modular, theta
+from piqcheck.catalog import MAX_ORDER, MIN_ORDER
 from piqcheck.field import M, Poly, QuadExt, RatFunc, quadext_equal
 
 
@@ -209,35 +210,29 @@ def test_first_goal_is_not_charged_with_the_shared_build(monkeypatch):
 # series bridge
 
 
-def test_eval_at_series_constant(table5):
-    order = 60
-    m = theta.m_series(5, order)
-    rho = theta.rho_series(order)
-    one = modular.eval_at_series(table5.scalar(1), m, rho)
-    assert one.coefficient(0) == 1
-    assert one.is_zero_up_to(1) is False
-
-
-def test_eval_at_series_alpha_coherence_degree3(table3):
-    order = 120
-    m = theta.m_series(3, order)
-    s = modular.ratfunc_at_series(table3.u, m).sqrt()
-    alpha_sym = modular.eval_at_series(table3.alpha, m, s)
-    assert alpha_sym.equal_up_to(theta.alpha_series(3, order))
-    beta_sym = modular.eval_at_series(table3.beta, m, s)
-    assert beta_sym.equal_up_to(theta.beta_series(3, order))
-
-
-def test_eval_at_series_quarter_root_valuation(table5):
+def test_atoms5_at_series_quarter_root_valuation():
     order = 120
     m = theta.m_series(5, order)
-    rho = theta.rho_series(order)
-    qab = modular.eval_at_series(table5.quarter_ab, m, rho)
+    atoms = modular._atoms5(m, modular._modulus5(m).sqrt())
+    qab = atoms["quarter_ab"]
     assert qab.valuation == -4
     # and it is indeed a fourth root of alpha/beta at series level
     alpha = theta.alpha_series(5, order)
     beta = theta.beta_series(5, order)
     assert (qab**4).equal_up_to(alpha / beta)
+
+
+def test_wrong_shared_formula_fails_table_and_bridge(monkeypatch):
+    # one typo in the shared construction: alpha built on the minus core
+    def wrong(m, rho, _atoms=modular._atoms5):
+        atoms = _atoms(m, rho)
+        atoms["alpha"] = atoms["quarter_ab"] ** 2 * atoms["sqrt_1a1b_prod"]
+        return atoms
+
+    monkeypatch.setattr(modular, "_atoms5", wrong)
+    assert not modular.check_param_series(5, 64).verified
+    with pytest.raises(modular.ModularError):
+        modular.build_table5()
 
 
 def test_check_param_series_degree3():
@@ -259,3 +254,13 @@ def test_check_param_series_wrong_branch_falsified():
 def test_check_param_series_rejects_other_degrees():
     with pytest.raises(ValueError):
         modular.check_param_series(7, 80)
+
+
+@pytest.mark.parametrize("order", [MIN_ORDER - 1, MAX_ORDER + 1])
+def test_check_param_series_bounds_the_order(order, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a series was built for a rejected order")
+
+    monkeypatch.setattr(theta, "m_series", unbuilt)
+    with pytest.raises(ValueError, match="order must be at"):
+        modular.check_param_series(3, order)

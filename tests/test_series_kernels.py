@@ -7,13 +7,16 @@ series on any exponent lattice, with windows that are not multiples of the
 lattice step and with unknown tails that break the lattice beyond the window.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piqcheck.field import M, QuadExt, RatFunc
 from piqcheck.series import LaurentSeries, sqrt_fraction
 
 
@@ -341,3 +344,27 @@ def test_packed_slot_bound_is_tight(bits, length, signs):
     same_and_canonical(x * y, want)
     same_and_canonical(x * x, ref_mul(x, x))
 
+
+
+
+@pytest.mark.parametrize("make", [
+    lambda: M + 1,
+    lambda: QuadExt.root(RatFunc.of(M)) + 1,
+    lambda: LaurentSeries(0, [1, 1], 40),
+], ids=["Poly", "QuadExt", "LaurentSeries"])
+def test_powers_skip_the_square_after_the_top_bit(make, monkeypatch):
+    x = make()
+    multiplies = {1: 0, 2: 1, 5: 3, 8: 3, 13: 5}
+    want = {e: reduce(operator.mul, [x] * e) for e in multiplies}
+    calls = []
+    product = type(x).__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(type(x), "__mul__", counted)
+    for e, n in multiplies.items():
+        calls.clear()
+        assert x**e == want[e]
+        assert len(calls) == n, e
