@@ -4,166 +4,105 @@ The package computes with truncated Laurent series in t (q = t^4) over exact
 rationals, replays degree-3 and degree-5 modular-equation goals in quadratic
 extensions of the rational function field Q(m), and ships a catalog of 31
 classical identities together with a small text DSL for user-supplied ones.
+
+``import piqcheck`` imports no submodule.  Each public name is looked up in
+its submodule when it is first read (PEP 562), so ``piqcheck.verify``
+loads :mod:`.catalog` and what it imports, and ``piqcheck.prove_all``
+loads :mod:`.modular` and :mod:`.field` as well.
 """
 
-from .catalog import (
-    DEFAULT_ORDER,
-    EvalError,
-    FirstFailure,
-    IdentityRecord,
-    UnknownIdentity,
-    VerifyReport,
-    audit_homogeneity,
-    evaluate,
-    get_identity,
-    known_ids,
-    list_identities,
-    verify,
-    verify_all,
-    verify_sides,
-)
-from .dsl import (
-    Add,
-    ArityError,
-    Const,
-    Div,
-    Expr,
-    Mul,
-    ParseError,
-    Phi,
-    Pi,
-    PowInt,
-    Psi,
-    QPow,
-    QPowNotQuarterIntegral,
-    Sqrt,
-    Sub,
-    parse,
-    to_text,
-)
-from .field import (
-    DivisionByZeroRatFunc,
-    FieldError,
-    M,
-    ModulusMismatch,
-    Poly,
-    QuadExt,
-    RatFunc,
-    ZeroNormInverse,
-    poly_gcd,
-    quadext_equal,
-)
-from .modular import (
-    DEGREE3_EQUATIONS,
-    DEGREE5_EQUATIONS,
-    ModularError,
-    ParamCheck,
-    ParamSeriesReport,
-    ParamTable3,
-    ParamTable5,
-    ProofReport,
-    build_table3,
-    build_table5,
-    check_param_series,
-    prove_all,
-    prove_degree3,
-    prove_degree5,
-)
-from .series import (
-    DivisionByZeroSeries,
-    InsufficientPrecision,
-    LaurentSeries,
-    NonSquareLeadingCoefficient,
-    OddValuation,
-    SeriesError,
-)
-from .theta import (
-    ZeroFactor,
-    alpha_series,
-    beta_series,
-    m_series,
-    phi,
-    pi_product,
-    pochhammer,
-    psi,
-    psi_product_form,
-    rho_series,
-    z_series,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "DEGREE3_EQUATIONS",
-    "DEGREE5_EQUATIONS",
-    "Add",
-    "ArityError",
-    "Const",
-    "Div",
-    "DivisionByZeroRatFunc",
-    "DivisionByZeroSeries",
-    "EvalError",
-    "Expr",
-    "FieldError",
-    "FirstFailure",
-    "IdentityRecord",
-    "InsufficientPrecision",
-    "LaurentSeries",
-    "M",
-    "ModularError",
-    "ModulusMismatch",
-    "Mul",
-    "NonSquareLeadingCoefficient",
-    "OddValuation",
-    "ParamCheck",
-    "ParamSeriesReport",
-    "ParamTable3",
-    "ParamTable5",
-    "ParseError",
-    "Phi",
-    "Pi",
-    "Poly",
-    "PowInt",
-    "ProofReport",
-    "Psi",
-    "QPow",
-    "QPowNotQuarterIntegral",
-    "QuadExt",
-    "RatFunc",
-    "SeriesError",
-    "Sqrt",
-    "Sub",
-    "UnknownIdentity",
-    "VerifyReport",
-    "ZeroFactor",
-    "ZeroNormInverse",
-    "alpha_series",
-    "audit_homogeneity",
-    "beta_series",
-    "build_table3",
-    "build_table5",
-    "check_param_series",
-    "evaluate",
-    "get_identity",
-    "known_ids",
-    "list_identities",
-    "m_series",
-    "parse",
-    "phi",
-    "pi_product",
-    "pochhammer",
-    "poly_gcd",
-    "prove_all",
-    "prove_degree3",
-    "prove_degree5",
-    "psi",
-    "psi_product_form",
-    "quadext_equal",
-    "rho_series",
-    "to_text",
-    "verify",
-    "verify_all",
-    "verify_sides",
-    "z_series",
-]
+# each public name and the submodule that defines it, in ``__all__`` order
+_SOURCES = {
+    "DEFAULT_ORDER": "catalog",
+    "DEGREE3_EQUATIONS": "modular",
+    "DEGREE5_EQUATIONS": "modular",
+    "Add": "dsl",
+    "ArityError": "dsl",
+    "Const": "dsl",
+    "Div": "dsl",
+    "DivisionByZeroRatFunc": "field",
+    "DivisionByZeroSeries": "series",
+    "EvalError": "catalog",
+    "Expr": "dsl",
+    "FieldError": "field",
+    "FirstFailure": "catalog",
+    "IdentityRecord": "catalog",
+    "InsufficientPrecision": "series",
+    "LaurentSeries": "series",
+    "M": "field",
+    "ModularError": "modular",
+    "ModulusMismatch": "field",
+    "Mul": "dsl",
+    "NonSquareLeadingCoefficient": "series",
+    "OddValuation": "series",
+    "ParamCheck": "modular",
+    "ParamSeriesReport": "modular",
+    "ParamTable3": "modular",
+    "ParamTable5": "modular",
+    "ParseError": "dsl",
+    "Phi": "dsl",
+    "Pi": "dsl",
+    "Poly": "field",
+    "PowInt": "dsl",
+    "ProofReport": "modular",
+    "Psi": "dsl",
+    "QPow": "dsl",
+    "QPowNotQuarterIntegral": "dsl",
+    "QuadExt": "field",
+    "RatFunc": "field",
+    "SeriesError": "series",
+    "Sqrt": "dsl",
+    "Sub": "dsl",
+    "UnknownIdentity": "catalog",
+    "VerifyReport": "catalog",
+    "ZeroFactor": "theta",
+    "ZeroNormInverse": "field",
+    "alpha_series": "theta",
+    "audit_homogeneity": "catalog",
+    "beta_series": "theta",
+    "build_table3": "modular",
+    "build_table5": "modular",
+    "check_param_series": "modular",
+    "evaluate": "catalog",
+    "get_identity": "catalog",
+    "known_ids": "catalog",
+    "list_identities": "catalog",
+    "m_series": "theta",
+    "parse": "dsl",
+    "phi": "theta",
+    "pi_product": "theta",
+    "pochhammer": "theta",
+    "poly_gcd": "field",
+    "prove_all": "modular",
+    "prove_degree3": "modular",
+    "prove_degree5": "modular",
+    "psi": "theta",
+    "psi_product_form": "theta",
+    "quadext_equal": "field",
+    "rho_series": "theta",
+    "to_text": "dsl",
+    "verify": "catalog",
+    "verify_all": "catalog",
+    "verify_sides": "catalog",
+    "z_series": "theta",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

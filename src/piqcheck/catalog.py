@@ -5,6 +5,8 @@ Pi_q, Pi_{q^2}, Pi_{q^3}, Pi_{q^6} (with psi-quotient equivalents), the other
 relating Pi_q, Pi_{q^2}, Pi_{q^5}, Pi_{q^10}.  Identities carrying a +/- sign
 pattern are expanded into two records at registration; ids follow the stable
 scheme ``EQ<label>`` with a ``+`` or ``-`` suffix for the sign variants.
+The registry is parsed when a record is first looked up, not at import, so
+evaluating a user expression parses no catalog side.
 
 Each record stores its two sides as expression trees (see :mod:`.dsl`).
 :func:`verify_sides` is the one comparison: it evaluates two sides as
@@ -26,6 +28,7 @@ from fractions import Fraction
 from . import theta
 from .dsl import (
     Add,
+    Binary,
     Builder,
     Const,
     Div,
@@ -106,7 +109,7 @@ def _eval(e: Expr, order: int, path: str) -> LaurentSeries:
             return _apply(path, LaurentSeries.monomial, exp, order + max(exp, 0))
         case Const(value):
             return _apply(path, LaurentSeries.constant, value, order)
-        case Add(left, right) | Sub(left, right) | Mul(left, right) | Div(left, right):
+        case Binary(left, right):
             node = f"{path}/{type(e).__name__}"
             lhs = _eval(left, order, f"{node}.left")
             rhs = _eval(right, order, f"{node}.right")
@@ -174,109 +177,110 @@ class VerifyReport:
     elapsed: float = 0.0
 
 
-_RECORDS: dict[str, IdentityRecord] = {}
+_RECORDS: dict[str, IdentityRecord] | None = None
+"""The registry by id; None until :func:`_records` first builds it."""
 
 
-def _register(label: str, lhs_text: str, rhs_text: str, sign: str | None = None) -> None:
-    ident = f"EQ{label}" + (sign or "")
-    if ident in _RECORDS:
-        raise ValueError(f"duplicate identity id {ident}")
-    _RECORDS[ident] = IdentityRecord(
-        id=ident, label=label, lhs=parse(lhs_text), rhs=parse(rhs_text), sign_variant=sign
-    )
+def _build_registry() -> dict[str, IdentityRecord]:
+    records: dict[str, IdentityRecord] = {}
 
+    def register(label: str, lhs_text: str, rhs_text: str, sign: str | None = None) -> None:
+        ident = f"EQ{label}" + (sign or "")
+        if ident in records:
+            raise ValueError(f"duplicate identity id {ident}")
+        records[ident] = IdentityRecord(
+            id=ident, label=label, lhs=parse(lhs_text), rhs=parse(rhs_text), sign_variant=sign
+        )
 
-def _register_pm(label: str, lhs_template: str, rhs_template: str) -> None:
-    for sign, pm, mp in (("+", "+", "-"), ("-", "-", "+")):
-        lhs = lhs_template.replace("{pm}", pm).replace("{mp}", mp)
-        rhs = rhs_template.replace("{pm}", pm).replace("{mp}", mp)
-        _register(label, lhs, rhs, sign)
+    def register_pm(label: str, lhs_template: str, rhs_template: str) -> None:
+        for sign, pm, mp in (("+", "+", "-"), ("-", "-", "+")):
+            lhs = lhs_template.replace("{pm}", pm).replace("{mp}", mp)
+            rhs = rhs_template.replace("{pm}", pm).replace("{mp}", mp)
+            register(label, lhs, rhs, sign)
 
-
-def _build_registry() -> None:
     # -- family in Pi_q, Pi_{q^2}, Pi_{q^3}, Pi_{q^6} (plus Pi_{q^4}, Pi_{q^9})
-    _register("1-1", "Pi(q)^2 / (Pi(q^2) * Pi(q^4)) - Pi(q^2)^2 / Pi(q^4)^2", "4")
-    _register(
+    register("1-1", "Pi(q)^2 / (Pi(q^2) * Pi(q^4)) - Pi(q^2)^2 / Pi(q^4)^2", "4")
+    register(
         "1-6",
         "Pi(q^3)^2 + 3 * Pi(q) * Pi(q^9)",
         "sqrt(Pi(q) * Pi(q^9)) * (Pi(q) + 3 * Pi(q^9))",
     )
-    _register(
+    register(
         "11-2",
         "Pi(q^2) * Pi(q^3)^2 / (Pi(q^6) * Pi(q)^2)",
         "(Pi(q^2) - Pi(q^6)) / (Pi(q^2) + 3 * Pi(q^6))",
     )
-    _register(
+    register(
         "11-5",
         "Pi(q^2) * Pi(q^3)^4",
         "Pi(q^6) * (Pi(q^2) - Pi(q^6))^3 * (Pi(q^2) + 3 * Pi(q^6))",
     )
-    _register(
+    register(
         "11-6",
         "Pi(q^6) * Pi(q)^4",
         "Pi(q^2) * (Pi(q^2) - Pi(q^6)) * (Pi(q^2) + 3 * Pi(q^6))^3",
     )
-    _register(
+    register(
         "11-4",
         "sqrt(Pi(q^2) * Pi(q^6)) * (Pi(q)^2 - 3 * Pi(q^3)^2)",
         "sqrt(Pi(q) * Pi(q^3)) * (Pi(q^2)^2 + 3 * Pi(q^6)^2)",
     )
-    _register(
+    register(
         "11-7",
         "Pi(q^2)^2 * (Pi(q)^4 + 18 * Pi(q)^2 * Pi(q^3)^2 - 27 * Pi(q^3)^4)",
         "Pi(q) * Pi(q^3) * (Pi(q)^4 + 16 * Pi(q^2)^4)",
     )
-    _register(
+    register(
         "11-8",
         "Pi(q^6)^2 * (Pi(q)^4 - 6 * Pi(q)^2 * Pi(q^3)^2 - 3 * Pi(q^3)^4)",
         "Pi(q) * Pi(q^3) * (Pi(q^3)^4 + 16 * Pi(q^6)^4)",
     )
-    _register_pm(
+    register_pm(
         "11-9",
         "Pi(q) * Pi(q^3) * (Pi(q)^2 {pm} 4 * Pi(q^2)^2)^2",
         "Pi(q^2)^2 * (Pi(q) {mp} Pi(q^3)) * (Pi(q) {pm} 3 * Pi(q^3))^3",
     )
-    _register_pm(
+    register_pm(
         "11-10",
         "Pi(q) * Pi(q^3) * (Pi(q^3)^2 {pm} 4 * Pi(q^6)^2)^2",
         "Pi(q^6)^2 * (Pi(q) {mp} Pi(q^3))^3 * (Pi(q) {pm} 3 * Pi(q^3))",
     )
 
     # -- the same family written in psi quotients
-    _register(
+    register(
         "21-1",
         "psi(q^2)^2 * psi(q^3)^4 / (psi(q^6)^2 * psi(q)^4)",
         "(psi(q^2)^2 - q^1 * psi(q^6)^2) / (psi(q^2)^2 + 3 * q^1 * psi(q^6)^2)",
     )
-    _register(
+    register(
         "21-2",
         "psi(q^6)^2 / psi(q^2)^2 * (psi(q)^8 / psi(q^2)^8)",
         "(1 - q^1 * psi(q^6)^2 / psi(q^2)^2) * (1 + 3 * q^1 * psi(q^6)^2 / psi(q^2)^2)^3",
     )
-    _register(
+    register(
         "21-3",
         "psi(q^2) * psi(q^6) * (psi(q)^4 - 3 * q^1 * psi(q^3)^4)",
         "psi(q) * psi(q^3) * (psi(q^2)^4 + 3 * q^2 * psi(q^6)^4)",
     )
-    _register(
+    register(
         "21-4",
         "psi(q^3)^2 / psi(q)^2 * (1 + 16 * q^1 * psi(q^2)^8 / psi(q)^8)",
         "psi(q^2)^4 / psi(q)^4 "
         "* (1 + 18 * q^1 * psi(q^3)^4 / psi(q)^4 - 27 * q^2 * psi(q^3)^8 / psi(q)^8)",
     )
-    _register(
+    register(
         "21-5",
         "psi(q)^2 / psi(q^3)^2 * (1 + 16 * q^3 * psi(q^6)^8 / psi(q^3)^8)",
         "psi(q^6)^4 / psi(q^3)^4 "
         "* (psi(q)^8 / psi(q^3)^8 - 6 * q^1 * psi(q)^4 / psi(q^3)^4 - 3 * q^2)",
     )
-    _register_pm(
+    register_pm(
         "21-6",
         "psi(q^3)^2 / psi(q)^2 * (1 {pm} 4 * q^1/2 * psi(q^2)^4 / psi(q)^4)^2",
         "psi(q^2)^4 / psi(q)^4 * (1 {mp} q^1/2 * psi(q^3)^2 / psi(q)^2) "
         "* (1 {pm} 3 * q^1/2 * psi(q^3)^2 / psi(q)^2)^3",
     )
-    _register_pm(
+    register_pm(
         "21-7",
         "psi(q)^2 / psi(q^3)^2 * (1 {pm} 4 * q^3/2 * psi(q^6)^4 / psi(q^3)^4)^2",
         "psi(q^6)^4 / psi(q^3)^4 * (psi(q)^2 / psi(q^3)^2 {mp} q^1/2)^3 "
@@ -284,83 +288,95 @@ def _build_registry() -> None:
     )
 
     # -- family in Pi_q, Pi_{q^2}, Pi_{q^5}, Pi_{q^10}
-    _register(
+    register(
         "1-7",
         "Pi(q^2) * Pi(q^5)^4 * (16 * Pi(q^10)^4 - Pi(q^5)^4)",
         "Pi(q^10)^3 * (5 * Pi(q^10) - Pi(q^2)) * (Pi(q^2) - Pi(q^10))^5",
     )
-    _register(
+    register(
         "1-2",
         "Pi(q^10) * Pi(q)^4 * (16 * Pi(q^2)^4 - Pi(q)^4)",
         "Pi(q^2)^3 * (5 * Pi(q^10) - Pi(q^2))^5 * (Pi(q^2) - Pi(q^10))",
     )
-    _register(
+    register(
         "1-3",
         "Pi(q) * Pi(q^5) * (16 * Pi(q^2)^4 - Pi(q)^4)^2",
         "Pi(q^2)^4 * (5 * Pi(q^5) - Pi(q))^5 * (Pi(q^5) - Pi(q))",
     )
-    _register(
+    register(
         "1-4",
         "Pi(q) * Pi(q^5) * (16 * Pi(q^10)^4 - Pi(q^5)^4)^2",
         "Pi(q^10)^4 * (5 * Pi(q^5) - Pi(q)) * (Pi(q^5) - Pi(q))^5",
     )
-    _register(
+    register(
         "1-5",
         "(Pi(q) * Pi(q^10) - Pi(q^2) * Pi(q^5))^2",
         "Pi(q^2) * Pi(q^10) * (Pi(q^5) - Pi(q)) * (5 * Pi(q^5) - Pi(q))",
     )
 
     # -- the same family written in psi quotients
-    _register(
+    register(
         "3-1",
         "psi(q^2)^2 / psi(q^10)^2 * (psi(q^5)^8 / psi(q^10)^8) "
         "* (16 * q^5 - psi(q^5)^8 / psi(q^10)^8)",
         "(5 * q^2 - psi(q^2)^2 / psi(q^10)^2) * (psi(q^2)^2 / psi(q^10)^2 - q^2)^5",
     )
-    _register(
+    register(
         "3-2",
         "psi(q^10)^2 / psi(q^2)^2 * (psi(q)^8 / psi(q^2)^8) "
         "* (16 * q^1 - psi(q)^8 / psi(q^2)^8)",
         "(5 * q^2 * psi(q^10)^2 / psi(q^2)^2 - 1)^5 * (1 - q^2 * psi(q^10)^2 / psi(q^2)^2)",
     )
-    _register(
+    register(
         "3-3",
         "psi(q^5)^2 / psi(q)^2 * (16 * q^1 * psi(q^2)^8 / psi(q)^8 - 1)^2",
         "psi(q^2)^8 / psi(q)^8 * (5 * q^1 * psi(q^5)^2 / psi(q)^2 - 1)^5 "
         "* (q^1 * psi(q^5)^2 / psi(q)^2 - 1)",
     )
-    _register(
+    register(
         "3-4",
         "psi(q)^2 / psi(q^5)^2 * (16 * q^5 * psi(q^10)^8 / psi(q^5)^8 - 1)^2",
         "psi(q^10)^8 / psi(q^5)^8 * (5 * q^1 - psi(q)^2 / psi(q^5)^2) "
         "* (q^1 - psi(q)^2 / psi(q^5)^2)^5",
     )
-    _register(
+    register(
         "3-5",
         "(q^1 * psi(q)^2 / psi(q^5)^2 - psi(q^2)^2 / psi(q^10)^2)^2",
         "psi(q^2)^2 / psi(q^10)^2 * (q^1 - psi(q)^2 / psi(q^5)^2) "
         "* (5 * q^1 - psi(q)^2 / psi(q^5)^2)",
     )
 
+    assert len(records) == 31
+    return records
 
-_build_registry()
-assert len(_RECORDS) == 31
+
+def _records() -> dict[str, IdentityRecord]:
+    """The registry, parsed on first use: a run that reads no record parses no side.
+
+    The finished dictionary is published in one assignment, so a concurrent
+    first use sees either no registry or all of it.
+    """
+    global _RECORDS
+    if _RECORDS is None:
+        _RECORDS = _build_registry()
+    return _RECORDS
 
 
 def list_identities() -> tuple[IdentityRecord, ...]:
     """All registered identities, sorted by id."""
-    return tuple(_RECORDS[k] for k in sorted(_RECORDS))
+    records = _records()
+    return tuple(records[k] for k in sorted(records))
 
 
 def get_identity(ident: str) -> IdentityRecord:
     try:
-        return _RECORDS[ident]
+        return _records()[ident]
     except KeyError:
         raise UnknownIdentity(ident) from None
 
 
 def known_ids() -> tuple[str, ...]:
-    return tuple(sorted(_RECORDS))
+    return tuple(sorted(_records()))
 
 
 # ----------------------------------------------------------------------

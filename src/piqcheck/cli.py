@@ -24,7 +24,16 @@ without a traceback.
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
 for a file, the line number.  A file line without exactly one ``=`` names
-its line too.
+its line too.  A bad file line does not stop the batch: its error goes to
+stderr, every other line is still reported, and the exit code is the worst
+over all lines, in the order 3 > 2 > 1 > 0.
+
+A command imports only what it uses: ``list``, ``verify``, ``verify-all``
+and ``expand`` load :mod:`.catalog` (with :mod:`.dsl`, :mod:`.theta` and
+:mod:`.series`); only ``prove-modular`` and ``check-param`` import
+:mod:`.modular` and, through it, :mod:`.field`.  The catalog parses its
+sides on the first lookup of a record, which ``expand`` and ``verify
+--expr``/``--expr-file`` never make.
 
 Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
@@ -40,13 +49,15 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import catalog, modular
+from . import catalog
 from .catalog import MAX_ORDER, MIN_ORDER, VerifyReport
 from .dsl import Expr, ParseError, parse
-from .field import FieldError
-from .modular import ModularError, ParamSeriesReport, ProofReport
 from .series import SeriesError
+
+if TYPE_CHECKING:
+    from .modular import ParamSeriesReport, ProofReport
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -251,6 +262,7 @@ def _cmd_verify(args) -> int:
     if len(sources) != 1:
         raise _Usage("verify needs exactly one of --id, --expr, --expr-file")
     reports: list[VerifyReport] = []
+    worst = EXIT_OK
     if args.ident:
         try:
             reports.append(catalog.verify(args.ident, order))
@@ -268,10 +280,12 @@ def _cmd_verify(args) -> int:
                 try:
                     lhs, rhs = _split_identity(line.rstrip("\n"))
                 except (ParseError, _Usage) as exc:
-                    exc.args = (f"line {i}: {exc}",)
-                    raise
+                    kind = "parse error" if isinstance(exc, ParseError) else "error"
+                    print(f"{kind}: line {i}: {exc}", file=sys.stderr)
+                    worst = EXIT_USAGE
+                    continue
                 reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))
-    return _finish(args, [_verify_report(r) for r in reports])
+    return max(worst, _finish(args, [_verify_report(r) for r in reports]))
 
 
 def _cmd_verify_all(args) -> int:
@@ -297,6 +311,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_prove_modular(args) -> int:
+    from . import modular
+
     degree = args.degree
     if args.theorem is not None:
         mapped = 3 if args.theorem == "2.2" else 5
@@ -320,6 +336,8 @@ def _cmd_prove_modular(args) -> int:
 
 
 def _cmd_check_param(args) -> int:
+    from . import modular
+
     order = _resolve_order(args)
     return _finish(args, [_param_report(modular.check_param_series(args.degree, order))])
 
@@ -332,6 +350,22 @@ _COMMANDS = {
     "prove-modular": _cmd_prove_modular,
     "check-param": _cmd_check_param,
 }
+
+
+def _precondition_errors() -> tuple[type[Exception], ...]:
+    """The exceptions reported as an internal precondition violation.
+
+    ``field.FieldError`` and ``modular.ModularError`` are among them only
+    when their module is loaded: nothing else can raise them, and looking
+    them up in ``sys.modules`` imports neither module for the commands that
+    do not use it.
+    """
+    errors = [SeriesError, ValueError]
+    for module, name in (("field", "FieldError"), ("modular", "ModularError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 def main(argv: list | None = None) -> int:
@@ -354,7 +388,7 @@ def main(argv: list | None = None) -> int:
         # must be caught before the precondition handler below
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SeriesError, FieldError, ModularError, ValueError) as exc:
+    except _precondition_errors() as exc:
         print(f"internal precondition violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:

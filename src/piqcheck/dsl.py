@@ -32,6 +32,13 @@ arguments raises :class:`ArityError` instead (same offset semantics).
 
 :func:`to_text` renders a tree back to the grammar; ``parse(to_text(e))``
 reproduces ``e`` node for node.
+
+The nodes are frozen dataclasses: :class:`Builder` (``Pi``, ``Psi``,
+``Phi``), :class:`QPow`, :class:`Const`, :class:`Binary` (``Add``, ``Sub``,
+``Mul``, ``Div``), :class:`PowInt` and :class:`Sqrt`.  A subclass adds no
+field, so it is a plain subclass of its base and only spells itself
+differently; equality compares the class too, so ``Add(x, y) != Sub(x, y)``
+and ``Pi(1) != Psi(1)``.
 """
 
 from __future__ import annotations
@@ -100,21 +107,18 @@ class Builder(Expr):
             raise ValueError("builder power index must be a positive integer")
 
 
-@dataclass(frozen=True)
 class Pi(Builder):
     """Pi_{q^k}."""
 
     name = "Pi"
 
 
-@dataclass(frozen=True)
 class Psi(Builder):
     """psi(q^k)."""
 
     name = "psi"
 
 
-@dataclass(frozen=True)
 class Phi(Builder):
     """phi(q^k)."""
 
@@ -147,27 +151,27 @@ class Const(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class Binary(Expr):
+    """An infix operation; each subclass spells its operator as ``symbol``."""
+
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(Binary):
+    symbol = "+"
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(Binary):
+    symbol = "-"
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(Binary):
+    symbol = "*"
+
+
+class Div(Binary):
+    symbol = "/"
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,7 @@ class Sqrt(Expr):
 
 _SYMBOLS = "+-*/^(){},="
 _BUILDERS = {cls.name: cls for cls in (Pi, Psi, Phi)}
+_INFIX = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,7 @@ class _Parser:
         while self.current.kind in ("+", "-"):
             op = self._advance()
             rhs, rdepth = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+            node = _INFIX[op.kind](node, rhs)
             depth = self._checked(max(depth, rdepth) + 1, op)
         return node, depth
 
@@ -311,7 +316,7 @@ class _Parser:
         while self.current.kind in ("*", "/"):
             op = self._advance()
             rhs, rdepth = self.factor()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            node = _INFIX[op.kind](node, rhs)
             depth = self._checked(max(depth, rdepth) + 1, op)
         return node, depth
 
@@ -448,7 +453,7 @@ def parse(text: str) -> Expr:
 
 def _children(e: Expr) -> tuple[Expr, ...]:
     match e:
-        case Add(left, right) | Sub(left, right) | Mul(left, right) | Div(left, right):
+        case Binary(left, right):
             return left, right
         case PowInt(inner) | Sqrt(inner):
             return (inner,)
@@ -513,17 +518,12 @@ def _render_raw(e: Expr) -> str:
             return f"q^(-{-r})" if r < 0 else f"q^{r}"
         case Const(value):
             return f"({value})" if value < 0 else str(value)
-        case Add(left, right):
-            return f"{_render(left, _LEVEL_ADD)} + {_render(right, _LEVEL_ADD + 1)}"
-        case Sub(left, right):
-            return f"{_render(left, _LEVEL_ADD)} - {_render(right, _LEVEL_ADD + 1)}"
-        case Mul(left, right):
-            return f"{_render(left, _LEVEL_MUL)} * {_render(right, _LEVEL_MUL + 1)}"
-        case Div(left, right):
-            divisor = _render(right, _LEVEL_MUL + 1)
-            if divisor[0].isdigit() and _joins_slash(left):
-                divisor = f"({divisor})"
-            return f"{_render(left, _LEVEL_MUL)} / {divisor}"
+        case Binary(left, right):
+            level = _level(e)
+            operand = _render(right, level + 1)
+            if isinstance(e, Div) and operand[0].isdigit() and _joins_slash(left):
+                operand = f"({operand})"
+            return f"{_render(left, level)} {e.symbol} {operand}"
         case PowInt(base, exponent):
             exponent = f"({exponent})" if exponent < 0 else exponent
             return f"{_render(base, _LEVEL_ATOM)}^{exponent}"

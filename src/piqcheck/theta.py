@@ -17,7 +17,8 @@ The functions constructed here:
 
 Builders take an explicit target order; there is no global precision state.
 Results are cached (they are immutable), so repeated identity verifications
-at the same order share the underlying series.
+at the same order share the underlying series.  Each builder keeps at most
+:data:`CACHE_SIZE` results, dropping the least recently used.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .series import LaurentSeries, SeriesError
+
+CACHE_SIZE = 128
+"""Results each builder keeps.
+
+One CLI run needs at most 8 per builder (``verify-all`` holds 8 ``psi``
+series), so no run evicts its own; a long-lived process that evaluates at
+many orders holds 128 per builder instead of every one it ever built."""
 
 
 class ZeroFactor(SeriesError):
@@ -41,7 +49,7 @@ def _check_k(k: int) -> None:
         raise ValueError("power index k must be a positive integer")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pochhammer(e: int, p: int, order: int) -> LaurentSeries:
     """Truncated product of (1 - t^(e+p*n)) over all factors with e+p*n < order."""
     if e == 0:
@@ -60,7 +68,7 @@ def pochhammer(e: int, p: int, order: int) -> LaurentSeries:
     return LaurentSeries._build(0, order, 1, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def psi(k: int, order: int) -> LaurentSeries:
     """psi(q^k) as a series in t: terms t^(4k*n(n+1)/2)."""
     _check_k(k)
@@ -76,7 +84,7 @@ def psi(k: int, order: int) -> LaurentSeries:
     return LaurentSeries._build(0, order, 1, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def psi_product_form(k: int, order: int) -> LaurentSeries:
     """psi(q^k) via the product (q^(2k);q^(2k)) / (q^k;q^(2k)) in t-space."""
     _check_k(k)
@@ -84,7 +92,7 @@ def psi_product_form(k: int, order: int) -> LaurentSeries:
     return pochhammer(8 * k, 8 * k, order) / pochhammer(4 * k, 8 * k, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def phi(k: int, order: int) -> LaurentSeries:
     """phi(q^k) as a series in t: 1 + 2 * sum_{n>=1} t^(4k*n^2)."""
     _check_k(k)
@@ -101,7 +109,7 @@ def phi(k: int, order: int) -> LaurentSeries:
     return LaurentSeries._build(0, order, 1, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pi_product(k: int, order: int) -> LaurentSeries:
     """Pi_{q^k} in t-space: t^k * (t^(8k);t^(8k))^2 / (t^(4k);t^(8k))^2 = t^k psi(q^k)^2.
 
@@ -113,14 +121,14 @@ def pi_product(k: int, order: int) -> LaurentSeries:
     return (psi(k, order) ** 2).shift(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def z_series(n: int, order: int) -> LaurentSeries:
     """z_n = phi(q^n)^2."""
     s = phi(n, order)
     return s * s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def m_series(n: int, order: int) -> LaurentSeries:
     """The multiplier m = z_1 / z_n as a series with constant term 1."""
     if n not in (3, 5):
@@ -128,7 +136,7 @@ def m_series(n: int, order: int) -> LaurentSeries:
     return z_series(1, order) / z_series(n, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def alpha_series(n: int, order: int) -> LaurentSeries:
     """alpha = 16 q psi^4(q^2) / phi^4(q); valuation 4, independent of the degree n."""
     if n not in (3, 5):
@@ -138,7 +146,7 @@ def alpha_series(n: int, order: int) -> LaurentSeries:
     return (num / phi(1, order) ** 4).shift(4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def beta_series(n: int, order: int) -> LaurentSeries:
     """beta = 16 q^n psi^4(q^(2n)) / phi^4(q^n); valuation 4n."""
     if n not in (3, 5):
@@ -148,7 +156,7 @@ def beta_series(n: int, order: int) -> LaurentSeries:
     return (num / phi(n, order) ** 4).shift(4 * n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def rho_series(order: int) -> LaurentSeries:
     """Positive-branch sqrt(m^3 - 2m^2 + 5m) for the degree-5 multiplier m.
 

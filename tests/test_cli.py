@@ -105,7 +105,7 @@ def test_expr_file_parse_error_names_the_line(tmp_path, capsys, text, message):
     path = tmp_path / "identities.txt"
     path.write_text(text)
     code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
-    assert code == cli.EXIT_USAGE and out == ""
+    assert code == cli.EXIT_USAGE and out == "line-1 verified order=64 valid_order=64\n"
     assert err == f"parse error: {message} (expected one of: ')')\n"
 
 
@@ -113,10 +113,40 @@ def test_expr_file_line_without_one_equals_names_the_line(tmp_path, capsys):
     path = tmp_path / "identities.txt"
     path.write_text("1 = 1\nno equals here\n")
     code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
-    assert code == cli.EXIT_USAGE and out == ""
+    assert code == cli.EXIT_USAGE and out == "line-1 verified order=64 valid_order=64\n"
     assert err == (
         "error: line 2: a user identity must contain exactly one '=' separating LHS and RHS\n"
     )
+
+
+def test_expr_file_bad_line_does_not_abort_the_batch(tmp_path, capsys):
+    path = tmp_path / "identities.txt"
+    path.write_text("Pi(q) = q^{1/4} * psi(q)^2\nPi(q = 1\n")
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_USAGE
+    assert out == "line-1 verified order=64 valid_order=65\n"
+    assert err == "parse error: line 2: unexpected end of input at byte 5 (expected one of: ')')\n"
+    code, out, _ = run(capsys, "verify", "--expr-file", str(path), "--order", "64", "--json")
+    assert code == cli.EXIT_USAGE
+    assert [json.loads(line)["id"] for line in out.splitlines()] == ["line-1"]
+
+
+@pytest.mark.parametrize(
+    "good, code",
+    [
+        ("1 = 1", cli.EXIT_USAGE),
+        ("Pi(q) = Pi(q^2)", cli.EXIT_USAGE),            # falsified ranks below a usage error
+        ("sqrt(Pi(q)) = 1", cli.EXIT_INTERNAL),         # an error status ranks above it
+    ],
+    ids=["verified", "falsified", "error"],
+)
+def test_expr_file_exits_with_the_worst_code_over_all_lines(tmp_path, capsys, good, code):
+    path = tmp_path / "identities.txt"
+    path.write_text(f"1 = (1\n{good}\nno equals\n")
+    got, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert got == code
+    assert out.startswith("line-2 ") and out.count("\n") == 1
+    assert err.startswith("parse error: line 1: ") and "\nerror: line 3: " in err
 
 
 def test_verify_expr_file(tmp_path, capsys):

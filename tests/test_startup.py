@@ -1,0 +1,160 @@
+"""Start-up: each command imports, builds and parses only what it uses.
+
+The import checks run in a fresh interpreter, since this process has loaded
+every module already.
+"""
+
+import dataclasses
+import importlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import piqcheck
+from piqcheck import cli, dsl, field, modular
+from piqcheck.dsl import Add, Const, Div, Mul, Phi, Pi, PowInt, Psi, QPow, Sqrt, Sub
+
+SRC = str(Path(piqcheck.__file__).resolve().parents[1])
+
+
+def fresh(probe: str) -> str:
+    """Stdout of probe run in a new interpreter that finds this checkout's package."""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('piqcheck.'))"
+
+
+def test_import_piqcheck_loads_no_submodule():
+    out = fresh(f"import sys, piqcheck; print({LOADED})")
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--expr", "Pi(q) = q^{1/4} * psi(q)^2", "--order", "64"],
+        ["expand", "--expr", "Pi(q)", "--order", "64"],
+    ],
+    ids=["verify", "expand"],
+)
+def test_user_expressions_load_no_field_tower_and_no_catalog_record(argv):
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from piqcheck import catalog, cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}, catalog._RECORDS is None]))\n"
+    )
+    code, loaded, no_records = json.loads(fresh(probe))
+    assert code == cli.EXIT_OK
+    assert "piqcheck.modular" not in loaded and "piqcheck.field" not in loaded
+    assert no_records
+
+
+def test_the_registry_is_built_on_first_lookup():
+    probe = (
+        "from piqcheck import catalog\n"
+        "print(catalog._RECORDS is None, len(catalog.known_ids()), len(catalog._RECORDS))\n"
+    )
+    assert fresh(probe) == "True 31 31\n"
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    for name in piqcheck.__all__:
+        module = importlib.import_module(f"piqcheck.{piqcheck._SOURCES[name]}")
+        assert getattr(piqcheck, name) is getattr(module, name), name
+    assert set(piqcheck.__all__) <= set(dir(piqcheck))
+    namespace: dict = {}
+    exec("from piqcheck import *", namespace)
+    assert {name: namespace[name] for name in piqcheck.__all__} == {
+        name: getattr(piqcheck, name) for name in piqcheck.__all__
+    }
+    with pytest.raises(AttributeError, match="no_such_name"):
+        piqcheck.no_such_name
+    assert not hasattr(piqcheck, "_no_such_private_name")
+
+
+# ----------------------------------------------------------------------
+# node classes
+
+
+X, Y = Pi(1), Const(Fraction(1, 2))
+
+NODES = [
+    (Pi(1), "Pi(k=1)", ("k",)),
+    (Psi(2), "Psi(k=2)", ("k",)),
+    (Phi(3), "Phi(k=3)", ("k",)),
+    (QPow(Fraction(1, 2)), "QPow(r=Fraction(1, 2))", ("r",)),
+    (Y, "Const(value=Fraction(1, 2))", ("value",)),
+    (Add(X, Y), "Add(left=Pi(k=1), right=Const(value=Fraction(1, 2)))", ("left", "right")),
+    (Sub(X, Y), "Sub(left=Pi(k=1), right=Const(value=Fraction(1, 2)))", ("left", "right")),
+    (Mul(X, Y), "Mul(left=Pi(k=1), right=Const(value=Fraction(1, 2)))", ("left", "right")),
+    (Div(X, Y), "Div(left=Pi(k=1), right=Const(value=Fraction(1, 2)))", ("left", "right")),
+    (PowInt(X, -2), "PowInt(base=Pi(k=1), exponent=-2)", ("base", "exponent")),
+    (Sqrt(X), "Sqrt(arg=Pi(k=1))", ("arg",)),
+]
+
+
+@pytest.mark.parametrize("node, text, names", NODES, ids=[type(n).__name__ for n, _, _ in NODES])
+def test_node_classes_keep_their_dataclass_behaviour(node, text, names):
+    assert repr(node) == text
+    assert tuple(f.name for f in dataclasses.fields(node)) == names
+    assert type(node).__match_args__ == names
+    values = tuple(getattr(node, name) for name in names)
+    assert hash(node) == hash(values)
+    assert node == type(node)(*values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, names[0], values[0])
+
+
+def test_sibling_node_classes_are_never_equal():
+    for siblings in ([Pi(1), Psi(1), Phi(1)], [Add(X, Y), Sub(X, Y), Mul(X, Y), Div(X, Y)]):
+        for a in siblings:
+            assert [a == b for b in siblings] == [a is b for b in siblings]
+
+
+def test_dsl_decorates_seven_dataclasses():
+    decorated = {
+        cls for cls in vars(dsl).values()
+        if isinstance(cls, type) and "__dataclass_fields__" in vars(cls)
+    }
+    assert {cls.__name__ for cls in decorated} == {
+        "Builder", "QPow", "Const", "Binary", "PowInt", "Sqrt", "_Token",
+    }
+
+
+# ----------------------------------------------------------------------
+# errors of modules the CLI loads late
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["prove-modular", "--degree", "3"], "prove_all"),
+        (["check-param", "--degree", "5", "--order", "64"], "check_param_series"),
+    ],
+    ids=["prove-modular", "check-param"],
+)
+@pytest.mark.parametrize("error", [field.FieldError, modular.ModularError])
+def test_field_and_modular_errors_are_precondition_violations(
+    capsys, monkeypatch, argv, target, error
+):
+    def boom(*args):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(modular, target, boom)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL and captured.out == ""
+    assert captured.err == "internal precondition violation: broken on purpose\n"

@@ -135,3 +135,18 @@ def test_builder_precision_soundness_across_orders():
     high = theta.pi_product(1, 180)
     assert low.equal_up_to(high)
     assert theta.m_series(3, 40).equal_up_to(theta.m_series(3, 120))
+
+
+BUILDERS = (
+    "pochhammer", "psi", "psi_product_form", "phi", "pi_product", "z_series", "m_series",
+    "alpha_series", "beta_series", "rho_series",
+)
+
+
+def test_builder_caches_are_bounded():
+    assert all(getattr(theta, name).cache_info().maxsize == theta.CACHE_SIZE for name in BUILDERS)
+    for order in range(8, 8 + theta.CACHE_SIZE + 20):
+        theta.pi_product(1, order)
+        theta.z_series(1, order)
+    for name in ("psi", "pi_product", "phi", "z_series"):
+        assert getattr(theta, name).cache_info().currsize == theta.CACHE_SIZE, name
