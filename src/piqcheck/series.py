@@ -41,21 +41,28 @@ else ``Fraction`` parses exactly, and rejects floats with ``TypeError``.
 Sum, difference, product, quotient and square root read the stored
 numerators directly.  A binary kernel runs on the step gcd(g_a, g_b) (a sum
 also folds in the distance between the valuations); an operand whose own g
-is coarser is spread onto that step with zeros, and only its entries below
-the result window are read.  The recurrence runs on Python ints and its
-result list is brought back to canonical form: leading and trailing zeros
-dropped, g read from the offsets of the nonzero entries, content divided out
-of the denominator.  For the catalog's series, which in t live on lattices
-of step 4 or 8, that makes the quadratic recurrences 16 to 64 times shorter.
+is coarser is spread onto that step with zeros, except a quotient's divisor
+(see below), and only its entries below the result window are read.  The
+recurrence runs on Python ints and its result list is brought back to
+canonical form: leading and trailing zeros dropped, g read from the offsets
+of the nonzero entries, content divided out of the denominator.  For the
+catalog's series, which in t live on lattices of step 4 or 8, that makes the
+quadratic recurrences 16 to 64 times shorter.
 
-  * Product: both lattice lists, cut to the result window, are packed into
-    one signed big integer each (Kronecker substitution), multiplied once,
-    and read back slot by slot; a slot is wide enough for every coefficient
-    of the product, so nothing carries between slots.  Packing is linear in
-    the operands, so a short factor such as m - 1 stays cheap too.
-  * Quotient: long division by the leading integer b0.  Each step divides
-    exactly when b0 divides the partial sum and falls back to a Fraction
-    when it does not, so unit and non-unit divisors share one loop.
+  * Product: a factor with a single term c * t^e / d scales the other
+    factor's numerators by c, with no packing.  Otherwise both lattice
+    lists, cut to the result window, are packed into one signed big
+    integer each (Kronecker substitution), multiplied once, and read back;
+    a slot is wide enough for every coefficient of the product, so nothing
+    carries between slots.  Packing is linear in the operands, so a short
+    factor such as m - 1 stays cheap too.
+  * Quotient: long division by the leading integer b0.  The divisor stays
+    on its own lattice, r = g_b / step quotient steps apart, so step k
+    sums b[j] * quot[k - j*r] over the divisor's stored terms only; a
+    divisor such as psi(q^5) (step 20) under a quotient off every lattice
+    (step 1) costs one multiply per term, not one per step.  Each step
+    divides exactly when b0 divides the partial sum and falls back to a
+    Fraction when it does not, so unit and non-unit divisors share one loop.
   * Square root: of a / d, computed as sqrt(a * d) / d, so that its leading
     term isqrt(a[0] * d) is an integer.  Each step sums every symmetric pair
     of products once and divides by twice that leading term with the same
@@ -67,6 +74,7 @@ functions, so series may be shared freely across threads or tasks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -74,6 +82,9 @@ from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
 
 _ZERO = Fraction(0)
+
+# unsigned native formats by item size, for reading word-sized product slots
+_WORD_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
 
 
 class SeriesError(Exception):
@@ -171,11 +182,18 @@ def _packed_mul(a, b, m: int, square: bool) -> list[int]:
     so it fits a signed slot of bits_a + bits_b + bitlen(min length) + 1
     bits; the width keeps one bit more and rounds up to whole bytes.  Half a
     slot added to each of the first m slots makes them non-negative, so they
-    are read back as unsigned bytes less that half.  ``square`` says that a
-    and b are the same list, which is then packed once.
+    are read back as unsigned integers less that half.  On a little-endian
+    machine a width of at most 8 bytes is rounded up to 1, 2, 4 or 8, and
+    the m slots are read as native unsigned words in one cast; wider slots
+    are read one ``int.from_bytes`` each.  ``square`` says that a and b are
+    the same list, which is then packed once.
     """
     bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
     width = -(-(bits + min(len(a), len(b)).bit_length() + 2) // 8)
+    code = None
+    if width <= 8 and sys.byteorder == "little":
+        width = 1 << (width - 1).bit_length()
+        code = _WORD_CODES[width]
     x = _pack(a, width)
     prod = x * x if square else x * _pack(b, width)
     half = 1 << (8 * width - 1)
@@ -183,6 +201,8 @@ def _packed_mul(a, b, m: int, square: bool) -> list[int]:
     # the slots above the first m may be negative and the biased top slot may
     # use its sign bit, so the signed conversion gets one spare byte
     raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * width + 1, "little", signed=True))
+    if code:
+        return list(map(sub, raw[: m * width].cast(code).tolist(), repeat(half)))
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, m * width, width)]
 
 
@@ -437,11 +457,17 @@ class LaurentSeries:
             )
         n = min(self.precision, rhs.precision)
         val = self.valuation + rhs.valuation
+        den = self._den * rhs._den
+        if len(self._nums) == 1 or len(rhs._nums) == 1:
+            # a one-term factor c * t^e / d scales the other one
+            one, other = (self, rhs) if len(self._nums) == 1 else (rhs, self)
+            nums = list(map(mul, other._nums, repeat(one._nums[0])))
+            return LaurentSeries._build(val, val + n, other._g, nums, den)
         step = gcd(self._g, rhs._g) or n
         a, b = self._lattice(step, n), rhs._lattice(step, n)
         m = min(-(-n // step), len(a) + len(b) - 1)
         prod = _packed_mul(a[:m], b[:m], m, self is rhs)
-        return LaurentSeries._build(val, val + n, step, prod, self._den * rhs._den)
+        return LaurentSeries._build(val, val + n, step, prod, den)
 
     def __rmul__(self, other) -> LaurentSeries:
         return self * other
@@ -473,16 +499,16 @@ class LaurentSeries:
         m = -(-n // step)
         a = list(self._lattice(step, n))
         a += [0] * (m - len(a))
-        b = rhs._lattice(step, n)
-        lb = len(b)
-        tail = b[:0:-1]  # tail[lb - 1 - k:] is b[k], ..., b[1]
+        # the divisor stays on its own lattice, r quotient steps apart
+        r = (rhs._g or step) // step
+        b0, *b = rhs._lattice(r * step, n)
+        span = r * len(b)  # quot[k - span] is the last entry that meets b
         quot: list = []
         for k in range(m):
-            if k < lb:
-                acc = a[k] - sum(map(mul, quot, tail[lb - 1 - k:]))
-            else:
-                acc = a[k] - sum(map(mul, quot[k - lb + 1:], tail))
-            quot.append(_exact_div(acc, b[0]))
+            acc = a[k]
+            if k >= r:
+                acc -= sum(map(mul, b, quot[k - r : k - span - 1 if k > span else None : -r]))
+            quot.append(_exact_div(acc, b0))
         quot, den = _scaled_ints(quot)
         if rhs._den != 1:
             quot = [v * rhs._den for v in quot]

@@ -8,7 +8,9 @@ moved to integer kernels and the prover to goals built once; the
 ``verify_all_200.jsonl`` and ``verify_mixed_64`` files before the verify
 entry points and the JSON report builders were folded into one; the
 ``verify_all_800`` and ``expand_mixed_400`` files before long products moved
-to one packed big-integer multiply.  The ``check_param_*.jsonl`` files were
+to one packed big-integer multiply; the ``verify_all_1600`` and
+``expand_quotient_760`` files before quotients began to read the divisor on
+its own lattice and one-term factors became a scale.  The ``check_param_*.jsonl`` files were
 re-recorded when ``check-param`` began to evaluate the tables' own
 parametrization at series: its two checks are now named ``alpha`` and
 ``beta``, in that order, and nothing else in them moved.  A change to
@@ -29,10 +31,14 @@ DATA = Path(__file__).parent / "data"
 MIXED = str(DATA / "mixed_identities.txt")
 # off-lattice terms, rational coefficients, and products long enough for the packed kernel
 EXPAND_MIXED = "(Pi(q) + q^{1/4}*phi(q^3)/2)^3 * psi(q^5) / (3 - Pi(q^2))"
+# an off-lattice numerator over a divisor whose lattice is 20 times coarser
+EXPAND_QUOTIENT = "(Pi(q) + q^{1/4}*phi(q^3)/2) / psi(q^5)"
 
 GOLDEN = [
     ("verify_all_200.txt", ["verify-all", "--order", "200"], cli.EXIT_OK),
     ("verify_all_800.txt", ["verify-all", "--order", "800"], cli.EXIT_OK),
+    ("verify_all_1600.txt", ["verify-all", "--order", "1600"], cli.EXIT_OK),
+    ("expand_quotient_760.txt", ["expand", "--expr", EXPAND_QUOTIENT, "--order", "760"], cli.EXIT_OK),
     ("expand_mixed_400.txt", ["expand", "--expr", EXPAND_MIXED, "--order", "400"], cli.EXIT_OK),
     ("expand_sqrt_pi_q_pi_q9_200.txt", ["expand", "--expr", "sqrt(Pi(q)*Pi(q^9))", "--order", "200"], cli.EXIT_OK),
     ("expand_sqrt_4_9_40.txt", ["expand", "--expr", "sqrt(4/9 + q^{3/4})", "--order", "40"], cli.EXIT_OK),
@@ -46,6 +52,7 @@ GOLDEN_JSON = [
     ("prove_modular.jsonl", ["prove-modular", "--json"], cli.EXIT_OK),
     ("verify_all_200.jsonl", ["verify-all", "--order", "200", "--json"], cli.EXIT_OK),
     ("expand_mixed_400.json", ["expand", "--expr", EXPAND_MIXED, "--order", "400", "--json"], cli.EXIT_OK),
+    ("expand_quotient_760.json", ["expand", "--expr", EXPAND_QUOTIENT, "--order", "760", "--json"], cli.EXIT_OK),
     ("check_param_3_120.jsonl", ["check-param", "--degree", "3", "--order", "120", "--json"], cli.EXIT_OK),
     ("check_param_5_120.jsonl", ["check-param", "--degree", "5", "--order", "120", "--json"], cli.EXIT_OK),
     ("verify_mixed_64.jsonl", ["verify", "--expr-file", MIXED, "--order", "64", "--json"], cli.EXIT_INTERNAL),

@@ -33,14 +33,15 @@ def ref_mul(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
 def ref_div(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
     if x.is_zero:
         return LaurentSeries.zero(x.order - y.valuation)
-    n = min(len(x.coeffs), len(y.coeffs))
+    xc, yc = x.coeffs, y.coeffs  # each read builds the window
+    n = min(len(xc), len(yc))
     val = x.valuation - y.valuation
     q = [Fraction(0)] * n
     for k in range(n):
-        acc = x.coeffs[k]
+        acc = xc[k]
         for i in range(k):
-            acc -= q[i] * y.coeffs[k - i]
-        q[k] = acc / y.coeffs[0]
+            acc -= q[i] * yc[k - i]
+        q[k] = acc / yc[0]
     return LaurentSeries(val, tuple(q), val + n)
 
 
@@ -343,6 +344,113 @@ def test_packed_slot_bound_is_tight(bits, length, signs):
     assert abs(want.coefficient(length - 1)) >= 1 << (2 * bits + length.bit_length() - 1)
     same_and_canonical(x * y, want)
     same_and_canonical(x * x, ref_mul(x, x))
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), ("alternating", "alternating")])
+@pytest.mark.parametrize(
+    "slot_bytes, bits, length", [(1, 2, 3), (2, 3, 200), (4, 11, 200), (8, 27, 200), (9, 31, 200)]
+)
+def test_word_sized_slots_hold_the_product(slot_bytes, bits, length, signs):
+    """Rows of 2^B - 1 whose least slot, 2B + bitlen(length) + 2 bits, is 1, 2, 4, 8 or 9 bytes.
+
+    Slots of up to 8 bytes are read back as machine words and wider ones byte
+    by byte.  Past one byte, the middle coefficient needs more than a slot one
+    byte narrower holds, so a slot rounded to the next narrower word overflows.
+    """
+    assert 2 * bits + length.bit_length() + 2 == 8 * slot_bytes
+    magnitude = (1 << bits) - 1
+
+    def row(sign):
+        return [magnitude * (sign if sign != "alternating" else (-1) ** i) for i in range(length)]
+
+    x, y = (LaurentSeries(0, row(s), length) for s in signs)
+    want = ref_mul(x, y)
+    assert slot_bytes == 1 or abs(want.coefficient(length - 1)) > 1 << (8 * slot_bytes - 9)
+    same_and_canonical(x * y, want)
+    same_and_canonical(x * x, ref_mul(x, x))
+
+
+# ----------------------------------------------------------------------
+# quotients on the divisor's lattice, products with a one-term factor
+
+
+@st.composite
+def coarse_divisor_pairs(draw):
+    """A numerator on the quotient's step and a divisor on a lattice `ratio` times coarser.
+
+    Windows reach 200.  Either operand may be a single term (g == 0).  The
+    divisor's lead is +-1, a non-unit integer or a rational, so that steps
+    where it does not divide the partial sum fall back to Fractions.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    step = draw(st.sampled_from([1, 1, 2, 4]))  # step 1: the shape of a sum off every lattice
+    ratio = draw(st.sampled_from([1, 2, 3, 5, 6, 20, 24]))
+
+    def series(g, lead):
+        window = draw(st.integers(min_value=1, max_value=200))
+        coeffs = [lead] + [0] * (window - 1)
+        if draw(st.integers(min_value=0, max_value=7)):  # else one term
+            for i in range(g, window, g):
+                if i == g or rnd.random() < 0.6:
+                    v = rnd.choice((-1, 1)) * rnd.randint(1, 9)
+                    coeffs[i] = Fraction(v, rnd.choice((1, 1, 1, 2, 3)))
+        val = draw(st.integers(min_value=-6, max_value=6))
+        return LaurentSeries(val, coeffs, val + window)
+
+    return series(step, draw(nonzero_rationals)), series(step * ratio, draw(divisor_leads))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coarse_divisor_pairs())
+def test_quotients_by_a_coarser_divisor_match_reference(pair):
+    x, y = pair
+    same_and_canonical(x / y, ref_div(x, y))
+
+
+one_term_factors = st.builds(
+    lambda e, window, c: LaurentSeries.monomial(e, e + window, c),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=60),
+    nonzero_rationals,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term_factors, st.one_of(lattice_series(lead=rationals), one_term_factors))
+def test_one_term_factors_match_reference(f, x):
+    same_and_canonical(f * x, ref_mul(f, x))
+    same_and_canonical(x * f, ref_mul(x, f))
+    same_and_canonical(f * f, ref_mul(f, f))
+
+
+ONE_TERM = {
+    "constant": LaurentSeries.constant(3, 40),
+    "rational constant": LaurentSeries.constant(Fraction(-1, 6), 40),
+    "monomial": LaurentSeries.monomial(5, 40, Fraction(-2, 3)),
+    "shorter window": LaurentSeries.monomial(-3, 2, Fraction(-2, 3)),
+    "known zeros after it": LaurentSeries(2, (Fraction(3, 4), 0, 0), 5),
+}
+PARTNERS = {
+    "step 4": LaurentSeries(1, [Fraction(v, 5) if v % 4 == 1 else 0 for v in range(-15, 25)], 41),
+    "off every lattice": LaurentSeries(-2, (1, 2, 0, 0, -7, 0, 1), 30),
+    "zero to order": LaurentSeries.zero(30),
+}
+
+
+@pytest.mark.parametrize("partner", PARTNERS.values(), ids=PARTNERS.keys())
+@pytest.mark.parametrize("factor", ONE_TERM.values(), ids=ONE_TERM.keys())
+def test_one_term_factors_scale_without_packing(factor, partner, monkeypatch):
+    from piqcheck import series
+
+    def refuse(*args):
+        raise AssertionError("a one-term factor was packed")
+
+    monkeypatch.setattr(series, "_packed_mul", refuse)
+    for a, b in ((factor, partner), (partner, factor), (factor, factor)):
+        got = a * b
+        same_and_canonical(got, ref_mul(a, b))
+        if not got.is_zero:
+            assert got.order == a.valuation + b.valuation + min(a.precision, b.precision)
 
 
 
