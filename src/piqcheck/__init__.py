@@ -62,7 +62,6 @@ _SOURCES = {
     "ZeroFactor": "theta",
     "ZeroNormInverse": "field",
     "alpha_series": "theta",
-    "audit_homogeneity": "catalog",
     "beta_series": "theta",
     "build_table3": "modular",
     "build_table5": "modular",

@@ -407,7 +407,7 @@ def verify_sides(ident: str, lhs: Expr, rhs: Expr, order: int) -> VerifyReport:
             id=ident, status="verified", order=order, valid_order=valid,
             elapsed=time.perf_counter() - started,
         )
-    exp = diff.first_nonzero_exponent()
+    exp = diff.valuation
     failure = FirstFailure(exponent=exp, lhs=left.coefficient(exp), rhs=right.coefficient(exp))
     return VerifyReport(
         id=ident, status="falsified", order=order, valid_order=valid,
@@ -424,33 +424,3 @@ def verify(ident: str, order: int = DEFAULT_ORDER) -> VerifyReport:
 def verify_all(order: int = DEFAULT_ORDER) -> list[VerifyReport]:
     """Verify the whole catalog; reports are ordered by id."""
     return [verify(ident, order) for ident in known_ids()]
-
-
-# ----------------------------------------------------------------------
-# cheap structural audit
-
-
-@dataclass(frozen=True)
-class HomogeneityEntry:
-    id: str
-    lhs_valuation: int | None
-    rhs_valuation: int | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.lhs_valuation == self.rhs_valuation
-
-
-def audit_homogeneity(probe_order: int = 64) -> list[HomogeneityEntry]:
-    """Compare the evaluated valuations of both sides at a small probe order.
-
-    A transcription slip in a registry entry almost always shifts the leading
-    exponent of one side, so this cheap pass catches such errors before a
-    full-order verification run.
-    """
-    out = []
-    for rec in list_identities():
-        lv = evaluate(rec.lhs, probe_order).first_nonzero_exponent()
-        rv = evaluate(rec.rhs, probe_order).first_nonzero_exponent()
-        out.append(HomogeneityEntry(rec.id, lv, rv))
-    return out

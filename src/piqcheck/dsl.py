@@ -27,8 +27,10 @@ through the API is refused with ValueError by :func:`to_text` and by
 
 Parse failures raise :class:`ParseError` carrying the byte offset into the
 UTF-8 encoding of the input and the set of token descriptions that were
-expected at that point.  A builder or sqrt call with the wrong number of
-arguments raises :class:`ArityError` instead (same offset semantics).
+expected at that point.  An integer literal longer than the interpreter's
+int string limit (``sys.get_int_max_str_digits()``) is one, at the
+literal.  A builder or sqrt call with the wrong number of arguments raises
+:class:`ArityError` instead (same offset semantics).
 
 :func:`to_text` renders a tree back to the grammar; ``parse(to_text(e))``
 reproduces ``e`` node for node.
@@ -43,6 +45,7 @@ and ``Pi(1) != Psi(1)``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -202,6 +205,7 @@ class _Token:
     kind: str       # 'int' | 'name' | one of _SYMBOLS | 'end'
     text: str
     pos: int        # character position; converted to bytes when reporting
+    value: int = 0  # the value of an 'int' token
 
 
 def _byte_offset(text: str, char_pos: int) -> int:
@@ -220,7 +224,14 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(_Token("int", text[i:j], i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than the interpreter's int string limit
+                raise ParseError(
+                    f"integer literal of {j - i} digits is longer than"
+                    f" {sys.get_int_max_str_digits()}", _byte_offset(text, i)
+                ) from None
+            tokens.append(_Token("int", text[i:j], i, value))
             i = j
             continue
         if ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
@@ -373,16 +384,16 @@ class _Parser:
         return value
 
     def _integer(self) -> int:
-        return int(self._expect("int", frozenset({"integer"})).text)
+        return self._expect("int", frozenset({"integer"})).value
 
     def _rational(self) -> Fraction:
         tok = self._expect("int", frozenset({"integer"}))
-        value = Fraction(int(tok.text))
+        value = Fraction(tok.value)
         # consume '/' only when an integer follows, so 3/psi(q) stays a term
         if self.current.kind == "/" and self.tokens[self.pos + 1].kind == "int":
             self._advance()
             den_tok = self._advance()
-            den = int(den_tok.text)
+            den = den_tok.value
             if den == 0:
                 raise ParseError("rational with zero denominator", self._offset(den_tok))
             value /= den
@@ -407,7 +418,7 @@ class _Parser:
             )
         if self._accept("^"):
             num = self._expect("int", frozenset({"integer"}))
-            k = int(num.text)
+            k = num.value
             if k < 1:
                 raise ParseError("builder power must be positive", self._offset(num))
             return k

@@ -468,7 +468,7 @@ def _compare(*pairs: tuple[str, LaurentSeries, LaurentSeries]) -> tuple[ParamChe
         except InsufficientPrecision as err:
             vacuous.append(f"check {name!r}: {err}")
             continue
-        checks.append(ParamCheck(name, diff.is_zero, diff.first_nonzero_exponent()))
+        checks.append(ParamCheck(name, diff.is_zero, None if diff.is_zero else diff.valuation))
     if vacuous:
         raise InsufficientPrecision("; ".join(vacuous))
     return tuple(checks)

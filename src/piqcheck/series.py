@@ -342,22 +342,6 @@ class LaurentSeries:
             return Fraction(0)
         return Fraction(self._nums[j], self._den)
 
-    def first_nonzero_exponent(self) -> int | None:
-        """Lowest exponent with a nonzero known coefficient, None for zero-to-order."""
-        return None if self.is_zero else self.valuation
-
-    def is_zero_up_to(self, n: int | None = None) -> bool:
-        """True when every known coefficient below min(order, n) vanishes."""
-        bound = self.order if n is None else min(self.order, n)
-        return self.is_zero or self.valuation >= bound
-
-    def equal_up_to(self, other: LaurentSeries, n: int | None = None) -> bool:
-        """Compare coefficients at every exponent below min(both orders, n)."""
-        bound = min(self.order, other.order)
-        if n is not None:
-            bound = min(bound, n)
-        return (self - other).is_zero_up_to(bound)
-
     def compare(self, other: LaurentSeries) -> LaurentSeries:
         """self - other, refusing a comparison that reads no coefficient.
 
@@ -532,14 +516,6 @@ class LaurentSeries:
     def shift(self, j: int) -> LaurentSeries:
         """Multiply by the exact monomial t^j (shifts the knowledge window too)."""
         return LaurentSeries._raw(self.valuation + j, self.order + j, self._g, self._nums, self._den)
-
-    def substitute_power(self, k: int) -> LaurentSeries:
-        """Exponent map n -> k*n, realizing q -> q^k.  Result order is k*order."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("substitution power must be a positive integer")
-        return LaurentSeries._raw(
-            k * self.valuation, k * self.order, k * self._g, self._nums, self._den
-        )
 
     def sqrt(self) -> LaurentSeries:
         """Positive-branch square root.

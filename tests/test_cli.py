@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -147,6 +148,36 @@ def test_expr_file_exits_with_the_worst_code_over_all_lines(tmp_path, capsys, go
     assert got == code
     assert out.startswith("line-2 ") and out.count("\n") == 1
     assert err.startswith("parse error: line 1: ") and "\nerror: line 3: " in err
+
+
+LONG = "9" * 5000  # more digits than the interpreter converts with int() by default
+LONG_ERROR = f"integer literal of 5000 digits is longer than {sys.get_int_max_str_digits()}"
+
+
+@pytest.mark.parametrize(
+    "command, text, offset",
+    [
+        ("expand", LONG, 0),
+        ("expand", f"Pi(q)^{LONG}", 6),
+        ("verify", f"Pi(q^{LONG}) = 1", 5),
+        ("verify", f"1 = q^{LONG}", 6),
+        ("verify", f"1 = 1/{LONG}", 6),
+    ],
+    ids=["constant", "power", "builder-index", "q-exponent", "denominator"],
+)
+def test_overlong_integer_literal_is_a_located_parse_error(capsys, command, text, offset):
+    code, out, err = run(capsys, command, "--expr", text, "--order", "8")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"parse error: {LONG_ERROR} at byte {offset}\n"
+
+
+def test_expr_file_overlong_literal_does_not_abort_the_batch(tmp_path, capsys):
+    path = tmp_path / "identities.txt"
+    path.write_text(f"1 = 1\n{LONG} = 1\nPi(q) = Pi(q)\n")
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_USAGE
+    assert out == "line-1 verified order=64 valid_order=64\nline-3 verified order=64 valid_order=65\n"
+    assert err == f"parse error: line 2: {LONG_ERROR} at byte 0\n"
 
 
 def test_verify_expr_file(tmp_path, capsys):
