@@ -41,8 +41,6 @@ _SOURCES = {
     "OddValuation": "series",
     "ParamCheck": "modular",
     "ParamSeriesReport": "modular",
-    "ParamTable3": "modular",
-    "ParamTable5": "modular",
     "ParseError": "dsl",
     "Phi": "dsl",
     "Pi": "dsl",

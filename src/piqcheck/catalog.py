@@ -45,28 +45,18 @@ from .dsl import (
     parse,
     to_text,
 )
-from .series import InsufficientPrecision, LaurentSeries, SeriesError
+# the order bounds are the series module's own objects, re-exported here
+from .series import (
+    MAX_ORDER,
+    MIN_ORDER,
+    InsufficientPrecision,
+    LaurentSeries,
+    SeriesError,
+    check_order,
+)
 
 DEFAULT_ORDER = 200
 """Default t-order for verification (q-order 50)."""
-
-MIN_ORDER = 8
-
-MAX_ORDER = 100_000
-"""Largest t-order evaluated.
-
-``expand --expr "Pi(q)"`` at this order took 0.37 s and 25 MB peak RSS on a
-2-core x86-64 host; at 819200 it took 2.2 s and 85 MB, so an order of 10^8
-would need gigabytes."""
-
-
-def check_order(order: int, name: str = "order") -> None:
-    """Raise ValueError, naming ``name``, unless MIN_ORDER <= order <= MAX_ORDER."""
-    if order < MIN_ORDER:
-        raise ValueError(f"{name} must be at least {MIN_ORDER}")
-    if order > MAX_ORDER:
-        raise ValueError(f"{name} must be at most {MAX_ORDER}")
-
 
 class UnknownIdentity(KeyError):
     """Lookup of an id that is not in the registry."""

@@ -19,7 +19,11 @@ the reports and applies one exit rule.  Exit codes: 0 all checks
 verified/proved, 1 at least one falsified, 2 usage or parse error or an
 unreadable input file, 3 internal precondition violation (including reports
 with status ``error``) or any other unexpected failure, reported in one line
-without a traceback.
+without a traceback.  A precondition violation is a ``SeriesError`` or a
+``ValueError``, which ``field.FieldError`` and ``modular.ModularError``
+are, so the handler names no class of a module the command did not load.
+Exact numbers are rendered with ``series.exact_str``, so a report prints
+however many digits its coefficients have.
 
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
@@ -54,7 +58,7 @@ from typing import TYPE_CHECKING
 from . import catalog
 from .catalog import MAX_ORDER, MIN_ORDER, VerifyReport
 from .dsl import Expr, ParseError, parse
-from .series import SeriesError
+from .series import SeriesError, exact_str
 
 if TYPE_CHECKING:
     from .modular import ParamSeriesReport, ProofReport
@@ -150,10 +154,13 @@ def _verify_report(r: VerifyReport) -> tuple[str, dict]:
     if r.status == "verified":
         text = f"{r.id} verified order={r.order} valid_order={r.valid_order}"
     elif r.status == "falsified":
-        text = f"{r.id} falsified at t^{f.exponent}: lhs={f.lhs} rhs={f.rhs} diff={f.lhs - f.rhs}"
+        lhs, rhs, diff = exact_str(f.lhs), exact_str(f.rhs), exact_str(f.lhs - f.rhs)
+        text = f"{r.id} falsified at t^{f.exponent}: lhs={lhs} rhs={rhs} diff={diff}"
     else:
         text = f"{r.id} error: {r.error}"
-    failure = None if f is None else {"exponent": f.exponent, "lhs": str(f.lhs), "rhs": str(f.rhs)}
+    failure = None if f is None else {
+        "exponent": f.exponent, "lhs": exact_str(f.lhs), "rhs": exact_str(f.rhs),
+    }
     return text, _fields(
         r.id, r.status, r.elapsed, order=r.order, valid_order=r.valid_order,
         first_failure=failure, error=r.error,
@@ -295,7 +302,7 @@ def _cmd_verify_all(args) -> int:
 def _cmd_expand(args) -> int:
     order = _resolve_order(args)
     series = catalog.evaluate(parse(args.expr), order)
-    terms = [(series.valuation + i, c) for i, c in enumerate(series.coeffs) if c != 0]
+    terms = [(series.valuation + i, exact_str(c)) for i, c in enumerate(series.coeffs) if c != 0]
     lines = [f"t^{exp}: {c}" for exp, c in terms]
     lines.append(
         f"# valuation={'-' if series.is_zero else series.valuation} "
@@ -305,7 +312,7 @@ def _cmd_expand(args) -> int:
         "expr": args.expr,
         "valuation": None if series.is_zero else series.valuation,
         "order": series.order,
-        "coefficients": [{"exponent": exp, "value": str(c)} for exp, c in terms],
+        "coefficients": [{"exponent": exp, "value": c} for exp, c in terms],
     }
     return _finish(args, [("\n".join(lines), payload)])
 
@@ -352,22 +359,6 @@ _COMMANDS = {
 }
 
 
-def _precondition_errors() -> tuple[type[Exception], ...]:
-    """The exceptions reported as an internal precondition violation.
-
-    ``field.FieldError`` and ``modular.ModularError`` are among them only
-    when their module is loaded: nothing else can raise them, and looking
-    them up in ``sys.modules`` imports neither module for the commands that
-    do not use it.
-    """
-    errors = [SeriesError, ValueError]
-    for module, name in (("field", "FieldError"), ("modular", "ModularError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
-
-
 def main(argv: list | None = None) -> int:
     ap = _build_parser()
     try:
@@ -388,7 +379,8 @@ def main(argv: list | None = None) -> int:
         # must be caught before the precondition handler below
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _precondition_errors() as exc:
+    except (SeriesError, ValueError) as exc:
+        # field.FieldError and modular.ModularError are ValueErrors
         print(f"internal precondition violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:

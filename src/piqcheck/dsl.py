@@ -17,7 +17,10 @@ power ``x^(-2)`` and the q-power ``q^(-1/2)``.  A rational binds greedily,
 so ``q^1/2`` is the exponent 1/2 and ``1/2`` one constant; braces are also
 accepted after ``q^`` (``q^{1/2}``) and ignored.  ``q^r`` denotes the
 q-power q^r, which is the t-power t^(4r); r must therefore be a quarter
-integer (4r integral) or :class:`QPowNotQuarterIntegral` is raised.
+integer (4r integral) or :class:`QPowNotQuarterIntegral` is raised.  A
+q-power widens the window of a sum as far as an order does, so |4r| is
+bounded by ``series.MAX_ORDER``: a larger one is a :class:`ParseError` at
+its exponent, and a ValueError from the :class:`QPow` constructor.
 
 An expression tree more than :data:`MAX_DEPTH` levels deep, or with brackets
 and ``sqrt`` calls nested deeper than that, raises :class:`ParseError` at
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
+from .series import MAX_ORDER
 
 MAX_DEPTH = 100
 """Deepest expression tree, and deepest nesting of brackets, that parse accepts.
@@ -128,6 +132,9 @@ class Phi(Builder):
     name = "phi"
 
 
+_QPOW_RANGE = f"q-power exponent out of range: |4r| must be at most {MAX_ORDER}"
+
+
 @dataclass(frozen=True)
 class QPow(Expr):
     """q^r with 4r integral, i.e. the monomial t^(4r)."""
@@ -138,6 +145,8 @@ class QPow(Expr):
         r = Fraction(self.r)
         if (4 * r).denominator != 1:
             raise ValueError(f"q^{r} is not representable: 4*{r} is not an integer")
+        if abs(4 * r) > MAX_ORDER:
+            raise ValueError(_QPOW_RANGE)
         object.__setattr__(self, "r", r)
 
     @property
@@ -450,6 +459,8 @@ class _Parser:
                 self._expect("}", frozenset({"'}'"}))
         if (4 * r).denominator != 1:
             raise QPowNotQuarterIntegral(r, self._offset(rat_tok))
+        if abs(4 * r) > MAX_ORDER:
+            raise ParseError(_QPOW_RANGE, self._offset(rat_tok))
         return QPow(r)
 
 

@@ -45,8 +45,12 @@ from operator import add, mul
 from .series import _frac, _power, _scaled_ints
 
 
-class FieldError(Exception):
-    """Base class for failures in the polynomial / rational-function tower."""
+class FieldError(ValueError):
+    """Base class for failures in the polynomial / rational-function tower.
+
+    A ValueError, so that callers, the CLI among them, handle it with the
+    other bad-argument failures without importing this module.
+    """
 
 
 class DivisionByZeroRatFunc(FieldError):

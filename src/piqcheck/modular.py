@@ -17,12 +17,14 @@ forms coincide.  Where a known closed form of the common value exists, the
 report also records whether the computed value matches it; that comparison is
 informational and never decides the proof (``sides_equal`` is the theorem).
 
-Goals and reference forms belong to a table: ``ParamTable3`` and
-``ParamTable5`` share one base, :class:`ParamTable`, whose ``goals`` and
-``references`` are built on first use and then kept, so proving every goal
-of a degree builds that degree's goals once, and importing the module
-builds nothing.  Both degrees share one proving body; a report's
-``elapsed`` covers that goal's own comparisons, not the shared build.
+Both degrees build one kind of table, :class:`ParamTable`: its ``atoms``
+are the dict that ``_atoms3``/``_atoms5`` return, lifted to Q(m)(s), so an
+atom's name is written once, there, and ``t.alpha`` reads it.  A table's
+``goals`` and ``references`` are built on first use and then kept, so
+proving every goal of a degree builds that degree's goals once, and
+importing the module builds nothing.  Both degrees share one proving body;
+a report's ``elapsed`` covers that goal's own comparisons, not the shared
+build.
 
 The series bridge, :func:`check_param_series`, evaluates the same atom
 functions at the multiplier series m and the positive-branch root of the
@@ -37,25 +39,34 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar
 
 from . import theta
-from .catalog import check_order
 from .field import M, Poly, QuadExt, RatFunc, quadext_equal
-from .series import InsufficientPrecision, LaurentSeries
+from .series import InsufficientPrecision, LaurentSeries, check_order
 
 
-class ModularError(Exception):
+class ModularError(ValueError):
     """A parametrization atom failed its power-back-substitution check."""
 
 
 @dataclass(frozen=True)
 class ParamTable:
-    """Validated atoms of one degree over s^2 = u, with its goals and references."""
+    """Validated atoms of one degree over s^2 = u, with its goals and references.
 
+    ``atoms`` maps each name that ``_atoms3``/``_atoms5`` return to its value
+    in Q(m)(s); ``t.alpha`` is ``t.atoms["alpha"]``.
+    """
+
+    degree: int
     u: RatFunc
+    atoms: dict[str, QuadExt] = field(hash=False)
 
-    degree: ClassVar[int]
+    def __getattr__(self, name: str) -> QuadExt:
+        # called only for names that are not fields, methods or cached values
+        atoms = vars(self).get("atoms", {})
+        if name not in atoms:
+            raise AttributeError(f"{type(self).__name__!r} object has no atom {name!r}")
+        return atoms[name]
 
     def scalar(self, value) -> QuadExt:
         return QuadExt.scalar(value, self.u)
@@ -82,7 +93,7 @@ def _modulus3(m):
 
 
 def _atoms3(m, s):
-    """The degree-3 atoms at m and s, keyed by ParamTable3 field."""
+    """The degree-3 atoms at m and s, keyed by atom name."""
     # quarter_ba as an inverse: at series, dividing by m + 3 (leading
     # coefficient 4) does not divide exactly and falls back to Fractions
     quarter_ab = s / (m - 1)
@@ -105,7 +116,7 @@ def _modulus5(m):
 
 
 def _atoms5(m, rho):
-    """The degree-5 atoms at m and rho, keyed by ParamTable5 field."""
+    """The degree-5 atoms at m and rho, keyed by atom name."""
     plus, minus = 2 * m + rho, 2 * m - rho
     pole, zero = m * (m - 1), 5 - m
     rational = 4 * m**3 - 16 * m**2 + 20 * m
@@ -130,38 +141,24 @@ def _atoms5(m, rho):
     }
 
 
-def _lifted(atoms: dict, u: RatFunc) -> dict[str, QuadExt]:
-    """The atoms as elements of Q(m)(s), the rational ones lifted."""
-    return {k: v if isinstance(v, QuadExt) else QuadExt.scalar(v, u) for k, v in atoms.items()}
-
-
-@dataclass(frozen=True)
-class ParamTable3(ParamTable):
-    """Validated degree-3 atoms over s^2 = (m-1)(m+3)/m."""
-
-    alpha: QuadExt
-    beta: QuadExt
-    sqrt_alpha: QuadExt         # alpha^(1/2)
-    sqrt_beta: QuadExt          # beta^(1/2)
-    quarter_ba: QuadExt         # (beta/alpha)^(1/4)
-    quarter_ab: QuadExt         # (alpha/beta)^(1/4)
-    sqrt_ba: QuadExt            # (beta/alpha)^(1/2), rational
-    eighth_ab: QuadExt          # (alpha*beta)^(1/8)
-    m: QuadExt
-
-    degree: ClassVar[int] = 3
-
-
 def _require(cond: bool, what: str) -> None:
     if not cond:
         raise ModularError(f"atom validation failed: {what}")
 
 
-def build_table3() -> ParamTable3:
-    """Evaluate and validate the degree-3 atoms over Q(m)(s)."""
+def _table(degree: int, modulus, atoms) -> ParamTable:
+    """The atoms at m and the root of modulus(m), the rational ones lifted to Q(m)(s)."""
     m = RatFunc.of(M)
-    u = _modulus3(m)
-    t = ParamTable3(u=u, **_lifted(_atoms3(m, QuadExt.root(u)), u))
+    u = modulus(m)
+    values = atoms(m, QuadExt.root(u))
+    return ParamTable(degree, u, {
+        k: v if isinstance(v, QuadExt) else QuadExt.scalar(v, u) for k, v in values.items()
+    })
+
+
+def build_table3() -> ParamTable:
+    """Evaluate and validate the degree-3 atoms over s^2 = (m-1)(m+3)/m."""
+    t = _table(3, _modulus3, _atoms3)
 
     _require(quadext_equal(t.sqrt_alpha**2, t.alpha), "(alpha^(1/2))^2 = alpha")
     _require(quadext_equal(t.sqrt_beta**2, t.beta), "(beta^(1/2))^2 = beta")
@@ -174,31 +171,10 @@ def build_table3() -> ParamTable3:
     return t
 
 
-@dataclass(frozen=True)
-class ParamTable5(ParamTable):
-    """Validated degree-5 atoms over rho^2 = m^3 - 2m^2 + 5m."""
-
-    alpha: QuadExt
-    beta: QuadExt
-    one_minus_alpha: QuadExt
-    one_minus_beta: QuadExt
-    quarter_ab: QuadExt         # (alpha/beta)^(1/4)
-    quarter_ba: QuadExt         # (beta/alpha)^(1/4)
-    quarter_1b1a: QuadExt       # ((1-beta)/(1-alpha))^(1/4)
-    quarter_1a1b: QuadExt       # ((1-alpha)/(1-beta))^(1/4)
-    sqrt_ab_prod: QuadExt       # (alpha*beta)^(1/2)
-    sqrt_1a1b_prod: QuadExt     # ((1-alpha)(1-beta))^(1/2)
-    m: QuadExt
-
-    degree: ClassVar[int] = 5
-
-
-def build_table5() -> ParamTable5:
-    """Evaluate and validate the degree-5 atoms over Q(m)(rho)."""
-    m = RatFunc.of(M)
-    u = _modulus5(m)
-    rho = QuadExt.root(u)
-    t = ParamTable5(u=u, **_lifted(_atoms5(m, rho), u))
+def build_table5() -> ParamTable:
+    """Evaluate and validate the degree-5 atoms over rho^2 = m^3 - 2m^2 + 5m."""
+    t = _table(5, _modulus5, _atoms5)
+    rho = QuadExt.root(t.u)
 
     one = t.scalar(1)
     _require(quadext_equal(t.alpha + t.one_minus_alpha, one), "alpha + (1-alpha) = 1")
@@ -242,7 +218,6 @@ class ProofReport:
     paper_form_match: bool | None = None
     computed_form: str | None = None
     reference_form: str | None = None
-    notes: str = ""
     elapsed: float = 0.0
 
 
@@ -250,7 +225,7 @@ def _half(x: QuadExt) -> QuadExt:
     return x * Fraction(1, 2)
 
 
-def _goals3(t: ParamTable3) -> dict[str, tuple[QuadExt, QuadExt]]:
+def _goals3(t: ParamTable) -> dict[str, tuple[QuadExt, QuadExt]]:
     m = t.m
     one = t.scalar(1)
     inv_m = t.scalar(RatFunc.of(1, M))
@@ -292,7 +267,7 @@ def _goals3(t: ParamTable3) -> dict[str, tuple[QuadExt, QuadExt]]:
     return goals
 
 
-def _goals5(t: ParamTable5) -> dict[str, tuple[QuadExt, QuadExt]]:
+def _goals5(t: ParamTable) -> dict[str, tuple[QuadExt, QuadExt]]:
     m = t.m
     one = t.scalar(1)
     big = m * t.quarter_ab**2          # m (alpha/beta)^(1/2)
@@ -395,12 +370,12 @@ def _prove(t: ParamTable, eq_id: str) -> ProofReport:
     )
 
 
-def prove_degree3(eq_id: str, table: ParamTable3 | None = None) -> ProofReport:
+def prove_degree3(eq_id: str, table: ParamTable | None = None) -> ProofReport:
     """Replay one degree-3 equation goal; both sides are built from the atoms."""
     return _prove(table if table is not None else build_table3(), eq_id)
 
 
-def prove_degree5(eq_id: str, table: ParamTable5 | None = None) -> ProofReport:
+def prove_degree5(eq_id: str, table: ParamTable | None = None) -> ProofReport:
     """Replay one degree-5 equation goal.
 
     Besides comparing the two sides, the common value is divided by the known
@@ -482,8 +457,7 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
     the modulus there; ``alpha`` and ``beta`` are compared with
     ``theta.alpha_series`` and ``theta.beta_series``.  Flipping the root's
     branch must falsify degree 5; degree 3's alpha and beta do not involve
-    s.  The order must pass
-    :func:`catalog.check_order`.
+    s.  The order must pass :func:`series.check_order`.
     """
     if degree not in EQUATIONS:
         raise ValueError("degree must be 3 or 5")

@@ -15,7 +15,8 @@ The functions constructed here:
   * ``rho_series`` -- sqrt(m^3 - 2m^2 + 5m) for the degree-5 multiplier,
     positive branch (constant term 2).
 
-Builders take an explicit target order; there is no global precision state.
+Builders take an explicit target order, from 1 to ``series.MAX_ORDER``
+(ValueError otherwise); there is no global precision state.
 Results are cached (they are immutable), so repeated identity verifications
 at the same order share the underlying series.  Each builder keeps at most
 :data:`CACHE_SIZE` results, dropping the least recently used.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import LaurentSeries, SeriesError
+from .series import MAX_ORDER, LaurentSeries, SeriesError
 
 CACHE_SIZE = 128
 """Results each builder keeps.
@@ -42,6 +43,8 @@ class ZeroFactor(SeriesError):
 def _check_order(order: int) -> None:
     if not isinstance(order, int) or order < 1:
         raise ValueError("target order must be a positive integer")
+    if order > MAX_ORDER:
+        raise ValueError(f"target order must be at most {MAX_ORDER}")
 
 
 def _check_k(k: int) -> None:

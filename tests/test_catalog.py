@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from piqcheck import catalog
+from piqcheck import catalog, series
 from piqcheck.catalog import EvalError, UnknownIdentity, evaluate, verify_sides
 from piqcheck.dsl import Const, Div, Mul, Pi, Sqrt, Sub, parse
 from piqcheck.series import LaurentSeries
@@ -111,6 +111,11 @@ def test_psi_form_and_pi_form_agree_pairwise():
     for pi_form, psi_form in (("EQ11-2", "EQ21-1"), ("EQ1-7", "EQ3-1")):
         assert catalog.verify(pi_form, 120).status == "verified"
         assert catalog.verify(psi_form, 120).status == "verified"
+
+
+def test_order_bounds_are_the_series_module_objects():
+    assert catalog.MAX_ORDER is series.MAX_ORDER and catalog.MIN_ORDER is series.MIN_ORDER
+    assert catalog.check_order is series.check_order
 
 
 def test_evaluate_rejects_orders_beyond_the_limit():

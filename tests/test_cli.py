@@ -180,6 +180,57 @@ def test_expr_file_overlong_literal_does_not_abort_the_batch(tmp_path, capsys):
     assert err == f"parse error: line 2: {LONG_ERROR} at byte 0\n"
 
 
+def decimal(n: int) -> str:
+    """str(n) with the interpreter's int string limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+WIDE = 2**20000  # 6021 digits, more than the interpreter's int string limit
+
+
+def test_falsified_report_prints_a_coefficient_past_the_int_string_limit(capsys):
+    argv = ("verify", "--expr", "Pi(q)^2 = 2^20000 * Pi(q)^2", "--order", "16")
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_FALSIFIED and err == ""
+    assert out == f"user falsified at t^2: lhs=1 rhs={decimal(WIDE)} diff={decimal(1 - WIDE)}\n"
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == cli.EXIT_FALSIFIED and err == ""
+    assert json.loads(out)["first_failure"] == {"exponent": 2, "lhs": "1", "rhs": decimal(WIDE)}
+
+
+def test_expand_prints_a_coefficient_past_the_int_string_limit(capsys):
+    code, out, err = run(capsys, "expand", "--expr", "2^20000", "--order", "8")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == f"t^0: {decimal(WIDE)}\n# valuation=0 order=8 nonzero_terms=1\n"
+
+
+def test_expr_file_wide_non_square_is_an_error_line_not_a_lost_batch(tmp_path, capsys):
+    path = tmp_path / "identities.txt"
+    path.write_text("1 = 1\nsqrt(2^20001) = 1\nPi(q) = Pi(q)\n")
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_INTERNAL and err == ""
+    assert out == (
+        "line-1 verified order=64 valid_order=64\n"
+        f"line-2 error: /Sqrt: leading coefficient {decimal(2 * WIDE)}"
+        " is not the square of a rational\n"
+        "line-3 verified order=64 valid_order=65\n"
+    )
+
+
+def test_q_power_past_max_order_is_a_located_parse_error(capsys):
+    text = "Pi(q) + q^(-100000) = Pi(q) + q^(-100000)"
+    code, out, err = run(capsys, "verify", "--expr", text, "--order", "8")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == (
+        "parse error: q-power exponent out of range: |4r| must be at most 100000 at byte 10\n"
+    )
+
+
 def test_verify_expr_file(tmp_path, capsys):
     path = tmp_path / "identities.txt"
     path.write_text(

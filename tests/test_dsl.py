@@ -26,6 +26,7 @@ from piqcheck.dsl import (
     parse,
     to_text,
 )
+from piqcheck.series import MAX_ORDER
 
 
 def test_parse_subtraction_of_builders():
@@ -135,6 +136,23 @@ def test_node_validation_direct_construction():
         Pi(0)
     with pytest.raises(ValueError):
         QPow(Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("q^25001", 2), ("q^{25001}", 3), ("1 + q^(-100001/4)", 6)],
+    ids=["plain", "braced", "negative"],
+)
+def test_q_power_past_max_order_is_a_parse_error_at_its_exponent(text, offset):
+    with pytest.raises(ParseError, match=f"at most {MAX_ORDER}") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+def test_q_power_bound_is_inclusive_and_holds_for_the_constructor():
+    assert parse("q^25000 + q^(-25000)") == Add(QPow(Fraction(25000)), QPow(Fraction(-25000)))
+    with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
+        QPow(Fraction(-(MAX_ORDER + 1), 4))
 
 
 @pytest.mark.parametrize(

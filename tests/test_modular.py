@@ -57,6 +57,25 @@ def test_table5_sqrt_products(table5):
     )
 
 
+@pytest.mark.parametrize("degree", [3, 5])
+def test_table_atoms_are_the_names_the_construction_returns(degree, request):
+    table = request.getfixturevalue(f"table{degree}")
+    m = RatFunc.of(M)
+    root = QuadExt.root(getattr(modular, f"_modulus{degree}")(m))
+    names = getattr(modular, f"_atoms{degree}")(m, root).keys()
+    assert table.atoms.keys() == names
+    assert all(getattr(table, name) is table.atoms[name] for name in names)
+    with pytest.raises(AttributeError, match="no atom 'gamma'"):
+        table.gamma
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_goals_are_exactly_the_listed_equations(degree, request):
+    # prove_all walks EQUATIONS, so a goal missing from it would never be proved
+    table = request.getfixturevalue(f"table{degree}")
+    assert set(table.goals) == set(modular.EQUATIONS[degree])
+
+
 # ----------------------------------------------------------------------
 # degree-3 goals
 

@@ -1,5 +1,6 @@
 """Laurent-series kernel: arithmetic, precision tracking, roots."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from piqcheck.series import (
     LaurentSeries,
     NonSquareLeadingCoefficient,
     OddValuation,
+    exact_str,
 )
 
 
@@ -304,3 +306,18 @@ def test_precision_soundness_under_truncation(a, b):
     full = a * b
     cut_inputs = a.truncate(a.order - 1) * b if a.precision > 1 else full
     assert full.compare(cut_inputs).is_zero
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_exact_str_ignores_the_int_string_limit(limit):
+    wide = [0, 7, -(10**700), 3**9000 - 1, Fraction(-(2**20000) - 1, 3**5000), Fraction(5, 2**3000)]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(x) for x in wide]
+        printed = str(LaurentSeries(0, wide, 8))
+        sys.set_int_max_str_digits(limit)
+        assert [exact_str(x) for x in wide] == expected
+        assert str(LaurentSeries(0, wide, 8)) == printed
+    finally:
+        sys.set_int_max_str_digits(old)

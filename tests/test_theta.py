@@ -3,7 +3,7 @@
 import pytest
 
 from piqcheck import theta
-from piqcheck.series import LaurentSeries
+from piqcheck.series import MAX_ORDER, LaurentSeries
 from piqcheck.theta import ZeroFactor
 
 
@@ -155,3 +155,28 @@ def test_builder_caches_are_bounded():
         theta.z_series(1, order)
     for name in ("psi", "pi_product", "phi", "z_series"):
         assert getattr(theta, name).cache_info().currsize == theta.CACHE_SIZE, name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: theta.pochhammer(1, 1, n),
+        lambda n: theta.psi(1, n),
+        lambda n: theta.psi_product_form(1, n),
+        lambda n: theta.phi(1, n),
+        lambda n: theta.pi_product(1, n),
+        lambda n: theta.z_series(1, n),
+        lambda n: theta.m_series(3, n),
+        lambda n: theta.alpha_series(3, n),
+        lambda n: theta.beta_series(5, n),
+        lambda n: theta.rho_series(n),
+    ],
+    ids=[
+        "pochhammer", "psi", "psi_product_form", "phi", "pi_product",
+        "z_series", "m_series", "alpha_series", "beta_series", "rho_series",
+    ],
+)
+def test_builders_refuse_an_order_past_max_order(build):
+    # each would allocate one entry per exponent below the order
+    with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
+        build(MAX_ORDER + 1)
