@@ -16,9 +16,10 @@ that starts with the same seven fields (``id``, ``status``, ``order``,
 ``valid_order``, ``first_failure``, ``paper_form_match``, ``elapsed_ms``)
 and then adds its own.  Every command ends in :func:`_finish`, which prints
 the reports and applies one exit rule.  Exit codes: 0 all checks
-verified/proved, 1 at least one falsified, 2 usage or parse error or an
-unreadable input file, 3 internal precondition violation (including reports
-with status ``error``) or any other unexpected failure, reported in one line
+verified/proved, 1 at least one falsified, 2 usage or parse error, an
+unreadable input file or a power past ``series.MAX_POWER_BITS``, 3 internal
+precondition violation (including reports with status ``error``) or any
+other unexpected failure; each failure, argparse's too, is one stderr line
 without a traceback.  A precondition violation is a ``SeriesError`` or a
 ``ValueError``, which ``field.FieldError`` and ``modular.ModularError``
 are, so the handler names no class of a module the command did not load.
@@ -27,10 +28,11 @@ however many digits its coefficients have.
 
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
-for a file, the line number.  A file line without exactly one ``=`` names
-its line too.  A bad file line does not stop the batch: its error goes to
-stderr, every other line is still reported, and the exit code is the worst
-over all lines, in the order 3 > 2 > 1 > 0.
+for a file, the line number.  A file line without exactly one ``=``, or
+with a power past the bound, names its line too.  A bad file line does not
+stop the batch: its error goes to stderr, every other line is still
+reported, and the exit code is the worst over all lines, in the order
+3 > 2 > 1 > 0.
 
 A command imports only what it uses: ``list``, ``verify``, ``verify-all``
 and ``expand`` load :mod:`.catalog` (with :mod:`.dsl`, :mod:`.theta` and
@@ -58,7 +60,7 @@ from typing import TYPE_CHECKING
 from . import catalog
 from .catalog import MAX_ORDER, MIN_ORDER, VerifyReport
 from .dsl import Expr, ParseError, parse
-from .series import SeriesError, exact_str
+from .series import PowerTooLarge, SeriesError, exact_str
 
 if TYPE_CHECKING:
     from .modular import ParamSeriesReport, ProofReport
@@ -82,8 +84,14 @@ def _default_order() -> int:
         return catalog.DEFAULT_ORDER
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one stderr line, as every other diagnostic; argparse would add its usage block
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="piqcheck",
         description="Exact verification of Pi_q / theta identities and modular-equation goals.",
     )
@@ -151,16 +159,18 @@ def _fields(
 
 def _verify_report(r: VerifyReport) -> tuple[str, dict]:
     f = r.first_failure
-    if r.status == "verified":
-        text = f"{r.id} verified order={r.order} valid_order={r.valid_order}"
-    elif r.status == "falsified":
-        lhs, rhs, diff = exact_str(f.lhs), exact_str(f.rhs), exact_str(f.lhs - f.rhs)
-        text = f"{r.id} falsified at t^{f.exponent}: lhs={lhs} rhs={rhs} diff={diff}"
-    else:
-        text = f"{r.id} error: {r.error}"
     failure = None if f is None else {
         "exponent": f.exponent, "lhs": exact_str(f.lhs), "rhs": exact_str(f.rhs),
     }
+    if r.status == "verified":
+        text = f"{r.id} verified order={r.order} valid_order={r.valid_order}"
+    elif r.status == "falsified":
+        text = (
+            f"{r.id} falsified at t^{f.exponent}: lhs={failure['lhs']} rhs={failure['rhs']}"
+            f" diff={exact_str(f.lhs - f.rhs)}"
+        )
+    else:
+        text = f"{r.id} error: {r.error}"
     return text, _fields(
         r.id, r.status, r.elapsed, order=r.order, valid_order=r.valid_order,
         first_failure=failure, error=r.error,
@@ -286,12 +296,11 @@ def _cmd_verify(args) -> int:
                     continue
                 try:
                     lhs, rhs = _split_identity(line.rstrip("\n"))
-                except (ParseError, _Usage) as exc:
+                    reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))
+                except (ParseError, _Usage, PowerTooLarge) as exc:
                     kind = "parse error" if isinstance(exc, ParseError) else "error"
                     print(f"{kind}: line {i}: {exc}", file=sys.stderr)
                     worst = EXIT_USAGE
-                    continue
-                reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))
     return max(worst, _finish(args, [_verify_report(r) for r in reports]))
 
 
@@ -302,7 +311,7 @@ def _cmd_verify_all(args) -> int:
 def _cmd_expand(args) -> int:
     order = _resolve_order(args)
     series = catalog.evaluate(parse(args.expr), order)
-    terms = [(series.valuation + i, exact_str(c)) for i, c in enumerate(series.coeffs) if c != 0]
+    terms = [(exp, exact_str(c)) for exp, c in series.terms()]
     lines = [f"t^{exp}: {c}" for exp, c in terms]
     lines.append(
         f"# valuation={'-' if series.is_zero else series.valuation} "
@@ -368,7 +377,7 @@ def main(argv: list | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _Usage as exc:
+    except (_Usage, PowerTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -35,8 +35,10 @@ int string limit (``sys.get_int_max_str_digits()``) is one, at the
 literal.  A builder or sqrt call with the wrong number of arguments raises
 :class:`ArityError` instead (same offset semantics).
 
-:func:`to_text` renders a tree back to the grammar; ``parse(to_text(e))``
-reproduces ``e`` node for node.
+:func:`to_text` renders a tree back to the grammar, spelling every number
+with ``series.exact_str``; ``parse(to_text(e))`` reproduces ``e`` node for
+node, unless a number of e has more digits than the int string limit: that
+text prints, and parse refuses it as above.
 
 The nodes are frozen dataclasses: :class:`Builder` (``Pi``, ``Psi``,
 ``Phi``), :class:`QPow`, :class:`Const`, :class:`Binary` (``Add``, ``Sub``,
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .series import MAX_ORDER
+from .series import MAX_ORDER, exact_str
 
 MAX_DEPTH = 100
 """Deepest expression tree, and deepest nesting of brackets, that parse accepts.
@@ -144,7 +146,8 @@ class QPow(Expr):
     def __post_init__(self) -> None:
         r = Fraction(self.r)
         if (4 * r).denominator != 1:
-            raise ValueError(f"q^{r} is not representable: 4*{r} is not an integer")
+            text = exact_str(r)
+            raise ValueError(f"q^{text} is not representable: 4*{text} is not an integer")
         if abs(4 * r) > MAX_ORDER:
             raise ValueError(_QPOW_RANGE)
         object.__setattr__(self, "r", r)
@@ -535,11 +538,11 @@ def _joins_slash(e: Expr) -> bool:
 def _render_raw(e: Expr) -> str:
     match e:
         case Builder(k):
-            return f"{e.name}(q)" if k == 1 else f"{e.name}(q^{k})"
+            return f"{e.name}(q)" if k == 1 else f"{e.name}(q^{exact_str(k)})"
         case QPow(r):
-            return f"q^(-{-r})" if r < 0 else f"q^{r}"
+            return f"q^({exact_str(r)})" if r < 0 else f"q^{exact_str(r)}"
         case Const(value):
-            return f"({value})" if value < 0 else str(value)
+            return f"({exact_str(value)})" if value < 0 else exact_str(value)
         case Binary(left, right):
             level = _level(e)
             operand = _render(right, level + 1)
@@ -547,7 +550,7 @@ def _render_raw(e: Expr) -> str:
                 operand = f"({operand})"
             return f"{_render(left, level)} {e.symbol} {operand}"
         case PowInt(base, exponent):
-            exponent = f"({exponent})" if exponent < 0 else exponent
+            exponent = f"({exact_str(exponent)})" if exponent < 0 else exact_str(exponent)
             return f"{_render(base, _LEVEL_ATOM)}^{exponent}"
         case Sqrt(arg):
             return f"sqrt({_render(arg, _LEVEL_ADD)})"
@@ -557,6 +560,7 @@ def _render_raw(e: Expr) -> str:
 def to_text(e: Expr) -> str:
     """Render an expression tree in the DSL grammar; inverse of :func:`parse`.
 
+    Any number prints, but one past the int string limit does not parse back.
     A tree more than :data:`MAX_DEPTH` levels deep raises ValueError.
     """
     check_depth(e)

@@ -31,7 +31,9 @@ compare the stored integers, and the kernels read them directly:
 
 The canonical forms are the same as the Euclidean algorithm over Q gives,
 coefficient for coefficient.  Degrees stay small (32 at most in the modular
-goals), so dense lists and quadratic loops are adequate.
+goals), so dense lists and quadratic loops are adequate.  A polynomial is
+written by ``series.terms_str`` and its repr by ``series.exact_repr``, as a
+series is; rational functions and extension elements print their polynomials.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .series import _frac, _power, _scaled_ints
+from .series import _frac, _power, _scaled_ints, exact_repr, terms_str
 
 
 class FieldError(ValueError):
@@ -161,7 +163,7 @@ class Poly:
         return self
 
     def __repr__(self) -> str:
-        return f"Poly(coeffs={self.coeffs!r})"
+        return f"Poly(coeffs={exact_repr(self.coeffs)})"
 
     # ------------------------------------------------------------------
 
@@ -252,21 +254,9 @@ class Poly:
         return Poly._build(_scaled(q, other._den), den), Poly._build(r, den)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         cs = self.coeffs
-        parts = []
-        for i in range(len(cs) - 1, -1, -1):
-            c = cs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("m" if c == 1 else ("-m" if c == -1 else f"{c}*m"))
-            else:
-                parts.append(f"m^{i}" if c == 1 else (f"-m^{i}" if c == -1 else f"{c}*m^{i}"))
-        return " + ".join(parts).replace("+ -", "- ")
+        terms = [(cs[i], "m" if i == 1 else f"m^{i}" if i else "") for i in reversed(range(len(cs)))]
+        return terms_str(t for t in terms if t[0]) or "0"
 
 
 _ZERO = Poly(())

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
+import contextlib
+import io
 import json
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piqcheck import cli
 
@@ -231,6 +236,112 @@ def test_q_power_past_max_order_is_a_located_parse_error(capsys):
     )
 
 
+POWER_LIMIT = "MAX_POWER_BITS = 2000000"
+HUGE_POWERS = [
+    ("(3/2)^10000000", "10000000", "30000000"),
+    ("123456789^1000000 * Pi(q)", "1000000", "27000000"),
+    ("(2 + Pi(q))^1000000", "1000000", "8001288"),
+]
+
+
+def timed_run(capsys, *argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    return code, out, err, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("expr, exponent, bits", HUGE_POWERS, ids=["ratio", "integer", "series"])
+def test_power_past_the_bit_bound_is_a_usage_error_before_the_work(capsys, expr, exponent, bits):
+    message = (
+        f"error: power to the exponent {exponent} would take about {bits} bits,"
+        f" more than {POWER_LIMIT}\n"
+    )
+    for argv in (["expand", "--expr", expr], ["verify", "--expr", f"{expr} = 1"]):
+        code, out, err, elapsed = timed_run(capsys, *argv, "--order", "8")
+        assert (code, out, err) == (cli.EXIT_USAGE, "", message)
+        assert elapsed < 2.0
+
+
+def test_expr_file_power_past_the_bit_bound_does_not_abort_the_batch(tmp_path, capsys):
+    path = tmp_path / "identities.txt"
+    path.write_text("1 = 1\n(3/2)^10000000 = 1\nPi(q) = Pi(q)\n")
+    code, out, err, elapsed = timed_run(capsys, "verify", "--expr-file", str(path), "--order", "64")
+    assert code == cli.EXIT_USAGE and elapsed < 2.0
+    assert out == "line-1 verified order=64 valid_order=64\nline-3 verified order=64 valid_order=65\n"
+    assert err == (
+        "error: line 2: power to the exponent 10000000 would take about 30000000 bits,"
+        f" more than {POWER_LIMIT}\n"
+    )
+
+
+def test_a_unit_leading_coefficient_keeps_a_huge_power_inside_the_bound(capsys):
+    code, out, err, elapsed = timed_run(capsys, "expand", "--expr", "Pi(q)^10000000", "--order", "8")
+    assert (code, err) == (cli.EXIT_OK, "") and elapsed < 2.0
+    assert out == (
+        "t^10000000: 1\nt^10000004: 20000000\n"
+        "# valuation=10000000 order=10000008 nonzero_terms=2\n"
+    )
+
+
+def test_non_integer_order_from_the_environment_falls_back_to_the_default(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_ORDER, "1e3")
+    code, out, err = run(capsys, "verify", "--id", "EQ1-1", "--json")
+    assert code == cli.EXIT_OK
+    assert err == f"warning: ignoring non-integer {cli.ENV_ORDER}='1e3'\n"
+    assert json.loads(out)["order"] == 200
+
+
+# random DSL text: pieces of the grammar, numbers of any size up to nine
+# digits, and characters the grammar does not know
+DSL_PIECES = st.sampled_from([
+    "Pi(q)", "psi(q^2)", "phi(q^3)", "Pi(q^5)", "psi(", "Pi(q^", "sqrt(", "q^", "q^(-",
+    "q^{1/2}", "q", "(-", "(", ")", "{", "}", "+", "-", "*", "/", "^", "^(-", "=", ",", " ",
+    "1", "2", "3/2", "0", "x", "é",
+])
+DSL_JUNK = st.lists(
+    DSL_PIECES | st.integers(min_value=0, max_value=10**9).map(str), max_size=14
+).map("".join)
+
+
+def bracketed(n: int) -> str:
+    return f"(-{-n})" if n < 0 else str(n)
+
+
+# well-formed expressions, so that most examples get past the parser
+DSL_EXPR = st.recursive(
+    st.one_of(
+        st.builds("{}(q^{})".format, st.sampled_from(["Pi", "psi", "phi"]), st.integers(1, 12)),
+        st.integers(-40, 40).map(lambda n: f"q^{bracketed(n)}/4" if n >= 0 else f"q^(-{-n}/4)"),
+        st.integers(-(10**12), 10**12).map(bracketed),
+        st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**6)),
+    ),
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(-(10**7), 10**7).map(bracketed)),
+        st.builds("sqrt({})".format, inner),
+    ),
+    max_leaves=8,
+)
+DSL_TEXT = DSL_EXPR | DSL_JUNK
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["verify", "expand"]),
+    DSL_TEXT,
+    DSL_TEXT,
+    st.sampled_from(["8", "16", "64"]),
+)
+def test_random_dsl_text_exits_with_a_documented_code(command, left, right, order):
+    text = f"{left} = {right}" if command == "verify" else left + right
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main([command, "--expr", text, "--order", order])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert time.perf_counter() - started < 5.0
+
+
 def test_verify_expr_file(tmp_path, capsys):
     path = tmp_path / "identities.txt"
     path.write_text(
@@ -406,6 +517,19 @@ def test_quiet_suppresses_reports_keeps_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--expr", "Pi(q) = Pi(q^2)", "--order", "64", "--quiet")
     assert code == cli.EXIT_FALSIFIED
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--expr", "-Pi(q)"], "piqcheck expand: error: argument --expr: expected one argument"),
+        (["verify", "--order", "x"], "piqcheck verify: error: argument --order: invalid int value: 'x'"),
+        ([], "piqcheck: error: the following arguments are required: command"),
+    ],
+    ids=["dash-value", "bad-int", "no-command"],
+)
+def test_argument_errors_take_one_stderr_line(capsys, argv, message):
+    assert run(capsys, *argv) == (cli.EXIT_USAGE, "", message + "\n")
 
 
 def test_usage_error_exit_code(capsys):

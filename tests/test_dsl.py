@@ -1,5 +1,6 @@
 """DSL grammar: parsing, printing, round-trips, error offsets."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -270,3 +271,19 @@ def test_catalog_lines_are_far_inside_the_depth_limit():
 
     deepest = max(depth(side) for rec in catalog.list_identities() for side in (rec.lhs, rec.rhs))
     assert deepest * 10 <= MAX_DEPTH
+
+
+def test_to_text_prints_any_constant_and_parse_refuses_an_overlong_literal():
+    wide = 2**20000  # 6021 digits, more than the interpreter's int string limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(wide)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert to_text(Const(wide)) == digits
+    assert to_text(Const(Fraction(-1, wide))) == f"(-1/{digits})"
+    assert to_text(PowInt(Pi(wide), -wide)) == f"Pi(q^{digits})^(-{digits})"
+    with pytest.raises(ParseError, match="integer literal of 6021 digits") as err:
+        parse(to_text(Add(Pi(1), Const(wide))))
+    assert err.value.offset == 8

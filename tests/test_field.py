@@ -1,5 +1,6 @@
 """Polynomials, rational functions, and quadratic extensions over Q(m)."""
 
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -66,6 +67,20 @@ def test_poly_repr_keeps_fraction_text():
         "RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(1, 2))), "
         "den=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1))))"
     )
+
+
+def test_poly_text_and_repr_ignore_the_int_string_limit():
+    wide = 2**20000  # 6021 digits, more than the interpreter's int string limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(wide)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(Poly((wide, 1))) == f"m + {digits}"
+    assert str(Poly((0, Fraction(-1, wide), 0, -1))) == f"-m^3 - 1/{digits}*m"
+    assert repr(Poly((wide,))) == f"Poly(coeffs=(Fraction({digits}, 1),))"
+    assert str(RatFunc.of(M, wide)) == f"1/{digits}*m"
 
 
 def test_poly_is_frozen():

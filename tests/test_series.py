@@ -13,7 +13,9 @@ from piqcheck.series import (
     LaurentSeries,
     NonSquareLeadingCoefficient,
     OddValuation,
+    PowerTooLarge,
     exact_str,
+    terms_str,
 )
 
 
@@ -311,13 +313,81 @@ def test_precision_soundness_under_truncation(a, b):
 @pytest.mark.parametrize("limit", [640, 4300])
 def test_exact_str_ignores_the_int_string_limit(limit):
     wide = [0, 7, -(10**700), 3**9000 - 1, Fraction(-(2**20000) - 1, 3**5000), Fraction(5, 2**3000)]
+    # either side of the widest direct conversion, and halves with zero low bits
+    wide += [2**2000 - 1, 2**2000, -(2**2001 + 1), 10**4000, 2**80000 + 1]
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
         expected = [str(x) for x in wide]
-        printed = str(LaurentSeries(0, wide, 8))
+        printed = str(LaurentSeries(0, wide, 16))
         sys.set_int_max_str_digits(limit)
         assert [exact_str(x) for x in wide] == expected
-        assert str(LaurentSeries(0, wide, 8)) == printed
+        assert str(LaurentSeries(0, wide, 16)) == printed
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def unlimited(text_of, x) -> str:
+    """text_of(x) with the int string limit lifted for this one call."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return text_of(x)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_terms_str_writes_signs_units_and_the_constant_term():
+    assert terms_str([]) == ""
+    assert terms_str([(Fraction(-1), "t^2"), (Fraction(1), "t^3"), (3, "")]) == "-t^2 + t^3 + 3"
+    assert terms_str([(-5, ""), (Fraction(-1, 2), "m"), (-1, "m^2")]) == "-5 - 1/2*m - m^2"
+    assert terms_str([(Fraction(2, 3), "t^-1"), (-7, "t^4")]) == "2/3*t^-1 - 7*t^4"
+
+
+def test_series_text_walks_the_stored_terms():
+    s = S(-2, [Fraction(-1), 0, 0, 0, Fraction(1, 2), 0, 3], 6)
+    assert s.terms() == [(-2, -1), (2, Fraction(1, 2)), (4, 3)]
+    assert str(s) == "-t^-2 + 1/2*t^2 + 3*t^4 + O(t^6)"
+    assert str(S(0, [-4, -1], 8)) == "-4 - t^1 + O(t^8)"
+    assert LaurentSeries.zero(5).terms() == [] and str(LaurentSeries.zero(5)) == "O(t^5)"
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_repr_ignores_the_int_string_limit_and_evaluates_back(limit):
+    series = [
+        LaurentSeries.constant(2**20000, 8),
+        S(-1, [Fraction(-(3**9000), 7), 0, 5], 4),
+        S(0, [1], 3),
+        LaurentSeries.zero(2),
+    ]
+    names = {"LaurentSeries": LaurentSeries, "Fraction": Fraction}
+    expected = [unlimited(repr, s) for s in series]
+    assert [unlimited(lambda text: eval(text, names), text) for text in expected] == series
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert [repr(s) for s in series] == expected
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_power_past_max_power_bits_is_refused_before_any_work():
+    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS = 2000000"):
+        LaurentSeries.constant(Fraction(3, 2), 8) ** 10_000_000
+    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS"):
+        (2 + S(1, [1, 0, 0, 0, 2], 8)) ** 1_000_000
+    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS"):
+        LaurentSeries.constant(Fraction(2, 3), 8) ** -10_000_000
+    # a unit leading coefficient keeps a power small: 54 bits
+    assert (S(1, [1, 0, 0, 0, 2], 8) ** 10_000_000).terms() == [
+        (10_000_000, 1), (10_000_004, 20_000_000)
+    ]
+    assert LaurentSeries.constant(2, 8) ** 1_000_000 == LaurentSeries.constant(2**1_000_000, 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), st.integers(min_value=1, max_value=12) | st.integers(min_value=13, max_value=400))
+def test_power_bits_bound_the_power(a, e):
+    # the bound is on ceil(log2 |x|) of each stored integer x
+    p = a**e
+    assert sum((abs(x) - 1).bit_length() for x in (*p._nums, p._den)) <= a._power_bits(e)

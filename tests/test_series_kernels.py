@@ -17,7 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck.field import M, QuadExt, RatFunc
-from piqcheck.series import LaurentSeries, sqrt_fraction
+from piqcheck.series import LaurentSeries, NonSquareLeadingCoefficient
+
+
+def sqrt_fraction(c: Fraction) -> Fraction | None:
+    """Exact positive square root of a rational, or None if it is not a square."""
+    if c < 0:
+        return None
+    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
+    if rn * rn == c.numerator and rd * rd == c.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 def ref_mul(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
@@ -127,6 +137,28 @@ def test_div_matches_reference(pair):
 @given(lattice_series(lead=square_leads, even_valuation=True))
 def test_sqrt_matches_reference(x):
     same(x.sqrt(), ref_sqrt(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([1, -1, 2, -2, 3, 6, 12, 18]),
+    st.sampled_from([1, 2, 3, 5, 8, 12]),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
+    st.sampled_from([1, 2, 4, 6]),
+)
+def test_sqrt_accepts_exactly_the_rational_square_leads(a, b, k, c, rest, den):
+    # the lead a^2 k / (b^2 c) is not in lowest terms against the other
+    # coefficients' denominator, so a0 * d is tested, not a0 / d
+    lead = Fraction(a * a * k, b * b * c)
+    x = LaurentSeries(0, (lead, *(Fraction(r, den) for r in rest)), 1 + len(rest))
+    if sqrt_fraction(lead) is None:
+        with pytest.raises(NonSquareLeadingCoefficient) as err:
+            x.sqrt()
+        assert str(err.value) == f"leading coefficient {lead} is not the square of a rational"
+    else:
+        same(x.sqrt(), ref_sqrt(x))
 
 
 @settings(max_examples=100, deadline=None)
