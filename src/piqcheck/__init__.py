@@ -15,80 +15,25 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# each public name and the submodule that defines it, in ``__all__`` order
-_SOURCES = {
-    "DEFAULT_ORDER": "catalog",
-    "DEGREE3_EQUATIONS": "modular",
-    "DEGREE5_EQUATIONS": "modular",
-    "Add": "dsl",
-    "ArityError": "dsl",
-    "Const": "dsl",
-    "Div": "dsl",
-    "DivisionByZeroRatFunc": "field",
-    "DivisionByZeroSeries": "series",
-    "EvalError": "catalog",
-    "Expr": "dsl",
-    "FieldError": "field",
-    "FirstFailure": "catalog",
-    "IdentityRecord": "catalog",
-    "InsufficientPrecision": "series",
-    "LaurentSeries": "series",
-    "M": "field",
-    "ModularError": "modular",
-    "ModulusMismatch": "field",
-    "Mul": "dsl",
-    "NonSquareLeadingCoefficient": "series",
-    "OddValuation": "series",
-    "ParamCheck": "modular",
-    "ParamSeriesReport": "modular",
-    "ParseError": "dsl",
-    "Phi": "dsl",
-    "Pi": "dsl",
-    "Poly": "field",
-    "PowInt": "dsl",
-    "ProofReport": "modular",
-    "Psi": "dsl",
-    "QPow": "dsl",
-    "QPowNotQuarterIntegral": "dsl",
-    "QuadExt": "field",
-    "RatFunc": "field",
-    "SeriesError": "series",
-    "Sqrt": "dsl",
-    "Sub": "dsl",
-    "UnknownIdentity": "catalog",
-    "VerifyReport": "catalog",
-    "ZeroFactor": "theta",
-    "ZeroNormInverse": "field",
-    "alpha_series": "theta",
-    "beta_series": "theta",
-    "build_table3": "modular",
-    "build_table5": "modular",
-    "check_param_series": "modular",
-    "evaluate": "catalog",
-    "get_identity": "catalog",
-    "known_ids": "catalog",
-    "list_identities": "catalog",
-    "m_series": "theta",
-    "parse": "dsl",
-    "phi": "theta",
-    "pi_product": "theta",
-    "pochhammer": "theta",
-    "poly_gcd": "field",
-    "prove_all": "modular",
-    "prove_degree3": "modular",
-    "prove_degree5": "modular",
-    "psi": "theta",
-    "psi_product_form": "theta",
-    "quadext_equal": "field",
-    "rho_series": "theta",
-    "to_text": "dsl",
-    "verify": "catalog",
-    "verify_all": "catalog",
-    "verify_sides": "catalog",
-    "z_series": "theta",
+# the public names of each submodule
+_NAMES = {
+    "catalog": "DEFAULT_ORDER EvalError FirstFailure IdentityRecord UnknownIdentity VerifyReport"
+    " evaluate get_identity known_ids list_identities verify verify_all verify_sides",
+    "dsl": "Add ArityError Const Div Expr Mul ParseError Phi Pi PowInt Psi QPow"
+    " QPowNotQuarterIntegral Sqrt Sub parse to_text",
+    "field": "DivisionByZeroRatFunc FieldError M ModulusMismatch Poly QuadExt RatFunc"
+    " ZeroNormInverse poly_gcd quadext_equal",
+    "modular": "DEGREE3_EQUATIONS DEGREE5_EQUATIONS ModularError ParamCheck ParamSeriesReport"
+    " ProofReport build_table3 build_table5 check_param_series prove_all prove_degree3 prove_degree5",
+    "series": "DivisionByZeroSeries InsufficientPrecision LaurentSeries NonSquareLeadingCoefficient"
+    " OddValuation SeriesError",
+    "theta": "ZeroFactor alpha_series beta_series m_series phi pi_product pochhammer psi"
+    " psi_product_form rho_series z_series",
 }
+_SOURCES = {name: module for module, names in _NAMES.items() for name in names.split()}
 
-__all__ = list(_SOURCES)
+# constants first, then every other name in code-point order
+__all__ = sorted(_SOURCES, key=lambda name: (not (name.isupper() and "_" in name), name))
 
 
 def __getattr__(name: str):

@@ -376,33 +376,26 @@ def known_ids() -> tuple[str, ...]:
 def verify_sides(ident: str, lhs: Expr, rhs: Expr, order: int) -> VerifyReport:
     """Compare two expression sides as series; the core of :func:`verify`."""
     started = time.perf_counter()
+
+    def report(status: str, **fields) -> VerifyReport:
+        elapsed = time.perf_counter() - started
+        return VerifyReport(id=ident, status=status, order=order, elapsed=elapsed, **fields)
+
     try:
         left = evaluate(lhs, order)
         right = evaluate(rhs, order)
     except SeriesError as err:
-        return VerifyReport(
-            id=ident, status="error", order=order, error=str(err),
-            elapsed=time.perf_counter() - started,
-        )
+        return report("error", error=str(err))
     try:
         diff = left.compare(right)
     except InsufficientPrecision as err:
-        return VerifyReport(
-            id=ident, status="error", order=order, valid_order=min(left.order, right.order),
-            error=f"InsufficientPrecision: {err}", elapsed=time.perf_counter() - started,
-        )
-    valid = diff.order
+        valid = min(left.order, right.order)
+        return report("error", valid_order=valid, error=f"InsufficientPrecision: {err}")
     if diff.is_zero:
-        return VerifyReport(
-            id=ident, status="verified", order=order, valid_order=valid,
-            elapsed=time.perf_counter() - started,
-        )
+        return report("verified", valid_order=diff.order)
     exp = diff.valuation
     failure = FirstFailure(exponent=exp, lhs=left.coefficient(exp), rhs=right.coefficient(exp))
-    return VerifyReport(
-        id=ident, status="falsified", order=order, valid_order=valid,
-        first_failure=failure, elapsed=time.perf_counter() - started,
-    )
+    return report("falsified", valid_order=diff.order, first_failure=failure)
 
 
 def verify(ident: str, order: int = DEFAULT_ORDER) -> VerifyReport:

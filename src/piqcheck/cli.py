@@ -163,10 +163,10 @@ def _verify_report(r: VerifyReport) -> tuple[str, dict]:
         "exponent": f.exponent, "lhs": exact_str(f.lhs), "rhs": exact_str(f.rhs),
     }
     if r.status == "verified":
-        text = f"{r.id} verified order={r.order} valid_order={r.valid_order}"
+        text = f"{r.id} verified order={r.order} valid_order={exact_str(r.valid_order)}"
     elif r.status == "falsified":
         text = (
-            f"{r.id} falsified at t^{f.exponent}: lhs={failure['lhs']} rhs={failure['rhs']}"
+            f"{r.id} falsified at t^{exact_str(f.exponent)}: lhs={failure['lhs']} rhs={failure['rhs']}"
             f" diff={exact_str(f.lhs - f.rhs)}"
         )
     else:
@@ -312,10 +312,10 @@ def _cmd_expand(args) -> int:
     order = _resolve_order(args)
     series = catalog.evaluate(parse(args.expr), order)
     terms = [(exp, exact_str(c)) for exp, c in series.terms()]
-    lines = [f"t^{exp}: {c}" for exp, c in terms]
+    lines = [f"t^{exact_str(exp)}: {c}" for exp, c in terms]
     lines.append(
-        f"# valuation={'-' if series.is_zero else series.valuation} "
-        f"order={series.order} nonzero_terms={len(terms)}"
+        f"# valuation={'-' if series.is_zero else exact_str(series.valuation)} "
+        f"order={exact_str(series.order)} nonzero_terms={len(terms)}"
     )
     payload = {
         "expr": args.expr,

@@ -50,6 +50,7 @@ and ``Pi(1) != Psi(1)``.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,9 +81,6 @@ class ParseError(Exception):
 
 class ArityError(ParseError):
     """A call supplied the wrong number of arguments."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(message, offset)
 
 
 class QPowNotQuarterIntegral(ParseError):
@@ -224,41 +222,31 @@ def _byte_offset(text: str, char_pos: int) -> int:
     return len(text[:char_pos].encode("utf-8"))
 
 
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)|(\S)")
+"""An integer, a name, or any other character but white space."""
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
+    for match in _TOKEN.finditer(text):
+        digits, name, ch = match.groups()
+        i = match.start()
+        if digits:
             try:
-                value = int(text[i:j])
+                value = int(digits)
             except ValueError:  # longer than the interpreter's int string limit
                 raise ParseError(
-                    f"integer literal of {j - i} digits is longer than"
+                    f"integer literal of {len(digits)} digits is longer than"
                     f" {sys.get_int_max_str_digits()}", _byte_offset(text, i)
                 ) from None
-            tokens.append(_Token("int", text[i:j], i, value))
-            i = j
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
-            j = i
-            while j < n and (("a" <= text[j] <= "z") or ("A" <= text[j] <= "Z")):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
+            tokens.append(_Token("int", digits, i, value))
+        elif name:
+            tokens.append(_Token("name", name, i))
+        elif ch in _SYMBOLS:
             tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(_Token("end", "", n))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

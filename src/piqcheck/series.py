@@ -65,7 +65,8 @@ quadratic recurrences 16 to 64 times shorter.
     of products once and divides by twice that leading term with the same
     exact-or-Fraction step.
 
-A power first bounds the size of its result (:data:`MAX_POWER_BITS`).
+A power first bounds the size of each coefficient of its result
+(:data:`MAX_POWER_BITS`).
 
 Exact values become text here only: :func:`exact_str` spells a number,
 :func:`exact_repr` a tuple of Fractions in a repr, and :func:`terms_str`
@@ -129,19 +130,21 @@ def check_order(order: int, name: str = "order") -> None:
         raise ValueError(f"{name} must be at most {MAX_ORDER}")
 
 
-MAX_POWER_BITS = 2_000_000
-"""Largest size bound, in bits, of a power; ``x ** e`` raises :class:`PowerTooLarge`
-past it before any work.  ``2^1000000`` takes 10^6, ``Pi(q)^10000000`` at order
-8 takes 54, and the catalog's largest power 582400 at order 3200."""
+MAX_POWER_BITS = 1_000_000
+"""Largest bound, in bits, on a coefficient of a power; ``x ** e`` raises
+:class:`PowerTooLarge` past it before any work.  ``2^1000000`` takes exactly
+10^6, ``Pi(q)^10000000`` at order 8 takes 27, and the powers of the catalog
+and of ``check-param`` stay under 30000 at every order up to ``MAX_ORDER``.
+The window, which ``MAX_ORDER`` bounds, sets how many coefficients a power has."""
 
 
 class PowerTooLarge(ValueError):
-    """A power whose size bound passes MAX_POWER_BITS, refused before any work."""
+    """A power whose coefficient bound passes MAX_POWER_BITS, refused before any work."""
 
 
 _STR_BITS = 2000
-"""Widest int converted by ``str`` or ``Decimal`` directly: under 640 digits,
-the least limit ``sys.set_int_max_str_digits`` accepts."""
+"""Widest int converted by one ``str`` call: under 640 digits, the least
+limit ``sys.set_int_max_str_digits`` accepts."""
 
 
 def _int_str(n: int) -> str:
@@ -149,29 +152,17 @@ def _int_str(n: int) -> str:
         return str(n)
     if n < 0:
         return "-" + _int_str(-n)
-    import decimal  # only a wide number pays for the import
-
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    powers: dict[int, decimal.Decimal] = {}
-
-    def convert(n: int, bits: int) -> decimal.Decimal:
-        if bits <= _STR_BITS:
-            return decimal.Decimal(n)
-        half = bits // 2
-        if half not in powers:
-            powers[half] = ctx.power(2, half)
-        high = convert(n >> half, bits - half)
-        return ctx.fma(high, powers[half], convert(n & ((1 << half) - 1), half))
-
-    return str(convert(n, n.bit_length()))
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**k)
+    return _int_str(high) + _int_str(low).zfill(k)
 
 
 def exact_str(x: int | Fraction) -> str:
     """``str(x)`` for an int or Fraction of any size: the one spelling of an exact value.
 
-    ``str`` refuses an int past the int string limit and is quadratic in the
-    digits; a wide int is split at bits into pieces under any limit and joined
-    as Decimals: 1.2 * 10^6 digits take 0.35 s, not 16 s, on a 2-core x86-64 host.
+    ``str`` refuses an int of more digits than the interpreter's int string
+    limit; this converts a wide one in pieces split at powers of ten, each
+    short enough for any limit, so a report can always print its numbers.
     """
     if x.denominator == 1:
         return _int_str(x.numerator)
@@ -363,8 +354,8 @@ class LaurentSeries:
 
     def __repr__(self) -> str:
         return (
-            f"LaurentSeries(valuation={self.valuation!r}, coeffs={exact_repr(self.coeffs)},"
-            f" order={self.order!r})"
+            f"LaurentSeries(valuation={exact_str(self.valuation)}, coeffs={exact_repr(self.coeffs)},"
+            f" order={exact_str(self.order)})"
         )
 
     # ------------------------------------------------------------------
@@ -427,7 +418,8 @@ class LaurentSeries:
         """The coefficient of t^n.  Exponents below the valuation are known zero."""
         if n >= self.order:
             raise InsufficientPrecision(
-                f"coefficient at t^{n} requested but series is only known below t^{self.order}"
+                f"coefficient at t^{exact_str(n)} requested but series is only known"
+                f" below t^{exact_str(self.order)}"
             )
         offset = n - self.valuation
         j, r = divmod(offset, self._g) if self._g else (offset, 0)
@@ -446,7 +438,8 @@ class LaurentSeries:
         floor = min((s.valuation for s in (self, other) if not s.is_zero), default=None)
         if floor is not None and diff.order <= floor:
             raise InsufficientPrecision(
-                f"no comparable coefficients below t^{diff.order} (content starts at t^{floor})"
+                f"no comparable coefficients below t^{exact_str(diff.order)}"
+                f" (content starts at t^{exact_str(floor)})"
             )
         return diff
 
@@ -566,7 +559,7 @@ class LaurentSeries:
             return self.scale(Fraction(1) / Fraction(other))
         if rhs.is_zero:
             raise DivisionByZeroSeries(
-                f"divisor is zero up to its tracked order t^{rhs.order}"
+                f"divisor is zero up to its tracked order t^{exact_str(rhs.order)}"
             )
         if self.is_zero:
             return LaurentSeries.zero(self.order - rhs.valuation)
@@ -607,15 +600,16 @@ class LaurentSeries:
         bits = self._power_bits(e)
         if bits > MAX_POWER_BITS:
             raise PowerTooLarge(
-                f"power to the exponent {exact_str(e)} would take about {exact_str(bits)} bits,"
+                f"power to the exponent {exact_str(e)} would take coefficients of about"
+                f" {exact_str(bits)} bits,"
                 f" more than MAX_POWER_BITS = {MAX_POWER_BITS}"
             )
         return _power(self, e)
 
     def _power_bits(self, e: int) -> int:
-        """A bound on the bits of the w numerators and the denominator of self ** e.
+        """A bound on the bits of a coefficient, numerator and denominator, of self ** e.
 
-        With numerators n0, n1, ... of at most h bits over d, the k-th numerator
+        With w numerators n0, n1, ... of at most h bits over d, the k-th numerator
         of the power is at most (w * 2**h)**e and |n0|**e * (2**(h+1) * (e+1))**k.
         """
         if not self._nums:
@@ -624,7 +618,7 @@ class LaurentSeries:
         h = max(map(int.bit_length, self._nums))
         lead = e * (abs(self._nums[0]) - 1).bit_length()  # e * ceil(log2 |n0|)
         num = min(e * (h + w.bit_length()), lead + (w - 1) * (h + 1 + (e + 1).bit_length()))
-        return w * num + e * (self._den - 1).bit_length()
+        return num + e * (self._den - 1).bit_length()
 
     def shift(self, j: int) -> LaurentSeries:
         """Multiply by the exact monomial t^j (shifts the knowledge window too)."""
@@ -641,7 +635,7 @@ class LaurentSeries:
         if self.is_zero:
             return LaurentSeries.zero((self.order + 1) // 2)
         if self.valuation % 2:
-            raise OddValuation(f"sqrt of series with odd valuation {self.valuation}")
+            raise OddValuation(f"sqrt of series with odd valuation {exact_str(self.valuation)}")
         n = self.precision
         step = self._g or n
         d = self._den
@@ -676,5 +670,6 @@ class LaurentSeries:
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        body = terms_str((c, f"t^{e}" if e else "") for e, c in self.terms())
-        return f"{body} + O(t^{self.order})" if body else f"O(t^{self.order})"
+        body = terms_str((c, f"t^{exact_str(e)}" if e else "") for e, c in self.terms())
+        rest = f"O(t^{exact_str(self.order)})"
+        return f"{body} + {rest}" if body else rest

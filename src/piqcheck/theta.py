@@ -78,10 +78,7 @@ def psi(k: int, order: int) -> LaurentSeries:
     _check_order(order)
     coeffs = [0] * order
     n = 0
-    while True:
-        exp = 2 * k * n * (n + 1)  # 4k * n(n+1)/2
-        if exp >= order:
-            break
+    while (exp := 2 * k * n * (n + 1)) < order:  # 4k * n(n+1)/2
         coeffs[exp] += 1
         n += 1
     return LaurentSeries._build(0, order, 1, coeffs)
@@ -103,10 +100,7 @@ def phi(k: int, order: int) -> LaurentSeries:
     coeffs = [0] * order
     coeffs[0] = 1
     n = 1
-    while True:
-        exp = 4 * k * n * n
-        if exp >= order:
-            break
+    while (exp := 4 * k * n * n) < order:
         coeffs[exp] += 2
         n += 1
     return LaurentSeries._build(0, order, 1, coeffs)

@@ -1,10 +1,11 @@
 """Identity catalog: registry contents, evaluation, verification machinery."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from piqcheck import catalog, series
+from piqcheck import catalog, modular, series
 from piqcheck.catalog import EvalError, UnknownIdentity, evaluate, verify_sides
 from piqcheck.dsl import Const, Div, Mul, Pi, Sqrt, Sub, parse
 from piqcheck.series import LaurentSeries
@@ -123,3 +124,23 @@ def test_evaluate_rejects_orders_beyond_the_limit():
         evaluate(parse("Pi(q)"), catalog.MAX_ORDER + 1)
     with pytest.raises(ValueError, match="at most 100000"):
         catalog.verify("EQ1-1", catalog.MAX_ORDER + 1)
+
+
+def test_catalog_and_check_param_powers_stay_far_inside_the_power_bound(monkeypatch):
+    # A base's widest numerator grows like 4.2 to 4.4 times sqrt(order): 118,
+    # 170, 244 and 499 bits at orders 800, 1600, 3200 and 12800.  Pin a rate of
+    # 5 here, and bound a stand-in of twice that rate at MAX_ORDER.
+    bases = []
+    power = LaurentSeries.__pow__
+    monkeypatch.setattr(LaurentSeries, "__pow__", lambda s, e: bases.append((s, e)) or power(s, e))
+    for order in (800, 1600):
+        bases.clear()
+        catalog.verify_all(order)
+        modular.check_param_series(3, order)
+        modular.check_param_series(5, order)
+        assert len(bases) == 244
+        assert all(e <= 8 and s._den == 1 for s, e in bases)
+        assert max(max(map(int.bit_length, s._nums)) for s, _ in bases) <= 5 * isqrt(order)
+    nums = (2 ** (10 * isqrt(series.MAX_ORDER)) - 1,) * series.MAX_ORDER
+    stand_in = LaurentSeries._raw(0, series.MAX_ORDER, 1, nums, 1)
+    assert stand_in._power_bits(8) <= 30_000 <= series.MAX_POWER_BITS // 30

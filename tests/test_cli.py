@@ -236,11 +236,11 @@ def test_q_power_past_max_order_is_a_located_parse_error(capsys):
     )
 
 
-POWER_LIMIT = "MAX_POWER_BITS = 2000000"
+POWER_LIMIT = "MAX_POWER_BITS = 1000000"
 HUGE_POWERS = [
     ("(3/2)^10000000", "10000000", "30000000"),
     ("123456789^1000000 * Pi(q)", "1000000", "27000000"),
-    ("(2 + Pi(q))^1000000", "1000000", "8001288"),
+    ("(2 + Pi(q))^1000000", "1000000", "1000161"),
 ]
 
 
@@ -253,7 +253,7 @@ def timed_run(capsys, *argv):
 @pytest.mark.parametrize("expr, exponent, bits", HUGE_POWERS, ids=["ratio", "integer", "series"])
 def test_power_past_the_bit_bound_is_a_usage_error_before_the_work(capsys, expr, exponent, bits):
     message = (
-        f"error: power to the exponent {exponent} would take about {bits} bits,"
+        f"error: power to the exponent {exponent} would take coefficients of about {bits} bits,"
         f" more than {POWER_LIMIT}\n"
     )
     for argv in (["expand", "--expr", expr], ["verify", "--expr", f"{expr} = 1"]):
@@ -269,7 +269,8 @@ def test_expr_file_power_past_the_bit_bound_does_not_abort_the_batch(tmp_path, c
     assert code == cli.EXIT_USAGE and elapsed < 2.0
     assert out == "line-1 verified order=64 valid_order=64\nline-3 verified order=64 valid_order=65\n"
     assert err == (
-        "error: line 2: power to the exponent 10000000 would take about 30000000 bits,"
+        "error: line 2: power to the exponent 10000000 would take coefficients of about"
+        " 30000000 bits,"
         f" more than {POWER_LIMIT}\n"
     )
 
@@ -280,6 +281,26 @@ def test_a_unit_leading_coefficient_keeps_a_huge_power_inside_the_bound(capsys):
     assert out == (
         "t^10000000: 1\nt^10000004: 20000000\n"
         "# valuation=10000000 order=10000008 nonzero_terms=2\n"
+    )
+
+
+def test_exponents_and_orders_print_past_the_int_string_limit(capsys):
+    # powers of one-term series to 4300-digit exponents have valuations of 4301 and more digits
+    exponent = 10**4299 + 1
+    code, out, err = run(capsys, "expand", "--expr", f"Pi(q^12)^{exponent}", "--order", "8")
+    val, order = decimal(12 * exponent), decimal(12 * exponent + 8)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == f"t^{val}: 1\n# valuation={val} order={order} nonzero_terms=1\n"
+    text = f"(q^{{1/4}}^{exponent})^{exponent}"  # t^(exponent**2), an odd valuation
+    val = exponent**2
+    falsified = f"user falsified at t^{decimal(val)}: lhs=1 rhs=2 diff=-1\n"
+    for rhs, expected in [
+        (text, (cli.EXIT_OK, f"user verified order=8 valid_order={decimal(val + 8)}\n")),
+        (f"2 * {text}", (cli.EXIT_FALSIFIED, falsified)),
+    ]:
+        assert run(capsys, "verify", "--expr", f"{text} = {rhs}", "--order", "8")[:2] == expected
+    assert run(capsys, "verify", "--expr", f"sqrt({text}) = 1", "--order", "8")[:2] == (
+        cli.EXIT_INTERNAL, f"user error: /Sqrt: sqrt of series with odd valuation {decimal(val)}\n"
     )
 
 
@@ -339,7 +360,7 @@ def test_random_dsl_text_exits_with_a_documented_code(command, left, right, orde
         code = cli.main([command, "--expr", text, "--order", order])
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
-    assert time.perf_counter() - started < 5.0
+    assert time.perf_counter() - started < 10.0
 
 
 def test_verify_expr_file(tmp_path, capsys):

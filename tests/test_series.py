@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck.series import (
+    MAX_POWER_BITS,
     DivisionByZeroSeries,
     InsufficientPrecision,
     LaurentSeries,
@@ -372,22 +373,25 @@ def test_repr_ignores_the_int_string_limit_and_evaluates_back(limit):
 
 
 def test_power_past_max_power_bits_is_refused_before_any_work():
-    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS = 2000000"):
+    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS = 1000000"):
         LaurentSeries.constant(Fraction(3, 2), 8) ** 10_000_000
-    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS"):
+    with pytest.raises(PowerTooLarge, match="coefficients of about 1000161 bits"):
         (2 + S(1, [1, 0, 0, 0, 2], 8)) ** 1_000_000
     with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS"):
         LaurentSeries.constant(Fraction(2, 3), 8) ** -10_000_000
-    # a unit leading coefficient keeps a power small: 54 bits
+    # a unit leading coefficient keeps a power small: 27 bits
     assert (S(1, [1, 0, 0, 0, 2], 8) ** 10_000_000).terms() == [
         (10_000_000, 1), (10_000_004, 20_000_000)
     ]
+    # the bound is inclusive, and 2^1000000 sits on it
+    assert LaurentSeries.constant(2, 8)._power_bits(1_000_000) == MAX_POWER_BITS
     assert LaurentSeries.constant(2, 8) ** 1_000_000 == LaurentSeries.constant(2**1_000_000, 8)
 
 
 @settings(max_examples=150, deadline=None)
 @given(series(), st.integers(min_value=1, max_value=12) | st.integers(min_value=13, max_value=400))
-def test_power_bits_bound_the_power(a, e):
-    # the bound is on ceil(log2 |x|) of each stored integer x
+def test_power_bits_bound_each_coefficient_of_the_power(a, e):
+    # the bound is on ceil(log2 |x|) of the widest stored numerator plus that of the denominator
     p = a**e
-    assert sum((abs(x) - 1).bit_length() for x in (*p._nums, p._den)) <= a._power_bits(e)
+    widest = max(((abs(x) - 1).bit_length() for x in p._nums), default=0)
+    assert widest + (p._den - 1).bit_length() <= a._power_bits(e)
