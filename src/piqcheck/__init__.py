@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # the public names of each submodule
 _NAMES = {
-    "catalog": "DEFAULT_ORDER EvalError FirstFailure IdentityRecord UnknownIdentity VerifyReport"
+    "catalog": "EvalError FirstFailure IdentityRecord UnknownIdentity VerifyReport"
     " evaluate get_identity known_ids list_identities verify verify_all verify_sides",
     "dsl": "Add ArityError Const Div Expr Mul ParseError Phi Pi PowInt Psi QPow"
     " QPowNotQuarterIntegral Sqrt Sub parse to_text",
@@ -25,8 +25,8 @@ _NAMES = {
     " ZeroNormInverse poly_gcd quadext_equal",
     "modular": "DEGREE3_EQUATIONS DEGREE5_EQUATIONS ModularError ParamCheck ParamSeriesReport"
     " ProofReport build_table3 build_table5 check_param_series prove_all prove_degree3 prove_degree5",
-    "series": "DivisionByZeroSeries InsufficientPrecision LaurentSeries NonSquareLeadingCoefficient"
-    " OddValuation SeriesError",
+    "series": "DEFAULT_ORDER DivisionByZeroSeries InsufficientPrecision LaurentSeries"
+    " NonSquareLeadingCoefficient OddValuation SeriesError",
     "theta": "ZeroFactor alpha_series beta_series m_series phi pi_product pochhammer psi"
     " psi_product_form rho_series z_series",
 }

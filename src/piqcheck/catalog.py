@@ -45,8 +45,10 @@ from .dsl import (
     parse,
     to_text,
 )
-# the order bounds are the series module's own objects, re-exported here
+# the default order and the order bounds are the series module's own
+# objects, re-exported here
 from .series import (
+    DEFAULT_ORDER,
     MAX_ORDER,
     MIN_ORDER,
     InsufficientPrecision,
@@ -55,8 +57,6 @@ from .series import (
     check_order,
 )
 
-DEFAULT_ORDER = 200
-"""Default t-order for verification (q-order 50)."""
 
 class UnknownIdentity(KeyError):
     """Lookup of an id that is not in the registry."""

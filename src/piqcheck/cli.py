@@ -24,7 +24,8 @@ without a traceback.  A precondition violation is a ``SeriesError`` or a
 ``ValueError``, which ``field.FieldError`` and ``modular.ModularError``
 are, so the handler names no class of a module the command did not load.
 Exact numbers are rendered with ``series.exact_str``, so a report prints
-however many digits its coefficients have.
+however many digits its coefficients, exponents and orders have; every int
+of a ``--json`` report is written by it too, as a JSON number.
 
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
@@ -34,18 +35,21 @@ stop the batch: its error goes to stderr, every other line is still
 reported, and the exit code is the worst over all lines, in the order
 3 > 2 > 1 > 0.
 
-A command imports only what it uses: ``list``, ``verify``, ``verify-all``
-and ``expand`` load :mod:`.catalog` (with :mod:`.dsl`, :mod:`.theta` and
-:mod:`.series`); only ``prove-modular`` and ``check-param`` import
-:mod:`.modular` and, through it, :mod:`.field`.  The catalog parses its
-sides on the first lookup of a record, which ``expand`` and ``verify
---expr``/``--expr-file`` never make.
+A command imports only what it uses.  This module loads only
+:mod:`.series`.  ``list``, ``verify``, ``verify-all`` and ``expand`` import
+:mod:`.catalog` (with :mod:`.dsl` and :mod:`.theta`) when they run;
+``prove-modular`` and ``check-param`` import :mod:`.modular` (with
+:mod:`.field` and :mod:`.theta`) and neither the catalog nor the DSL.  So
+:func:`main` names no class of those modules: a ``dsl.ParseError`` is
+raised again as this module's ``_Unparsable`` where the text is parsed.
+The catalog parses its sides on the first lookup of a record, which
+``expand`` and ``verify --expr``/``--expr-file`` never make.
 
 Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
 ``elapsed_ms`` field.  The default order is 200 and may be overridden with
 the ``PIQCHECK_ORDER`` environment variable; an explicit ``--order`` wins.
-An order outside ``catalog.check_order``'s range (8 to 100000) is a usage
+An order outside ``series.check_order``'s range (8 to 100000) is a usage
 error whose message names where the order came from.
 """
 
@@ -57,12 +61,19 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import catalog
-from .catalog import MAX_ORDER, MIN_ORDER, VerifyReport
-from .dsl import Expr, ParseError, parse
-from .series import PowerTooLarge, SeriesError, exact_str
+from .series import (
+    DEFAULT_ORDER,
+    MAX_ORDER,
+    MIN_ORDER,
+    PowerTooLarge,
+    SeriesError,
+    check_order,
+    exact_str,
+)
 
 if TYPE_CHECKING:
+    from .catalog import VerifyReport
+    from .dsl import Expr
     from .modular import ParamSeriesReport, ProofReport
 
 EXIT_OK = 0
@@ -76,12 +87,12 @@ ENV_ORDER = "PIQCHECK_ORDER"
 def _default_order() -> int:
     raw = os.environ.get(ENV_ORDER)
     if raw is None:
-        return catalog.DEFAULT_ORDER
+        return DEFAULT_ORDER
     try:
         return int(raw)
     except ValueError:
         print(f"warning: ignoring non-integer {ENV_ORDER}={raw!r}", file=sys.stderr)
-        return catalog.DEFAULT_ORDER
+        return DEFAULT_ORDER
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -101,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument(
                 "--order", type=int, default=None,
-                help=f"t-order for series comparisons (default {catalog.DEFAULT_ORDER}, "
+                help=f"t-order for series comparisons (default {DEFAULT_ORDER}, "
                 f"env {ENV_ORDER}; minimum {MIN_ORDER}, maximum {MAX_ORDER})",
             )
         p.add_argument("--json", action="store_true", help="one JSON object per report")
@@ -210,6 +221,22 @@ def _param_report(r: ParamSeriesReport) -> tuple[str, dict]:
     )
 
 
+def _json(value) -> str:
+    """``json.dumps(value)`` with every int written by ``exact_str``.
+
+    ``json.dumps`` refuses an int past the int string limit; this writes it
+    as a JSON number of any length, and writes every other report byte for
+    byte as ``json.dumps`` does.
+    """
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return exact_str(value)
+    return json.dumps(value)
+
+
 def _finish(args, reports: list[tuple[str, dict]]) -> int:
     """Print each (text, JSON object) report unless quiet; return the exit code.
 
@@ -218,7 +245,7 @@ def _finish(args, reports: list[tuple[str, dict]]) -> int:
     """
     if not args.quiet:
         for text, fields in reports:
-            print(json.dumps(fields) if args.json else text)
+            print(_json(fields) if args.json else text)
     statuses = {fields.get("status") for _, fields in reports}
     if "error" in statuses:
         return EXIT_INTERNAL
@@ -238,7 +265,7 @@ def _resolve_order(args) -> int:
     else:
         order, source = _default_order(), ENV_ORDER
     try:
-        catalog.check_order(order, source)
+        check_order(order, source)
     except ValueError as e:
         raise _Usage(str(e)) from None
     return order
@@ -248,7 +275,13 @@ class _Usage(Exception):
     pass
 
 
+class _Unparsable(Exception):
+    """A ``dsl.ParseError``, with its message, under a class :func:`main` can name."""
+
+
 def _cmd_list(args) -> int:
+    from . import catalog
+
     return _finish(args, [
         (
             f"{rec.id}\t{rec.lhs_text} = {rec.rhs_text}",
@@ -264,16 +297,28 @@ def _cmd_list(args) -> int:
     ])
 
 
+def _parse(text: str) -> Expr:
+    """``dsl.parse(text)``, raising its ParseError again as :class:`_Unparsable`."""
+    from .dsl import ParseError, parse
+
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise _Unparsable(str(exc)) from None
+
+
 def _split_identity(text: str) -> tuple[Expr, Expr]:
     """Both sides of 'LHS = RHS', with parse-error offsets counted from the start of text."""
     if text.count("=") != 1:
         raise _Usage("a user identity must contain exactly one '=' separating LHS and RHS")
     lhs_text, rhs_text = text.split("=")
     # the right side is parsed behind one blank byte per byte of 'LHS ='
-    return parse(lhs_text), parse(" " * (len(lhs_text.encode("utf-8")) + 1) + rhs_text)
+    return _parse(lhs_text), _parse(" " * (len(lhs_text.encode("utf-8")) + 1) + rhs_text)
 
 
 def _cmd_verify(args) -> int:
+    from . import catalog
+
     order = _resolve_order(args)
     sources = [s for s in (args.ident, args.expr, args.expr_file) if s]
     if len(sources) != 1:
@@ -297,20 +342,24 @@ def _cmd_verify(args) -> int:
                 try:
                     lhs, rhs = _split_identity(line.rstrip("\n"))
                     reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))
-                except (ParseError, _Usage, PowerTooLarge) as exc:
-                    kind = "parse error" if isinstance(exc, ParseError) else "error"
+                except (_Unparsable, _Usage, PowerTooLarge) as exc:
+                    kind = "parse error" if isinstance(exc, _Unparsable) else "error"
                     print(f"{kind}: line {i}: {exc}", file=sys.stderr)
                     worst = EXIT_USAGE
     return max(worst, _finish(args, [_verify_report(r) for r in reports]))
 
 
 def _cmd_verify_all(args) -> int:
+    from . import catalog
+
     return _finish(args, [_verify_report(r) for r in catalog.verify_all(_resolve_order(args))])
 
 
 def _cmd_expand(args) -> int:
+    from . import catalog
+
     order = _resolve_order(args)
-    series = catalog.evaluate(parse(args.expr), order)
+    series = catalog.evaluate(_parse(args.expr), order)
     terms = [(exp, exact_str(c)) for exp, c in series.terms()]
     lines = [f"t^{exact_str(exp)}: {c}" for exp, c in terms]
     lines.append(
@@ -380,7 +429,7 @@ def main(argv: list | None = None) -> int:
     except (_Usage, PowerTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
+    except _Unparsable as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, UnicodeDecodeError) as exc:

@@ -79,6 +79,7 @@ functions, so series may be shared freely across threads or tasks.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -87,7 +88,7 @@ from operator import add, mul, neg, sub
 
 _ZERO = Fraction(0)
 
-# unsigned native formats by item size, for reading word-sized product slots
+# unsigned native formats by item size, for writing and reading word-sized product slots
 _WORD_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
 
 
@@ -112,6 +113,9 @@ class InsufficientPrecision(SeriesError):
 
 
 MIN_ORDER = 8
+
+DEFAULT_ORDER = 200
+"""Default t-order for verification (q-order 50)."""
 
 MAX_ORDER = 100_000
 """Largest t-order evaluated, and largest |4r| of a q-power q^r that parses.
@@ -236,12 +240,24 @@ def _power(base, e: int):
         base = base * base
 
 
-def _pack(vals, width: int) -> int:
-    """The signed integer sum(vals[i] * 256**(width*i)), each |vals[i]| < 256**width.
+def _halves(width: int, n: int) -> int:
+    """Half a slot in each of n slots: sum(half * 256**(width*i)), half = 256**width // 2."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
 
-    The positive and the negated negative entries are joined into one byte
-    string each, and the two integers they spell are subtracted.
+
+def _pack(vals, width: int, code: str | None) -> int:
+    """The signed integer sum(vals[i] * 256**(width*i)), each |vals[i]| < 256**width // 2.
+
+    With ``code``, the native unsigned word format of ``width`` bytes, the
+    entries plus half a slot are written as words in one step, and the
+    halves are taken off the integer they spell.  Otherwise the positive and
+    the negated negative entries are joined into one byte string each, and
+    the two integers they spell are subtracted.
     """
+    if code:
+        half = 1 << (8 * width - 1)
+        words = array(code, [v + half for v in vals]).tobytes()
+        return int.from_bytes(words, "little") - _halves(width, len(vals))
     zero = bytes(width)
     pos = b"".join([v.to_bytes(width, "little") if v > 0 else zero for v in vals])
     neg = b"".join([(-v).to_bytes(width, "little") if v < 0 else zero for v in vals])
@@ -259,9 +275,10 @@ def _packed_mul(a, b, m: int, square: bool) -> list[int]:
     bits; the width keeps one bit more and rounds up to whole bytes.  Half a
     slot added to each of the first m slots makes them non-negative, so they
     are read back as unsigned integers less that half.  On a little-endian
-    machine a width of at most 8 bytes is rounded up to 1, 2, 4 or 8, and
-    the m slots are read as native unsigned words in one cast; wider slots
-    are read one ``int.from_bytes`` each.  ``square`` says that a and b are
+    machine a width of at most 8 bytes is rounded up to 1, 2, 4 or 8; the
+    lists are then written and the m slots read as native unsigned words,
+    one step each.  Wider slots are written one ``to_bytes`` per entry and
+    read one ``int.from_bytes`` per slot.  ``square`` says that a and b are
     the same list, which is then packed once.
     """
     bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b))
@@ -270,10 +287,10 @@ def _packed_mul(a, b, m: int, square: bool) -> list[int]:
     if width <= 8 and sys.byteorder == "little":
         width = 1 << (width - 1).bit_length()
         code = _WORD_CODES[width]
-    x = _pack(a, width)
-    prod = x * x if square else x * _pack(b, width)
+    x = _pack(a, width, code)
+    prod = x * x if square else x * _pack(b, width, code)
     half = 1 << (8 * width - 1)
-    prod += int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    prod += _halves(width, m)
     # the slots above the first m may be negative and the biased top slot may
     # use its sign bit, so the signed conversion gets one spare byte
     raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * width + 1, "little", signed=True))

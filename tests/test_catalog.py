@@ -1,10 +1,13 @@
 """Identity catalog: registry contents, evaluation, verification machinery."""
 
+import re
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import piqcheck
 from piqcheck import catalog, modular, series
 from piqcheck.catalog import EvalError, UnknownIdentity, evaluate, verify_sides
 from piqcheck.dsl import Const, Div, Mul, Pi, Sqrt, Sub, parse
@@ -117,6 +120,11 @@ def test_psi_form_and_pi_form_agree_pairwise():
 def test_order_bounds_are_the_series_module_objects():
     assert catalog.MAX_ORDER is series.MAX_ORDER and catalog.MIN_ORDER is series.MIN_ORDER
     assert catalog.check_order is series.check_order
+    assert catalog.DEFAULT_ORDER is series.DEFAULT_ORDER is piqcheck.DEFAULT_ORDER
+    # 200 is a cached small int, so `is` cannot tell two definitions apart
+    package = Path(series.__file__).parent
+    defined = [p.name for p in package.glob("*.py") if re.search(r"^DEFAULT_ORDER\b", p.read_text(), re.M)]
+    assert defined == ["series.py"]
 
 
 def test_evaluate_rejects_orders_beyond_the_limit():

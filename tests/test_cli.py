@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piqcheck import cli
+from piqcheck import catalog, cli
 
 
 def run(capsys, *argv):
@@ -304,6 +304,46 @@ def test_exponents_and_orders_print_past_the_int_string_limit(capsys):
     )
 
 
+def loads_wide(text: str):
+    """json.loads(text), reading ints of any number of digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_json_reports_write_ints_past_the_int_string_limit(capsys):
+    exponent = 10**4299
+    code, out, err = run(capsys, "expand", "--expr", f"Pi(q^12)^{exponent}", "--order", "8", "--json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    payload = loads_wide(out)
+    assert (payload["valuation"], payload["order"]) == (12 * exponent, 12 * exponent + 8)
+    assert payload["coefficients"] == [{"exponent": 12 * exponent, "value": "1"}]
+    text = f"(q^{{1/4}}^{exponent})^{exponent}"  # t^(exponent**2)
+    val = exponent**2
+    code, out, err = run(capsys, "verify", "--expr", f"{text} = {text}", "--order", "8", "--json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert (loads_wide(out)["order"], loads_wide(out)["valid_order"]) == (8, val + 8)
+    code, out, err = run(capsys, "verify", "--expr", f"{text} = 2 * {text}", "--order", "8", "--json")
+    assert (code, err) == (cli.EXIT_FALSIFIED, "")
+    assert loads_wide(out)["first_failure"] == {"exponent": val, "lhs": "1", "rhs": "2"}
+    assert f'"exponent": {decimal(val)}, ' in out  # a JSON number, not a string
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps_below_the_int_string_limit(value):
+    assert cli._json(value) == json.dumps(value)
+
+
 def test_non_integer_order_from_the_environment_falls_back_to_the_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_ORDER, "1e3")
     code, out, err = run(capsys, "verify", "--id", "EQ1-1", "--json")
@@ -578,7 +618,7 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
     def boom(order):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setattr(cli.catalog, "verify_all", boom)
+    monkeypatch.setattr(catalog, "verify_all", boom)
     code, out, err = run(capsys, "verify-all", "--order", "64")
     assert code == cli.EXIT_INTERNAL
     assert err == "internal error: RuntimeError: unexpected\n"

@@ -8,6 +8,7 @@ lattice step and with unknown tails that break the lattice beyond the window.
 """
 
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck.field import M, QuadExt, RatFunc
-from piqcheck.series import LaurentSeries, NonSquareLeadingCoefficient
+from piqcheck.series import _WORD_CODES, LaurentSeries, NonSquareLeadingCoefficient, _pack
 
 
 def sqrt_fraction(c: Fraction) -> Fraction | None:
@@ -400,6 +401,20 @@ def test_word_sized_slots_hold_the_product(slot_bytes, bits, length, signs):
     assert slot_bytes == 1 or abs(want.coefficient(length - 1)) > 1 << (8 * slot_bytes - 9)
     same_and_canonical(x * y, want)
     same_and_canonical(x * x, ref_mul(x, x))
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="native words are packed on little-endian hosts")
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_word_packs_spell_the_signed_slot_sum(data):
+    """Entries up to +-(half - 1) of a 1-, 2-, 4- or 8-byte slot, packed as words and byte by byte."""
+    width = data.draw(st.sampled_from([1, 2, 4, 8]), label="slot bytes")
+    half = 1 << (8 * width - 1)
+    edges = st.sampled_from([half - 1, 1 - half, 0, 1, -1])
+    vals = data.draw(st.lists(edges | st.integers(1 - half, half - 1), min_size=1, max_size=300))
+    want = sum(v << (8 * width * i) for i, v in enumerate(vals))
+    assert _pack(vals, width, _WORD_CODES[width]) == want
+    assert _pack(vals, width, None) == want
 
 
 # ----------------------------------------------------------------------

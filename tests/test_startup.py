@@ -62,6 +62,30 @@ def test_user_expressions_load_no_field_tower_and_no_catalog_record(argv):
     assert no_records
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["prove-modular", "--degree", "3"], ["check-param", "--degree", "5", "--order", "64"]],
+    ids=["prove-modular", "check-param"],
+)
+def test_modular_commands_load_neither_the_catalog_nor_the_dsl(argv):
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from piqcheck import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]))\n"
+    )
+    code, loaded = json.loads(fresh(probe))
+    assert code == cli.EXIT_OK
+    assert "piqcheck.modular" in loaded
+    assert "piqcheck.catalog" not in loaded and "piqcheck.dsl" not in loaded
+
+
+def test_import_cli_loads_only_the_series_module():
+    out = fresh(f"import sys, piqcheck.cli; print({LOADED})")
+    assert out == "['piqcheck.cli', 'piqcheck.series']\n"
+
+
 def test_the_registry_is_built_on_first_lookup():
     probe = (
         "from piqcheck import catalog\n"
