@@ -116,8 +116,8 @@ def _eval(e: Expr, order: int, path: str) -> LaurentSeries:
 def evaluate(e: Expr, order: int) -> LaurentSeries:
     """Evaluate an expression tree to a Laurent series with tracked order.
 
-    A tree more than ``dsl.MAX_DEPTH`` levels deep raises ValueError, and so
-    does an order that :func:`check_order` rejects.
+    A tree whose root records a ``depth`` past ``dsl.MAX_DEPTH`` raises
+    ValueError, and so does an order that :func:`check_order` rejects.
     """
     check_order(order)
     check_depth(e)

@@ -29,11 +29,11 @@ of a ``--json`` report is written by it too, as a JSON number.
 
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
-for a file, the line number.  A file line without exactly one ``=``, or
-with a power past the bound, names its line too.  A bad file line does not
-stop the batch: its error goes to stderr, every other line is still
-reported, and the exit code is the worst over all lines, in the order
-3 > 2 > 1 > 0.
+for a file, the line number.  A file line without exactly one ``=``, with
+a power past the bound, or that is not UTF-8, names its line too.  A bad
+file line does not stop the batch: its error goes to stderr, every other
+line is still reported, and the exit code is the worst over all lines, in
+the order 3 > 2 > 1 > 0.  :func:`_failure` classes lines and commands alike.
 
 A command imports only what it uses.  This module loads only
 :mod:`.series`.  ``list``, ``verify``, ``verify-all`` and ``expand`` import
@@ -279,6 +279,21 @@ class _Unparsable(Exception):
     """A ``dsl.ParseError``, with its message, under a class :func:`main` can name."""
 
 
+# PowerTooLarge and UnicodeDecodeError are ValueErrors, so _failure tests these first
+_USAGE_ERRORS = (_Usage, _Unparsable, PowerTooLarge, OSError, UnicodeDecodeError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code of a failure, and the prefix of its stderr line."""
+    if isinstance(exc, _USAGE_ERRORS):
+        return EXIT_USAGE, "parse error" if isinstance(exc, _Unparsable) else "error"
+    if isinstance(exc, (SeriesError, ValueError)):
+        # field.FieldError and modular.ModularError are ValueErrors
+        return EXIT_INTERNAL, "internal precondition violation"
+    # exit 1 means "falsified", so no other failure may leave with it
+    return EXIT_INTERNAL, f"internal error: {type(exc).__name__}"
+
+
 def _cmd_list(args) -> int:
     from . import catalog
 
@@ -335,17 +350,19 @@ def _cmd_verify(args) -> int:
     elif args.expr:
         reports.append(catalog.verify_sides("user", *_split_identity(args.expr), order))
     else:
-        with open(args.expr_file, "r", encoding="utf-8") as fh:
+        # bytes that are not UTF-8 are kept as surrogates, so that only their line fails
+        with open(args.expr_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for i, line in enumerate(fh, start=1):
                 if not line.strip() or line.lstrip().startswith("#"):
                     continue
                 try:
-                    lhs, rhs = _split_identity(line.rstrip("\n"))
+                    text = line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    lhs, rhs = _split_identity(text.rstrip("\n"))
                     reports.append(catalog.verify_sides(f"line-{i}", lhs, rhs, order))
-                except (_Unparsable, _Usage, PowerTooLarge) as exc:
-                    kind = "parse error" if isinstance(exc, _Unparsable) else "error"
-                    print(f"{kind}: line {i}: {exc}", file=sys.stderr)
-                    worst = EXIT_USAGE
+                except _USAGE_ERRORS as exc:
+                    code, prefix = _failure(exc)
+                    print(f"{prefix}: line {i}: {exc}", file=sys.stderr)
+                    worst = max(worst, code)
     return max(worst, _finish(args, [_verify_report(r) for r in reports]))
 
 
@@ -426,25 +443,10 @@ def main(argv: list | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (_Usage, PowerTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _Unparsable as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        # an unreadable input file; UnicodeDecodeError is a ValueError, so it
-        # must be caught before the precondition handler below
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SeriesError, ValueError) as exc:
-        # field.FieldError and modular.ModularError are ValueErrors
-        print(f"internal precondition violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
-        # exit 1 means "falsified", so no other failure may leave with it
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

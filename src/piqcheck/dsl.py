@@ -22,11 +22,12 @@ q-power widens the window of a sum as far as an order does, so |4r| is
 bounded by ``series.MAX_ORDER``: a larger one is a :class:`ParseError` at
 its exponent, and a ValueError from the :class:`QPow` constructor.
 
-An expression tree more than :data:`MAX_DEPTH` levels deep, or with brackets
-and ``sqrt`` calls nested deeper than that, raises :class:`ParseError` at
-the operator or bracket that goes past the limit.  A deeper tree built
-through the API is refused with ValueError by :func:`to_text` and by
-``catalog.evaluate``, which measure it with :func:`check_depth`.
+Each node records the depth of its tree when it is built: a leaf is 1
+level deep, any other node one more than its deepest child.  A tree more
+than :data:`MAX_DEPTH` levels deep, or with brackets and ``sqrt`` calls
+nested deeper than that, raises :class:`ParseError` at the operator or
+bracket that goes past the limit.  A deeper tree built through the API is
+refused with ValueError by :func:`to_text` and by ``catalog.evaluate``.
 
 Parse failures raise :class:`ParseError` carrying the byte offset into the
 UTF-8 encoding of the input and the set of token descriptions that were
@@ -65,7 +66,7 @@ The catalog's trees are at most 8 deep.  Evaluating and printing a tree
 recurse once or twice per level and parsing a bracket four or five times,
 so the limit keeps every such walk well inside the interpreter's
 recursion limit.  :func:`check_depth` enforces it on trees built through
-the API before they are evaluated or printed.
+the API, before they are evaluated or printed, from the root's ``depth``.
 """
 
 
@@ -99,6 +100,14 @@ class Expr:
     """Base class for identity expression nodes."""
 
     __slots__ = ()
+    # class data, not dataclass fields, so equality, hash and repr ignore both
+    depth = 1  # levels of the node's tree, set by each node with children
+    level = 4  # print precedence: 1 for + and -, 2 for * and /, 3 for ^, 4 for an atom
+
+    def _set_depth(self, *children) -> None:
+        """One more than the deepest child; a child that is not a node is a leaf."""
+        depth = 1 + max(c.depth if isinstance(c, Expr) else 1 for c in children)
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -170,21 +179,28 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
+    def __post_init__(self) -> None:
+        self._set_depth(self.left, self.right)
+
 
 class Add(Binary):
     symbol = "+"
+    level = 1
 
 
 class Sub(Binary):
     symbol = "-"
+    level = 1
 
 
 class Mul(Binary):
     symbol = "*"
+    level = 2
 
 
 class Div(Binary):
     symbol = "/"
+    level = 2
 
 
 @dataclass(frozen=True)
@@ -192,14 +208,20 @@ class PowInt(Expr):
     base: Expr
     exponent: int
 
+    level = 3
+
     def __post_init__(self) -> None:
         if not isinstance(self.exponent, int):
             raise ValueError("power exponent must be an integer")
+        self._set_depth(self.base)
 
 
 @dataclass(frozen=True)
 class Sqrt(Expr):
     arg: Expr
+
+    def __post_init__(self) -> None:
+        self._set_depth(self.arg)
 
 
 # ----------------------------------------------------------------------
@@ -283,11 +305,10 @@ class _Parser:
             )
         return self._advance()
 
-    def _checked(self, depth: int, tok: _Token) -> int:
-        """depth, or a ParseError at tok when it exceeds MAX_DEPTH."""
+    def _checked(self, depth: int, tok: _Token) -> None:
+        """A ParseError at tok when depth exceeds MAX_DEPTH."""
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self._offset(tok))
-        return depth
 
     def _open(self) -> None:
         """Consume '(', one nesting level deeper."""
@@ -301,10 +322,10 @@ class _Parser:
             return "end of input"
         return f"token {tok.text!r}"
 
-    # -- grammar: each rule returns (node, depth of the node's tree) ----
+    # -- grammar ---------------------------------------------------------
 
     def parse(self) -> Expr:
-        e, _ = self.expr()
+        e = self.expr()
         if self.current.kind != "end":
             raise ParseError(
                 f"unexpected {self._describe(self.current)}",
@@ -313,41 +334,40 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        node, depth = self.term()
+    def expr(self) -> Expr:
+        node = self.term()
         while self.current.kind in ("+", "-"):
             op = self._advance()
-            rhs, rdepth = self.term()
-            node = _INFIX[op.kind](node, rhs)
-            depth = self._checked(max(depth, rdepth) + 1, op)
-        return node, depth
+            node = _INFIX[op.kind](node, self.term())
+            self._checked(node.depth, op)
+        return node
 
-    def term(self) -> tuple[Expr, int]:
-        node, depth = self.factor()
+    def term(self) -> Expr:
+        node = self.factor()
         while self.current.kind in ("*", "/"):
             op = self._advance()
-            rhs, rdepth = self.factor()
-            node = _INFIX[op.kind](node, rhs)
-            depth = self._checked(max(depth, rdepth) + 1, op)
-        return node, depth
+            node = _INFIX[op.kind](node, self.factor())
+            self._checked(node.depth, op)
+        return node
 
-    def factor(self) -> tuple[Expr, int]:
-        node, depth = self.atom()
+    def factor(self) -> Expr:
+        node = self.atom()
         op = self._accept("^")
         if op:
             if self._at_negative():
                 exponent = -self._negative(self._integer)
             else:
                 exponent = self._integer()
-            node, depth = PowInt(node, exponent), self._checked(depth + 1, op)
-        return node, depth
+            node = PowInt(node, exponent)
+            self._checked(node.depth, op)
+        return node
 
-    def atom(self) -> tuple[Expr, int]:
+    def atom(self) -> Expr:
         tok = self.current
         if tok.kind == "int":
-            return Const(self._rational()), 1
+            return Const(self._rational())
         if self._at_negative():
-            return Const(-self._negative(self._rational)), 1
+            return Const(-self._negative(self._rational))
         if tok.kind == "(":
             self._open()
             inner = self.expr()
@@ -356,11 +376,11 @@ class _Parser:
             return inner
         if tok.kind == "name":
             if tok.text in _BUILDERS:
-                return self._builder_call(tok.text), 1
+                return self._builder_call(tok.text)
             if tok.text == "sqrt":
                 return self._sqrt_call()
             if tok.text == "q":
-                return self._qpower(), 1
+                return self._qpower()
             raise ParseError(
                 f"unknown name {tok.text!r}",
                 self._offset(),
@@ -424,17 +444,19 @@ class _Parser:
             return k
         return 1
 
-    def _sqrt_call(self) -> tuple[Expr, int]:
+    def _sqrt_call(self) -> Expr:
         name = self._advance()  # sqrt
         self._open()
         if self.current.kind == ")":
             raise ArityError("sqrt requires exactly one argument", self._offset())
-        inner, depth = self.expr()
+        inner = self.expr()
         if self.current.kind == ",":
             raise ArityError("sqrt takes exactly one argument", self._offset())
         self._expect(")", frozenset({"')'"}))
         self.nesting -= 1
-        return Sqrt(inner), self._checked(depth + 1, name)
+        node = Sqrt(inner)
+        self._checked(node.depth, name)
+        return node
 
     def _qpower(self) -> Expr:
         self._advance()  # q
@@ -464,51 +486,25 @@ def parse(text: str) -> Expr:
 # tree depth
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    match e:
-        case Binary(left, right):
-            return left, right
-        case PowInt(inner) | Sqrt(inner):
-            return (inner,)
-    return ()
-
-
 def check_depth(e: Expr) -> None:
     """Raise ValueError when the tree of e is more than MAX_DEPTH levels deep.
 
-    A leaf is one level deep, as in :func:`parse`.  The walk keeps its own
-    stack, so a tree of any depth is measured without recursion.
+    A leaf is one level deep, as in :func:`parse`.  It reads the depth the
+    root recorded when it was built, so no tree is walked.
     """
-    stack = [(e, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ValueError(f"expression tree deeper than MAX_DEPTH = {MAX_DEPTH} levels")
-        stack.extend((child, depth + 1) for child in _children(node))
+    if getattr(e, "depth", 1) > MAX_DEPTH:
+        raise ValueError(f"expression tree deeper than MAX_DEPTH = {MAX_DEPTH} levels")
 
 
 # ----------------------------------------------------------------------
 # printer
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4
-
-
-def _level(e: Expr) -> int:
-    match e:
-        case Add() | Sub():
-            return _LEVEL_ADD
-        case Mul() | Div():
-            return _LEVEL_MUL
-        case PowInt():
-            return _LEVEL_POW
-    return _LEVEL_ATOM
+_LEVEL_ADD, _LEVEL_ATOM = Add.level, Expr.level
 
 
 def _render(e: Expr, min_level: int) -> str:
     text = _render_raw(e)
-    if _level(e) < min_level:
-        return f"({text})"
-    return text
+    return f"({text})" if e.level < min_level else text
 
 
 def _joins_slash(e: Expr) -> bool:
@@ -532,11 +528,10 @@ def _render_raw(e: Expr) -> str:
         case Const(value):
             return f"({exact_str(value)})" if value < 0 else exact_str(value)
         case Binary(left, right):
-            level = _level(e)
-            operand = _render(right, level + 1)
+            operand = _render(right, e.level + 1)
             if isinstance(e, Div) and operand[0].isdigit() and _joins_slash(left):
                 operand = f"({operand})"
-            return f"{_render(left, level)} {e.symbol} {operand}"
+            return f"{_render(left, e.level)} {e.symbol} {operand}"
         case PowInt(base, exponent):
             exponent = f"({exact_str(exponent)})" if exponent < 0 else exact_str(exponent)
             return f"{_render(base, _LEVEL_ATOM)}^{exponent}"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck import catalog, cli
+from piqcheck.series import PowerTooLarge, SeriesError
 
 
 def run(capsys, *argv):
@@ -135,6 +136,36 @@ def test_expr_file_bad_line_does_not_abort_the_batch(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--expr-file", str(path), "--order", "64", "--json")
     assert code == cli.EXIT_USAGE
     assert [json.loads(line)["id"] for line in out.splitlines()] == ["line-1"]
+
+
+def test_expr_file_undecodable_line_does_not_abort_the_batch(tmp_path, capsys):
+    path = tmp_path / "identities.txt"
+    # a comment is skipped before it is decoded, and a CRLF line still ends at its newline
+    path.write_bytes(b"Pi(q) = Pi(q)\r\n\xff\xfe = 1\n# caf\xe9\nPi(q^2) = Pi(q^2)\n")
+    code, out, err = run(capsys, "verify", "--expr-file", str(path), "--order", "16")
+    assert code == cli.EXIT_USAGE
+    assert out == "line-1 verified order=16 valid_order=17\nline-4 verified order=16 valid_order=18\n"
+    assert err == (
+        "error: line 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, failure",
+    [
+        (cli._Usage("x"), (cli.EXIT_USAGE, "error")),
+        (cli._Unparsable("x"), (cli.EXIT_USAGE, "parse error")),
+        (PowerTooLarge("x"), (cli.EXIT_USAGE, "error")),
+        (OSError("x"), (cli.EXIT_USAGE, "error")),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x"), (cli.EXIT_USAGE, "error")),
+        (SeriesError("x"), (cli.EXIT_INTERNAL, "internal precondition violation")),
+        (ValueError("x"), (cli.EXIT_INTERNAL, "internal precondition violation")),
+        (RuntimeError("x"), (cli.EXIT_INTERNAL, "internal error: RuntimeError")),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_one_failure_table_for_lines_and_commands(exc, failure):
+    assert cli._failure(exc) == failure
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """DSL grammar: parsing, printing, round-trips, error offsets."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -205,6 +206,48 @@ _trees = st.recursive(
 @given(_trees)
 def test_parse_inverts_to_text(tree):
     assert parse(to_text(tree)) == tree
+
+
+def _walked_depth(e):
+    """The depth of e's tree by a walk over its children, a leaf being 1."""
+    kids = [getattr(e, a) for a in ("left", "right", "base", "arg") if hasattr(e, a)]
+    return 1 + max(map(_walked_depth, kids), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_each_node_records_the_depth_of_its_tree(tree):
+    assert tree.depth == _walked_depth(tree)
+    assert parse(to_text(tree)).depth == _walked_depth(tree)
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (Pi, ["k"]), (Psi, ["k"]), (Phi, ["k"]), (QPow, ["r"]), (Const, ["value"]),
+        (Add, ["left", "right"]), (Sub, ["left", "right"]),
+        (Mul, ["left", "right"]), (Div, ["left", "right"]),
+        (PowInt, ["base", "exponent"]), (Sqrt, ["arg"]),
+    ],
+)
+def test_depth_and_level_are_not_dataclass_fields(cls, names):
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    assert not {"depth", "level"} & set(cls.__dataclass_fields__)
+
+
+def test_depth_leaves_repr_equality_and_hash_alone():
+    deep, shallow = Sqrt(Sqrt(Pi(1))), Sqrt(Pi(1))
+    assert (deep.depth, shallow.depth) == (3, 2)
+    assert repr(PowInt(Pi(2), 3)) == "PowInt(base=Pi(k=2), exponent=3)"
+    assert Add(Pi(1), Pi(2)) == parse("Pi(q) + Pi(q^2)")
+    assert hash(Add(Pi(1), Pi(2))) == hash(parse("Pi(q) + Pi(q^2)"))
+
+
+def test_a_child_that_is_not_a_node_counts_as_a_leaf():
+    tree = Add(Const(1), 5)
+    assert tree.depth == 2 and Sqrt(tree).depth == 3
+    with pytest.raises(TypeError, match="not an expression node"):
+        catalog.evaluate(tree, 16)
 
 
 @pytest.mark.parametrize(
