@@ -34,6 +34,15 @@ coefficient for coefficient.  Degrees stay small (32 at most in the modular
 goals), so dense lists and quadratic loops are adequate.  A polynomial is
 written by ``series.terms_str`` and its repr by ``series.exact_repr``, as a
 series is; rational functions and extension elements print their polynomials.
+
+Each layer writes only what is its own: ``_lift`` (an int, a Fraction or an
+element of a lower layer into this one, else None; ``QuadExt`` raises), ``+``,
+unary ``-``, ``*``, ``/``, powers and printing.  The private base ``_Ring``
+derives the rest once: ``x - y`` as ``x + (-lift(y))``, ``c - x`` as
+``(-x) + c``, and reflected ``+`` and ``*`` as the forward operator, since
+both commute; ``_Field`` adds ``c / x`` as ``lift(c) / x`` for ``RatFunc`` and
+``QuadExt``.  Powers stay per layer: ``RatFunc`` raises numerator and
+denominator apart, so a power takes one gcd, not one per step.
 """
 
 from __future__ import annotations
@@ -128,8 +137,43 @@ def _zz_mul(a, b) -> list[int]:
     return out
 
 
+class _Ring:
+    """``-`` and reflected ``+ * -``, from a layer's ``_lift``, ``+``, unary ``-`` and ``*``."""
+
+    __slots__ = ()
+
+    # the forward method, not the operator: an operand neither side takes
+    # then gets Python's TypeError with the operands in their written order
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class _Field(_Ring):
+    """``c / x`` as ``lift(c) / x``, for the layers that have ``/``."""
+
+    __slots__ = ()
+
+    def __rtruediv__(self, other):
+        lhs = self._lift(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs / self
+
+
 @dataclass(frozen=True, init=False, repr=False)
-class Poly:
+class Poly(_Ring):
     """Dense polynomial sum(coeffs[i] * m^i), stored as _nums[i] / _den.
 
     ``Poly(coeffs)`` accepts ints, Fractions and anything else ``Fraction``
@@ -212,19 +256,8 @@ class Poly:
             a, b = b, a
         return Poly._build([*map(add, a, b), *b[len(a) :]], den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> Poly:
         return Poly._build([-x for x in self._nums], self._den)
-
-    def __sub__(self, other) -> Poly:
-        rhs = Poly._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> Poly:
-        return (-self) + other
 
     def __mul__(self, other) -> Poly:
         rhs = Poly._lift(other)
@@ -233,8 +266,6 @@ class Poly:
         if self.is_zero or rhs.is_zero:
             return _ZERO
         return Poly._build(_zz_mul(self._nums, rhs._nums), self._den * rhs._den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> Poly:
         if not isinstance(e, int) or e < 0:
@@ -278,7 +309,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 @dataclass(frozen=True)
-class RatFunc:
+class RatFunc(_Field):
     """Canonical quotient of polynomials: gcd-reduced, monic denominator."""
 
     num: Poly
@@ -333,27 +364,14 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> RatFunc:
         return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> RatFunc:
-        rhs = RatFunc._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> RatFunc:
-        return (-self) + other
 
     def __mul__(self, other) -> RatFunc:
         rhs = RatFunc._lift(other)
         if rhs is None:
             return NotImplemented
         return RatFunc(self.num * rhs.num, self.den * rhs.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> RatFunc:
         rhs = RatFunc._lift(other)
@@ -362,12 +380,6 @@ class RatFunc:
         if rhs.is_zero:
             raise DivisionByZeroRatFunc("division by the zero rational function")
         return RatFunc(self.num * rhs.den, self.den * rhs.num)
-
-    def __rtruediv__(self, other) -> RatFunc:
-        lhs = RatFunc._lift(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
 
     def __pow__(self, e: int) -> RatFunc:
         if not isinstance(e, int):
@@ -387,7 +399,7 @@ RF_ONE = RatFunc.of(1)
 
 
 @dataclass(frozen=True)
-class QuadExt:
+class QuadExt(_Field):
     """Element a + b*s of the quadratic extension with s^2 = u.
 
     Elements over different moduli cannot be combined; the product rule
@@ -417,7 +429,7 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b.is_zero
 
-    def _join(self, other) -> QuadExt:
+    def _lift(self, other) -> QuadExt:
         if isinstance(other, QuadExt):
             if other.u != self.u:
                 raise ModulusMismatch(
@@ -430,29 +442,19 @@ class QuadExt:
         return QuadExt(r, RF_ZERO, self.u)
 
     def __add__(self, other) -> QuadExt:
-        rhs = self._join(other)
+        rhs = self._lift(other)
         return QuadExt(self.a + rhs.a, self.b + rhs.b, self.u)
-
-    __radd__ = __add__
 
     def __neg__(self) -> QuadExt:
         return QuadExt(-self.a, -self.b, self.u)
 
-    def __sub__(self, other) -> QuadExt:
-        return self + (-self._join(other))
-
-    def __rsub__(self, other) -> QuadExt:
-        return (-self) + other
-
     def __mul__(self, other) -> QuadExt:
-        rhs = self._join(other)
+        rhs = self._lift(other)
         return QuadExt(
             self.a * rhs.a + self.b * rhs.b * self.u,
             self.a * rhs.b + self.b * rhs.a,
             self.u,
         )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> QuadExt:
         return QuadExt(self.a, -self.b, self.u)
@@ -468,10 +470,7 @@ class QuadExt:
         return QuadExt(self.a / n, -self.b / n, self.u)
 
     def __truediv__(self, other) -> QuadExt:
-        return self * self._join(other).inverse()
-
-    def __rtruediv__(self, other) -> QuadExt:
-        return self._join(other) / self
+        return self * self._lift(other).inverse()
 
     def __pow__(self, e: int) -> QuadExt:
         if not isinstance(e, int):

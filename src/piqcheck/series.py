@@ -385,8 +385,6 @@ class LaurentSeries:
 
     @staticmethod
     def constant(value, order: int) -> LaurentSeries:
-        if order <= 0:
-            return LaurentSeries.zero(order)
         return LaurentSeries.monomial(0, order, value)
 
     @staticmethod
@@ -533,11 +531,11 @@ class LaurentSeries:
         return lhs._combine(self, -1)
 
     def __mul__(self, other) -> LaurentSeries:
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if self.is_zero or rhs.is_zero:
             return LaurentSeries.zero(
                 min(self.order + rhs.valuation, rhs.order + self.valuation)
@@ -567,13 +565,13 @@ class LaurentSeries:
         return LaurentSeries._build(self.valuation, self.order, self._g, nums, self._den * c.denominator)
 
     def __truediv__(self, other) -> LaurentSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZeroSeries("division by the zero constant")
             return self.scale(Fraction(1) / Fraction(other))
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
         if rhs.is_zero:
             raise DivisionByZeroSeries(
                 f"divisor is zero up to its tracked order t^{exact_str(rhs.order)}"

@@ -191,6 +191,61 @@ def test_zero_norm_inverse_rejected():
 
 
 # ----------------------------------------------------------------------
+# mixed operands: the operators derived once for every layer
+
+R = RatFunc.of(M + 1, M - 2)
+X = 3 + QuadExt.root(U5) * R
+D5 = "(m^5 + 2*m^3 - m^2 + 41*m - 36)"
+
+
+@pytest.mark.parametrize(
+    "expr, kind, text",
+    [
+        ("M - R", RatFunc, "(m^2 - 3*m - 1) / (m - 2)"),
+        ("R - M", RatFunc, "(-m^2 + 3*m + 1) / (m - 2)"),
+        ("1 - M", Poly, "-m + 1"),
+        ("Fraction(1, 2) - R", RatFunc, "(-1/2*m - 2) / (m - 2)"),
+        ("2 / R", RatFunc, "(2*m - 4) / (m + 1)"),
+        ("M / R", RatFunc, "(m^2 - 2*m) / (m + 1)"),
+        ("R - X", QuadExt, "((-2*m + 7) / (m - 2)) + ((-m - 1) / (m - 2)) * s"),
+        ("1 / X", QuadExt, f"((-3*m^2 + 12*m - 12) / {D5}) + ((m^2 - m - 2) / {D5}) * s"),
+        ("M * X", QuadExt, "(3*m) + ((m^2 + m) / (m - 2)) * s"),
+        ("R / X", QuadExt, f"((-3*m^2 + 3*m + 6) / {D5}) + ((m^2 + 2*m + 1) / {D5}) * s"),
+    ],
+)
+def test_mixed_operand_results(expr, kind, text):
+    result = eval(expr)
+    assert type(result) is kind
+    assert str(result) == text
+    if kind is QuadExt:
+        assert result.u == U5
+
+
+@pytest.mark.parametrize(
+    "expr, exc, message",
+    [
+        ("2 / M", TypeError, "unsupported operand type(s) for /: 'int' and 'Poly'"),
+        ("M / 2", TypeError, "unsupported operand type(s) for /: 'Poly' and 'int'"),
+        ('M - "a"', TypeError, "unsupported operand type(s) for -: 'Poly' and 'str'"),
+        ('X - "a"', TypeError, "cannot combine QuadExt with str"),
+        ("M - 0.5", TypeError, "unsupported operand type(s) for -: 'Poly' and 'float'"),
+        ("R * 0.5", TypeError, "unsupported operand type(s) for *: 'RatFunc' and 'float'"),
+        ("X * 0.5", TypeError, "cannot combine QuadExt with float"),
+        ("0.5 + M", TypeError, "unsupported operand type(s) for +: 'float' and 'Poly'"),
+        ("0.5 / R", TypeError, "unsupported operand type(s) for /: 'float' and 'RatFunc'"),
+        ('"a" / X', TypeError, "cannot combine QuadExt with str"),
+        ("R / 0", DivisionByZeroRatFunc, "division by the zero rational function"),
+        ("X - QuadExt.root(U3)", ModulusMismatch, "cannot combine extensions with moduli"),
+    ],
+)
+def test_mixed_operand_errors(expr, exc, message):
+    with pytest.raises(exc) as info:
+        eval(expr)
+    assert type(info.value) is exc
+    assert str(info.value).startswith(message)
+
+
+# ----------------------------------------------------------------------
 # randomized field / ring properties
 
 small_fraction = st.builds(
@@ -255,3 +310,22 @@ def test_quadext_conjugation_kills_root_component(x):
 @given(quadexts().filter(lambda x: not x.norm().is_zero))
 def test_quadext_inverse(x):
     assert quadext_equal(x * x.inverse(), QuadExt.scalar(1, U3))
+
+
+# every layer with int and Fraction operands on either side
+scalars = st.one_of(st.integers(min_value=-9, max_value=9), small_fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, st.one_of(polys, ratfuncs(), quadexts()))
+def test_reflected_operators_agree_with_forward_ones(c, x):
+    assert c + x == x + c
+    assert c * x == x * c
+    assert c - x == -(x - c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, st.one_of(nonzero_ratfuncs, quadexts().filter(lambda x: not x.norm().is_zero)))
+def test_scalar_over_element_is_lifted_quotient(c, x):
+    lifted = RatFunc.of(c) if isinstance(x, RatFunc) else QuadExt.scalar(c, x.u)
+    assert c / x == lifted / x

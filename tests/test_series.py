@@ -91,6 +91,19 @@ def test_floats_rejected_at_every_constructor():
     assert LaurentSeries.constant("1/10", 4).coefficient(0) == Fraction(1, 10)
 
 
+def test_int_and_fraction_operands_scale():
+    a = S(-1, [2, Fraction(1, 3), 0, 4], 3)
+    assert a * 3 == 3 * a == a.scale(3)
+    assert a / Fraction(2, 3) == a.scale(Fraction(3, 2))
+    for zero in (0, Fraction(0)):
+        with pytest.raises(DivisionByZeroSeries, match="^division by the zero constant$"):
+            a / zero
+    # a constant is the monomial at t^0, so it is zero-to-order when order <= 0
+    for order in (-3, 0, 2):
+        assert LaurentSeries.constant(5, order) == LaurentSeries.monomial(0, order, 5)
+    assert LaurentSeries.constant(5, 0) == LaurentSeries.zero(0)
+
+
 # ----------------------------------------------------------------------
 # multiplication
 
