@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import theta
@@ -54,6 +53,7 @@ from .series import (
     InsufficientPrecision,
     LaurentSeries,
     SeriesError,
+    _Frozen,
     check_order,
 )
 
@@ -128,8 +128,7 @@ def evaluate(e: Expr, order: int) -> LaurentSeries:
 # registry
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(_Frozen):
     """A registered identity: two expression trees plus catalog labelling."""
 
     id: str
@@ -147,15 +146,13 @@ class IdentityRecord:
         return to_text(self.rhs)
 
 
-@dataclass(frozen=True)
-class FirstFailure:
+class FirstFailure(_Frozen):
     exponent: int
     lhs: Fraction
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Frozen):
     """Outcome of comparing the two sides of an identity as series."""
 
     id: str

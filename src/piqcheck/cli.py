@@ -59,7 +59,6 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .series import (
     DEFAULT_ORDER,
@@ -71,6 +70,9 @@ from .series import (
     exact_str,
 )
 
+# typing's own constant, spelled here so that no command imports typing;
+# type checkers read a module-level TYPE_CHECKING = False the same way
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .catalog import VerifyReport
     from .dsl import Expr

@@ -41,7 +41,8 @@ with ``series.exact_str``; ``parse(to_text(e))`` reproduces ``e`` node for
 node, unless a number of e has more digits than the int string limit: that
 text prints, and parse refuses it as above.
 
-The nodes are frozen dataclasses: :class:`Builder` (``Pi``, ``Psi``,
+The nodes are frozen values (``series._Frozen``, whose fields are the
+annotations of each class body): :class:`Builder` (``Pi``, ``Psi``,
 ``Phi``), :class:`QPow`, :class:`Const`, :class:`Binary` (``Add``, ``Sub``,
 ``Mul``, ``Div``), :class:`PowInt` and :class:`Sqrt`.  A subclass adds no
 field, so it is a plain subclass of its base and only spells itself
@@ -53,11 +54,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
-from .series import MAX_ORDER, exact_str
+from .series import MAX_ORDER, _Frozen, exact_str
 
 MAX_DEPTH = 100
 """Deepest expression tree, and deepest nesting of brackets, that parse accepts.
@@ -96,11 +95,11 @@ class QPowNotQuarterIntegral(ParseError):
 # expression nodes
 
 
-class Expr:
+class Expr(_Frozen):
     """Base class for identity expression nodes."""
 
     __slots__ = ()
-    # class data, not dataclass fields, so equality, hash and repr ignore both
+    # class data, not annotated fields, so equality, hash and repr ignore both
     depth = 1  # levels of the node's tree, set by each node with children
     level = 4  # print precedence: 1 for + and -, 2 for * and /, 3 for ^, 4 for an atom
 
@@ -110,13 +109,10 @@ class Expr:
         object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
 class Builder(Expr):
     """A theta builder at q^k; ``name`` is how the DSL spells it."""
 
     k: int
-
-    name: ClassVar[str]
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
@@ -144,7 +140,6 @@ class Phi(Builder):
 _QPOW_RANGE = f"q-power exponent out of range: |4r| must be at most {MAX_ORDER}"
 
 
-@dataclass(frozen=True)
 class QPow(Expr):
     """q^r with 4r integral, i.e. the monomial t^(4r)."""
 
@@ -164,7 +159,6 @@ class QPow(Expr):
         return int(4 * self.r)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     value: Fraction
 
@@ -172,7 +166,6 @@ class Const(Expr):
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
     """An infix operation; each subclass spells its operator as ``symbol``."""
 
@@ -203,7 +196,6 @@ class Div(Binary):
     level = 2
 
 
-@dataclass(frozen=True)
 class PowInt(Expr):
     base: Expr
     exponent: int
@@ -216,7 +208,6 @@ class PowInt(Expr):
         self._set_depth(self.base)
 
 
-@dataclass(frozen=True)
 class Sqrt(Expr):
     arg: Expr
 
@@ -232,8 +223,7 @@ _BUILDERS = {cls.name: cls for cls in (Pi, Psi, Phi)}
 _INFIX = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Frozen):
     kind: str       # 'int' | 'name' | one of _SYMBOLS | 'end'
     text: str
     pos: int        # character position; converted to bytes when reporting

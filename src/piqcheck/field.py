@@ -39,21 +39,20 @@ Each layer writes only what is its own: ``_lift`` (an int, a Fraction or an
 element of a lower layer into this one, else None; ``QuadExt`` raises), ``+``,
 unary ``-``, ``*``, ``/``, powers and printing.  The private base ``_Ring``
 derives the rest once: ``x - y`` as ``x + (-lift(y))``, ``c - x`` as
-``(-x) + c``, and reflected ``+`` and ``*`` as the forward operator, since
-both commute; ``_Field`` adds ``c / x`` as ``lift(c) / x`` for ``RatFunc`` and
-``QuadExt``.  Powers stay per layer: ``RatFunc`` raises numerator and
+``lift(c) + (-x)``, and reflected ``+`` and ``*`` as the forward operator,
+since both commute; ``_Field`` adds ``c / x`` as ``lift(c) / x`` for
+``RatFunc`` and ``QuadExt``.  Powers stay per layer: ``RatFunc`` raises numerator and
 denominator apart, so a power takes one gcd, not one per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .series import _frac, _power, _scaled_ints, exact_repr, terms_str
+from .series import _frac, _Frozen, _power, _scaled_ints, exact_repr, terms_str
 
 
 class FieldError(ValueError):
@@ -157,7 +156,10 @@ class _Ring:
         return self + (-rhs)
 
     def __rsub__(self, other):
-        return (-self) + other
+        lhs = self._lift(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs + (-self)
 
 
 class _Field(_Ring):
@@ -172,8 +174,7 @@ class _Field(_Ring):
         return lhs / self
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Poly(_Ring):
+class Poly(_Ring, _Frozen):
     """Dense polynomial sum(coeffs[i] * m^i), stored as _nums[i] / _den.
 
     ``Poly(coeffs)`` accepts ints, Fractions and anything else ``Fraction``
@@ -308,8 +309,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly._build(g, g[-1])
 
 
-@dataclass(frozen=True)
-class RatFunc(_Field):
+class RatFunc(_Field, _Frozen):
     """Canonical quotient of polynomials: gcd-reduced, monic denominator."""
 
     num: Poly
@@ -398,8 +398,7 @@ RF_ZERO = RatFunc.of(0)
 RF_ONE = RatFunc.of(1)
 
 
-@dataclass(frozen=True)
-class QuadExt(_Field):
+class QuadExt(_Field, _Frozen):
     """Element a + b*s of the quadratic extension with s^2 = u.
 
     Elements over different moduli cannot be combined; the product rule

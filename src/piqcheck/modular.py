@@ -36,21 +36,19 @@ bridge, not only the table.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import theta
 from .field import M, Poly, QuadExt, RatFunc, quadext_equal
-from .series import InsufficientPrecision, LaurentSeries, check_order
+from .series import InsufficientPrecision, LaurentSeries, _Frozen, check_order
 
 
 class ModularError(ValueError):
     """A parametrization atom failed its power-back-substitution check."""
 
 
-@dataclass(frozen=True)
-class ParamTable:
+class ParamTable(_Frozen):
     """Validated atoms of one degree over s^2 = u, with its goals and references.
 
     ``atoms`` maps each name that ``_atoms3``/``_atoms5`` return to its value
@@ -59,7 +57,11 @@ class ParamTable:
 
     degree: int
     u: RatFunc
-    atoms: dict[str, QuadExt] = field(hash=False)
+    atoms: dict[str, QuadExt]
+
+    def __hash__(self) -> int:
+        # atoms, a dict, takes part in == only; equal tables have equal degree and u
+        return hash((self.degree, self.u))
 
     def __getattr__(self, name: str) -> QuadExt:
         # called only for names that are not fields, methods or cached values
@@ -206,8 +208,7 @@ def build_table5() -> ParamTable:
 # proof goals
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(_Frozen):
     """Outcome of one equation goal replayed as a canonical-form computation."""
 
     eq_id: str
@@ -407,8 +408,7 @@ def prove_all(degree: int) -> list[ProofReport]:
 # series bridge
 
 
-@dataclass(frozen=True)
-class ParamCheck:
+class ParamCheck(_Frozen):
     """One atom evaluated at series, compared with its theta series."""
 
     name: str
@@ -416,13 +416,12 @@ class ParamCheck:
     first_failure_exponent: int | None = None
 
 
-@dataclass(frozen=True)
-class ParamSeriesReport:
+class ParamSeriesReport(_Frozen):
     """Outcome of the series-level cross-validation of one parametrization."""
 
     degree: int
     order: int
-    checks: tuple[ParamCheck, ...] = field(default_factory=tuple)
+    checks: tuple[ParamCheck, ...] = ()
     elapsed: float = 0.0
 
     @property

@@ -50,9 +50,11 @@ catalog's series, which in t live on lattices of step 4 or 8, that makes the
 quadratic recurrences 16 to 64 times shorter.
 
   * Product: a factor with a single term c * t^e / d scales the other
-    factor's numerators by c.  Otherwise both lattice lists, cut to the
-    result window, are multiplied as one big integer each (Kronecker
-    substitution, see :func:`_packed_mul`).
+    factor's numerators by c.  Both factors are in lowest terms, so the
+    result shares gcd(c, den) * gcd(d, nums) with its denominator and no
+    gcd runs over the scaled numerators; the square of c / d needs none.
+    Otherwise both lattice lists, cut to the result window, are multiplied
+    as one big integer each (Kronecker substitution, see :func:`_packed_mul`).
   * Quotient: long division by the leading integer b0.  The divisor stays
     on its own lattice, r = g_b / step quotient steps apart, so step k
     sums b[j] * quot[k - j*r] over the divisor's stored terms only; a
@@ -74,17 +76,23 @@ writes a sum of terms for series and, through ``field.Poly``, polynomials.
 
 All values are immutable after construction and all operations are pure
 functions, so series may be shared freely across threads or tasks.
+
+Every immutable value class of the package (series, polynomials, rational
+functions, expression nodes and reports) derives from the private base
+``_Frozen``: its fields are the annotations of its class body, and the base
+derives the constructor, equality, hash, repr and ``__match_args__`` from
+them with plain methods, so loading a module generates no code.  It lives
+here because every command loads this module.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, isqrt, lcm
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 _ZERO = Fraction(0)
 
@@ -321,8 +329,93 @@ def _canonical(valuation: int, order: int, step: int, vals, den: int) -> tuple:
     return valuation + first * step, order, r * step, tuple(nums), den
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class LaurentSeries:
+class _Frozen:
+    """An immutable value whose fields are the annotations of its class body.
+
+    A subclass annotates its fields once, after those of its bases; the
+    class attribute of a field, when there is one, is its default, and only
+    the last fields may have one.  From that tuple, ``__match_args__``, the
+    methods below derive ``__init__`` (positional or keyword arguments, then
+    ``__post_init__``, looked up on the instance at each call), ``==`` (same
+    class, equal fields), ``hash`` and ``repr`` of the fields.  Assigning or
+    deleting an attribute raises AttributeError; a class that normalizes a
+    field sets it in ``__post_init__`` with ``object.__setattr__``.  No code
+    is generated, so defining such a class costs no more than a plain one.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+    _defaults = ()  # the values of the last len(_defaults) fields
+    _values = staticmethod(lambda self: ())  # the tuple of the fields of self
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)
+        if own:
+            has = [name in vars(cls) for name in own]
+            if has != sorted(has) or (cls._defaults and not all(has)):
+                raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+            names = cls.__match_args__ = cls.__match_args__ + own
+            cls._defaults += tuple(vars(cls)[name] for name in own if name in vars(cls))
+            get = attrgetter(*names)
+            cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        vars(self).update(zip(names, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values in order, from arguments that do not give each by position."""
+        names, defaults = cls.__match_args__, cls._defaults
+        first = len(names) - len(defaults)  # the first field with a default
+        if not kwargs and first <= len(args) < len(names):
+            return args + defaults[len(args) - len(names) :]
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        values = list(args)
+        for i, name in enumerate(names):
+            if name in kwargs:
+                if i < len(args):
+                    raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+                values.append(kwargs.pop(name))
+            elif i >= len(args):
+                if i < first:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                values.append(defaults[i - first])
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        return tuple(values)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LaurentSeries(_Frozen):
     """An immutable truncated Laurent series with exact rational coefficients.
 
     ``LaurentSeries(valuation, coeffs, order)`` reads ``coeffs`` as the
@@ -546,8 +639,10 @@ class LaurentSeries:
         if len(self._nums) == 1 or len(rhs._nums) == 1:
             # a one-term factor c * t^e / d scales the other one
             one, other = (self, rhs) if len(self._nums) == 1 else (rhs, self)
-            nums = list(map(mul, other._nums, repeat(one._nums[0])))
-            return LaurentSeries._build(val, val + n, other._g, nums, den)
+            if one is other:  # c^2 / d^2 is in lowest terms, as c / d is
+                return LaurentSeries._raw(val, val + n, 0, (self._nums[0] ** 2,), den)
+            other = other.truncate(other.valuation + n)
+            return other._times(one._nums[0], one._den, one.valuation)
         step = gcd(self._g, rhs._g) or n
         a, b = self._lattice(step, n), rhs._lattice(step, n)
         m = min(-(-n // step), len(a) + len(b) - 1)
@@ -561,8 +656,21 @@ class LaurentSeries:
         c = _frac(c)
         if c == 0:
             return LaurentSeries.zero(self.order)
-        nums = [v * c.numerator for v in self._nums]
-        return LaurentSeries._build(self.valuation, self.order, self._g, nums, self._den * c.denominator)
+        return self._times(c.numerator, c.denominator)
+
+    def _times(self, c: int, d: int, shift: int = 0) -> LaurentSeries:
+        """self * c / d * t^shift, for c / d in lowest terms with c nonzero and d > 0.
+
+        Both factors are in lowest terms, so the product's numerators share
+        exactly gcd(c, den) * gcd(d, nums) with its denominator: two gcds with
+        the narrow side replace one over every wide product.
+        """
+        g, h = gcd(c, self._den), gcd(d, *self._nums)
+        c //= g
+        nums = tuple(v // h * c for v in self._nums) if h != 1 or c != 1 else self._nums
+        return LaurentSeries._raw(
+            self.valuation + shift, self.order + shift, self._g, nums, d // h * (self._den // g)
+        )
 
     def __truediv__(self, other) -> LaurentSeries:
         if isinstance(other, (int, Fraction)):

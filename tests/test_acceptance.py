@@ -163,7 +163,7 @@ def test_criterion_6_falsification_sensitivity(capsys):
         if not path:
             return Pi(expr.k + 1)
         name = path[0]
-        fields = {f: getattr(expr, f) for f in expr.__dataclass_fields__}
+        fields = {f: getattr(expr, f) for f in type(expr).__match_args__}
         fields[name] = bump(getattr(expr, name), path[1:])
         return type(expr)(**fields)
 

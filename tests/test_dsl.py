@@ -1,6 +1,5 @@
 """DSL grammar: parsing, printing, round-trips, error offsets."""
 
-import dataclasses
 import sys
 from fractions import Fraction
 
@@ -231,8 +230,8 @@ def test_each_node_records_the_depth_of_its_tree(tree):
     ],
 )
 def test_depth_and_level_are_not_dataclass_fields(cls, names):
-    assert [f.name for f in dataclasses.fields(cls)] == names
-    assert not {"depth", "level"} & set(cls.__dataclass_fields__)
+    assert list(cls.__match_args__) == names
+    assert not {"depth", "level"} & set(cls.__match_args__)
 
 
 def test_depth_leaves_repr_equality_and_hash_alone():

@@ -127,6 +127,48 @@ def test_mul_matches_reference(pair):
     same(y * x, ref_mul(y, x))
 
 
+# one-term factors whose numerator or denominator shares primes with the other
+# factor's denominator or numerators, some of them wide
+term_leads = st.builds(
+    Fraction,
+    st.sampled_from([1, -1, 2, -3, 4, 6, -9, 12, 5**40, -(6**30)]),
+    st.sampled_from([1, 2, 3, 4, 9, 12, 7**25, 6**20]),
+)
+
+
+def fully_reduced(term: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    """term * y for a one-term term, reduced by a gcd over every scaled numerator."""
+    val = term.valuation + y.valuation
+    order = val + min(term.precision, y.precision)
+    nums = [v * term._nums[0] for v in y._nums]
+    return LaurentSeries._build(val, order, y._g, nums, term._den * y._den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    term_leads,
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=48),
+    lattice_series(),
+)
+def test_one_term_products_match_the_full_reduction(lead, exponent, precision, y):
+    # the term's precision may be below y's, and then y is cut to the result window
+    term = LaurentSeries(exponent, (lead,), exponent + precision)
+    for got in (term * y, y * term):
+        canonical(got)
+        assert got == fully_reduced(term, y)
+        same(got, ref_mul(term, y))
+    square = term * term
+    canonical(square)
+    assert square == fully_reduced(term, term)
+    assert square == LaurentSeries(2 * exponent, (lead**2,), 2 * exponent + precision)
+    scaled = y.scale(lead)
+    canonical(scaled)
+    assert scaled == LaurentSeries._build(
+        y.valuation, y.order, y._g, [v * lead.numerator for v in y._nums], y._den * lead.denominator
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(operand_pairs(lead=divisor_leads))
 def test_div_matches_reference(pair):

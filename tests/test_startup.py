@@ -4,7 +4,6 @@ The import checks run in a fresh interpreter, since this process has loaded
 every module already.
 """
 
-import dataclasses
 import importlib
 import json
 import os
@@ -16,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import piqcheck
-from piqcheck import cli, dsl, field, modular
+from piqcheck import catalog, cli, dsl, field, modular
 from piqcheck.dsl import Add, Const, Div, Mul, Phi, Pi, PowInt, Psi, QPow, Sqrt, Sub
+from piqcheck.series import _Frozen
 
 SRC = str(Path(piqcheck.__file__).resolve().parents[1])
 
@@ -86,6 +86,31 @@ def test_import_cli_loads_only_the_series_module():
     assert out == "['piqcheck.cli', 'piqcheck.series']\n"
 
 
+def test_no_command_imports_dataclasses_inspect_or_typing():
+    # -S keeps site-packages' .pth files, which may import typing, out of the child
+    argvs = [
+        ["verify", "--expr", "Pi(q) = q^{1/4} * psi(q)^2", "--order", "64"],
+        ["verify-all", "--order", "64"],
+        ["expand", "--expr", "Pi(q)^2 / phi(q)", "--order", "64"],
+        ["prove-modular"],
+        ["check-param", "--degree", "5", "--order", "64"],
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from piqcheck import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "heavy = {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
+        "print(json.dumps([codes, sorted(heavy)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[cli.EXIT_OK] * len(argvs), []]
+
+
 def test_the_registry_is_built_on_first_lookup():
     probe = (
         "from piqcheck import catalog\n"
@@ -133,13 +158,17 @@ NODES = [
 @pytest.mark.parametrize("node, text, names", NODES, ids=[type(n).__name__ for n, _, _ in NODES])
 def test_node_classes_keep_their_dataclass_behaviour(node, text, names):
     assert repr(node) == text
-    assert tuple(f.name for f in dataclasses.fields(node)) == names
     assert type(node).__match_args__ == names
     values = tuple(getattr(node, name) for name in names)
     assert hash(node) == hash(values)
-    assert node == type(node)(*values)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert node == type(node)(*values) == type(node)(**dict(zip(names, values)))
+    with pytest.raises(AttributeError) as assigned:
         setattr(node, names[0], values[0])
+    assert str(assigned.value) == f"cannot assign to field {names[0]!r}"
+    with pytest.raises(AttributeError) as deleted:
+        delattr(node, names[0])
+    assert str(deleted.value) == f"cannot delete field {names[0]!r}"
+    assert getattr(node, names[0]) is values[0]
 
 
 def test_sibling_node_classes_are_never_equal():
@@ -149,13 +178,57 @@ def test_sibling_node_classes_are_never_equal():
 
 
 def test_dsl_decorates_seven_dataclasses():
-    decorated = {
+    # the classes whose own body declares fields: a subclass such as Pi or Add only spells itself
+    declaring = {
         cls for cls in vars(dsl).values()
-        if isinstance(cls, type) and "__dataclass_fields__" in vars(cls)
+        if isinstance(cls, type) and issubclass(cls, _Frozen) and cls.__module__ == dsl.__name__
+        and "__match_args__" in vars(cls)
     }
-    assert {cls.__name__ for cls in decorated} == {
+    assert {cls.__name__ for cls in declaring} == {
         "Builder", "QPow", "Const", "Binary", "PowInt", "Sqrt", "_Token",
     }
+    assert all(cls.__match_args__ == tuple(vars(cls)["__annotations__"]) for cls in declaring)
+
+
+def test_report_and_table_classes_keep_their_value_behaviour():
+    report = catalog.VerifyReport(id="x", status="verified", order=64, valid_order=60)
+    assert report == catalog.VerifyReport("x", "verified", 64, 60, None, None, 0.0)
+    assert (report.first_failure, report.error, report.elapsed) == (None, None, 0.0)
+    assert repr(report) == (
+        "VerifyReport(id='x', status='verified', order=64, valid_order=60,"
+        " first_failure=None, error=None, elapsed=0.0)"
+    )
+    assert hash(report) == hash(("x", "verified", 64, 60, None, None, 0.0))
+    assert report != catalog.VerifyReport(id="x", status="verified", order=64)
+    with pytest.raises(TypeError, match="missing argument 'status'"):
+        catalog.VerifyReport(id="x", order=64)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'colour'"):
+        catalog.VerifyReport("x", "verified", 64, colour=1)
+    with pytest.raises(TypeError, match="multiple values for argument 'order'"):
+        catalog.VerifyReport("x", "verified", 64, order=65)
+    with pytest.raises(TypeError, match="takes 7 arguments but 8 were given"):
+        catalog.VerifyReport("x", "verified", 64, None, None, None, 0.0, 1)
+
+    # each report starts from the empty tuple and keeps only the checks it is given
+    first, second = modular.ParamSeriesReport(3, 64), modular.ParamSeriesReport(degree=5, order=64)
+    assert first.checks == second.checks == () and first.elapsed == 0.0
+    check = modular.ParamCheck("alpha", True)
+    assert modular.ParamSeriesReport(3, 64, (check,)).checks == (check,)
+    assert modular.ParamSeriesReport(3, 64).checks == ()
+    assert first.verified
+    with pytest.raises(AttributeError, match="^cannot assign to field 'checks'$"):
+        first.checks = (check,)
+
+    table = modular.build_table3()
+    same = modular.ParamTable(table.degree, table.u, dict(table.atoms))
+    other = modular.ParamTable(table.degree, table.u, {})
+    assert same == table and other != table
+    assert hash(same) == hash(other) == hash(table) == hash((table.degree, table.u))
+    assert table.alpha is table.atoms["alpha"]
+    goals = table.goals
+    assert table.goals is goals and vars(table)["goals"] is goals
+    with pytest.raises(AttributeError, match="^cannot assign to field 'goals'$"):
+        table.goals = {}
 
 
 # ----------------------------------------------------------------------
