@@ -10,14 +10,16 @@ entry points and the JSON report builders were folded into one; the
 ``verify_all_800`` and ``expand_mixed_400`` files before long products moved
 to one packed big-integer multiply; the ``verify_all_1600`` and
 ``expand_quotient_760`` files before quotients began to read the divisor on
-its own lattice and one-term factors became a scale.  The ``check_param_*.jsonl`` files were
-re-recorded when ``check-param`` began to evaluate the tables' own
-parametrization at series: its two checks are now named ``alpha`` and
-``beta``, in that order, and nothing else in them moved.  A change to
-any layer that moves a single coefficient, order, status, canonical form or
-exit code shows up here.  JSON reports are compared as ordered
-``(key, value)`` lists without ``elapsed_ms``, the one field that carries a
-timing, so the order of the keys is pinned too.
+its own lattice and one-term factors became a scale; the
+``verify_all_800.jsonl`` file before quotients by divisors with lead +-1
+became products by a memoized Newton reciprocal.  The
+``check_param_*.jsonl`` files were re-recorded when ``check-param`` began
+to evaluate the tables' own parametrization at series: its two checks are
+now named ``alpha`` and ``beta``, in that order, and nothing else in them
+moved.  A change to any layer that moves a single coefficient, order,
+status, canonical form or exit code shows up here.  JSON reports are
+compared as ordered ``(key, value)`` lists without ``elapsed_ms``, the one
+field that carries a timing, so the order of the keys is pinned too.
 """
 
 import json
@@ -51,6 +53,7 @@ GOLDEN = [
 GOLDEN_JSON = [
     ("prove_modular.jsonl", ["prove-modular", "--json"], cli.EXIT_OK),
     ("verify_all_200.jsonl", ["verify-all", "--order", "200", "--json"], cli.EXIT_OK),
+    ("verify_all_800.jsonl", ["verify-all", "--order", "800", "--json"], cli.EXIT_OK),
     ("expand_mixed_400.json", ["expand", "--expr", EXPAND_MIXED, "--order", "400", "--json"], cli.EXIT_OK),
     ("expand_quotient_760.json", ["expand", "--expr", EXPAND_QUOTIENT, "--order", "760", "--json"], cli.EXIT_OK),
     ("check_param_3_120.jsonl", ["check-param", "--degree", "3", "--order", "120", "--json"], cli.EXIT_OK),

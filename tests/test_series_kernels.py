@@ -14,9 +14,10 @@ from functools import reduce
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from piqcheck import series
 from piqcheck.field import M, QuadExt, RatFunc
 from piqcheck.series import _WORD_CODES, LaurentSeries, NonSquareLeadingCoefficient, _pack
 
@@ -565,3 +566,182 @@ def test_powers_skip_the_square_after_the_top_bit(make, monkeypatch):
         calls.clear()
         assert x**e == want[e]
         assert len(calls) == n, e
+
+
+# ----------------------------------------------------------------------
+# quotients by unit divisors: the memoized Newton reciprocal
+
+NEWTON = series.NEWTON_MIN_WORK
+
+
+def sparse_ref_div(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    """x / y by the long division of ``ref_div`` in Fractions, over y's nonzero terms only.
+
+    q[k] = (x[k] - sum q[k - j] * y[j]) / y[0]; the known terms sit in dicts,
+    so windows of a few thousand exponents stay cheap.
+    """
+    n = min(x.precision, y.precision)
+    xs = {e - x.valuation: c for e, c in x.terms()}
+    (_, y0), *rest = [(e - y.valuation, c) for e, c in y.terms() if e - y.valuation < n]
+    q: dict[int, Fraction] = {}
+    for k in range(n):
+        acc = xs.get(k, 0) - sum(q[k - j] * c for j, c in rest if k - j in q)
+        if acc:
+            q[k] = acc / y0
+    val = x.valuation - y.valuation
+    return LaurentSeries(val, [q.get(k, 0) for k in range(n)], val + n)
+
+
+def long_division_work(x: LaurentSeries, y: LaurentSeries) -> int:
+    """Quotient steps times divisor terms, for a divisor whose last lattice point is stored."""
+    n = min(x.precision, y.precision)
+    return -(-n // gcd(x._g, y._g)) * -(-n // y._g)
+
+
+def newton_calls() -> int:
+    info = series._reciprocal.cache_info()
+    return info.hits + info.misses
+
+
+@st.composite
+def unit_divisor_quotients(draw):
+    """A dividend and a divisor with lead +-1 and denominator 1 on a lattice of step 1, 4, 8 or 20.
+
+    The dividend has rational coefficients, any valuation and, in most
+    examples, terms off the divisor's lattice.  The quotient's window is
+    drawn so that the long division would take from a quarter of
+    NEWTON_MIN_WORK multiplies to twice it, and either operand may be the
+    longer one.  The divisor's first and last lattice points are nonzero,
+    so its step is g and its stored terms reach the window.
+    """
+    rnd = draw(st.randoms(use_true_random=True))  # windows reach 1800 terms
+    g = draw(st.sampled_from([1, 4, 8, 20]))
+    off = draw(st.sampled_from([0.0, 0.02, 0.3]))  # share of off-lattice dividend terms
+    work = draw(st.sampled_from([NEWTON // 4, NEWTON // 2, NEWTON, 2 * NEWTON]))
+    n = max(2 * g + 1, isqrt(work * (1 if off else g) * g) + draw(st.integers(-2, 2)))
+    extra = draw(st.integers(min_value=0, max_value=2 * g + 2))
+    dividend_longer = draw(st.booleans())
+
+    window = n + extra if not dividend_longer else n
+    coeffs = [draw(st.sampled_from([1, -1]))] + [0] * (window - 1)
+    points = range(g, window, g)
+    for i in points:
+        if rnd.random() < 0.6:
+            coeffs[i] = rnd.choice((-3, -2, -1, 1, 2, 3))
+    coeffs[g] = coeffs[points[-1]] = rnd.choice((-2, -1, 1, 2))
+    val = draw(st.integers(min_value=-6, max_value=6))
+    y = LaurentSeries(val, coeffs, val + window)
+
+    window = n + extra if dividend_longer else n
+    coeffs = []
+    for i in range(window):
+        if i == 0 or (i % g == 0 and rnd.random() < 0.7) or rnd.random() < off:
+            coeffs.append(Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.choice((1, 1, 2, 3, 7))))
+        else:
+            coeffs.append(0)
+    val = draw(st.integers(min_value=-6, max_value=6))
+    return LaurentSeries(val, coeffs, val + window), y
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_divisor_quotients())
+def test_unit_divisor_quotients_match_long_division(pair):
+    x, y = pair
+    calls = newton_calls()
+    got = x / y
+    newton = newton_calls() > calls
+    event("Newton reciprocal" if newton else "long division")
+    assert newton == (long_division_work(x, y) >= NEWTON)
+    same_and_canonical(got, sparse_ref_div(x, y))
+    assert got.order == x.valuation - y.valuation + min(x.precision, y.precision)
+    # the quotient times the divisor gives back the dividend, cut to the quotient's window
+    assert got * y == x.truncate(x.valuation + got.precision)
+
+
+def fibonacci(count: int) -> list[int]:
+    out = [1, 1]
+    while len(out) < count:
+        out.append(out[-1] + out[-2])
+    return out[:count]
+
+
+@pytest.mark.parametrize("lead", [1, -1])
+def test_the_path_rule_sits_at_newton_min_work(lead):
+    # 1 / (1 + t + t^2 + t^3) = (1 - t) / (1 - t^4): four divisor terms, so
+    # the long division of a window n takes 4n multiplies
+    at = -(-NEWTON // 4)
+    for n, newton in ((at - 1, False), (at, True)):
+        y = LaurentSeries(-2, [lead] * 4, -2 + n)
+        calls = newton_calls()
+        got = 1 / y
+        assert (newton_calls() > calls) == newton
+        assert got.valuation == 2 and got.order == 2 + n
+        assert got.coeffs == tuple(Fraction(lead * (1, -1, 0, 0)[k % 4]) for k in range(n))
+
+
+def test_a_newton_quotient_never_calls_the_public_product(monkeypatch):
+    # the benchmark's tracer counts series.mul calls at LaurentSeries.__mul__
+    x = LaurentSeries(1, [Fraction(1, 3), 0, 5, -1] * 40, 161)
+    y = LaurentSeries(0, [1, -1, 0, 2] * 50, 200)
+    want = sparse_ref_div(x, y)
+
+    def refuse(*args):
+        raise AssertionError("a quotient called the public product")
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", refuse)
+    monkeypatch.setattr(LaurentSeries, "__rmul__", refuse)
+    calls = newton_calls()
+    same_and_canonical(x / y, want)
+    assert newton_calls() == calls + 1
+
+
+def test_the_reciprocal_memo_is_bounded():
+    info = series._reciprocal.cache_info()
+    assert info.maxsize == series.RECIPROCAL_CACHE_SIZE
+    # the reciprocal of 1 + t + ... + t^199 to any window n is 1 - t; each
+    # window is its own key, so twice the bound in windows fill the memo
+    y = LaurentSeries(0, [1] * 200, 200)
+    first = isqrt(NEWTON - 1) + 1  # the least window with n * n >= NEWTON_MIN_WORK
+    for n in range(first, first + 2 * series.RECIPROCAL_CACHE_SIZE):
+        x = LaurentSeries(3, [Fraction(k + 1, 2) for k in range(n)], 3 + n)
+        calls = newton_calls()
+        assert x / y == x * LaurentSeries(0, [1, -1], n)
+        assert newton_calls() == calls + 1
+        assert series._reciprocal.cache_info().currsize <= series.RECIPROCAL_CACHE_SIZE
+    assert series._reciprocal.cache_info().currsize == series.RECIPROCAL_CACHE_SIZE
+
+
+@pytest.mark.parametrize("windows", [(1400, 2000), (2000, 1400)], ids=["short first", "long first"])
+def test_one_divisor_at_two_precisions_gives_exact_quotients(windows):
+    # the same canonical numerators (1, -1, -1) known to two orders: each
+    # quotient is exact to its own window, whichever was inverted first
+    series._reciprocal.cache_clear()
+    fib = fibonacci(max(windows))
+    for n in windows + windows:
+        y = LaurentSeries(0, [1, -1, -1], n)
+        got = 1 / y
+        assert got.order == n
+        assert got.coeffs == tuple(map(Fraction, fib[:n]))
+    assert series._reciprocal.cache_info().misses == 2
+
+
+one_term_divisors = st.builds(
+    lambda e, window, c: LaurentSeries.monomial(e, e + window, c),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=60),
+    st.one_of(nonzero_rationals, term_leads),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=lattice_series(lead=rationals), y=one_term_divisors)
+def test_one_term_divisors_scale_the_dividend(x, y):
+    # 3*q^{1/2} and the like: no division step, no Fraction, no product
+    def refuse(*args):
+        raise AssertionError("a one-term divisor ran the long division or a product")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_exact_div", "_packed_mul", "_reciprocal"):
+            patch.setattr(series, name, refuse)
+        got = x / y
+    same_and_canonical(got, ref_div(x, y))
