@@ -223,13 +223,6 @@ _BUILDERS = {cls.name: cls for cls in (Pi, Psi, Phi)}
 _INFIX = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
 
 
-class _Token(_Frozen):
-    kind: str       # 'int' | 'name' | one of _SYMBOLS | 'end'
-    text: str
-    pos: int        # character position; converted to bytes when reporting
-    value: int = 0  # the value of an 'int' token
-
-
 def _byte_offset(text: str, char_pos: int) -> int:
     return len(text[:char_pos].encode("utf-8"))
 
@@ -238,8 +231,10 @@ _TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)|(\S)")
 """An integer, a name, or any other character but white space."""
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens (kind, text, pos, value), the last of kind 'end'; kind is 'int',
+    'name' or a symbol, pos a character position, value an int's value or 0."""
+    tokens = []
     for match in _TOKEN.finditer(text):
         digits, name, ch = match.groups()
         i = match.start()
@@ -251,14 +246,14 @@ def _tokenize(text: str) -> list[_Token]:
                     f"integer literal of {len(digits)} digits is longer than"
                     f" {sys.get_int_max_str_digits()}", _byte_offset(text, i)
                 ) from None
-            tokens.append(_Token("int", digits, i, value))
+            tokens.append(("int", digits, i, value))
         elif name:
-            tokens.append(_Token("name", name, i))
+            tokens.append(("name", name, i, 0))
         elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
+            tokens.append((ch, ch, i, 0))
         else:
             raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text), 0))
     return tokens
 
 
@@ -272,51 +267,57 @@ class _Parser:
     # -- plumbing ------------------------------------------------------
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> tuple:
         return self.tokens[self.pos]
 
-    def _offset(self, token: _Token | None = None) -> int:
-        return _byte_offset(self.text, (token or self.current).pos)
+    @property
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def _advance(self) -> _Token:
+    def _offset(self, token: tuple | None = None) -> int:
+        return _byte_offset(self.text, (token or self.current)[2])
+
+    def _advance(self) -> tuple:
         tok = self.current
         self.pos += 1
         return tok
 
-    def _accept(self, kind: str) -> _Token | None:
-        if self.current.kind == kind:
+    def _accept(self, kind: str) -> tuple | None:
+        if self.kind == kind:
             return self._advance()
         return None
 
-    def _expect(self, kind: str, expected: frozenset[str]) -> _Token:
-        if self.current.kind != kind:
+    def _expect(self, kind: str) -> tuple:
+        if self.kind != kind:
+            # a name is expected only where q is
+            expected = {"int": "integer", "name": "'q'"}.get(kind, f"'{kind}'")
             raise ParseError(
-                f"unexpected {self._describe(self.current)}", self._offset(), expected
+                f"unexpected {self._describe(self.current)}", self._offset(), frozenset({expected})
             )
         return self._advance()
 
-    def _checked(self, depth: int, tok: _Token) -> None:
+    def _checked(self, depth: int, tok: tuple) -> None:
         """A ParseError at tok when depth exceeds MAX_DEPTH."""
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self._offset(tok))
 
     def _open(self) -> None:
         """Consume '(', one nesting level deeper."""
-        tok = self._expect("(", frozenset({"'('"}))
+        tok = self._expect("(")
         self.nesting += 1
         self._checked(self.nesting, tok)
 
     @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "end":
+    def _describe(tok: tuple) -> str:
+        if tok[0] == "end":
             return "end of input"
-        return f"token {tok.text!r}"
+        return f"token {tok[1]!r}"
 
     # -- grammar ---------------------------------------------------------
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.current.kind != "end":
+        if self.kind != "end":
             raise ParseError(
                 f"unexpected {self._describe(self.current)}",
                 self._offset(),
@@ -326,17 +327,17 @@ class _Parser:
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.current.kind in ("+", "-"):
+        while self.kind in ("+", "-"):
             op = self._advance()
-            node = _INFIX[op.kind](node, self.term())
+            node = _INFIX[op[0]](node, self.term())
             self._checked(node.depth, op)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.current.kind in ("*", "/"):
+        while self.kind in ("*", "/"):
             op = self._advance()
-            node = _INFIX[op.kind](node, self.factor())
+            node = _INFIX[op[0]](node, self.factor())
             self._checked(node.depth, op)
         return node
 
@@ -353,26 +354,26 @@ class _Parser:
         return node
 
     def atom(self) -> Expr:
-        tok = self.current
-        if tok.kind == "int":
+        kind, text, _, _ = tok = self.current
+        if kind == "int":
             return Const(self._rational())
         if self._at_negative():
             return Const(-self._negative(self._rational))
-        if tok.kind == "(":
+        if kind == "(":
             self._open()
             inner = self.expr()
-            self._expect(")", frozenset({"')'"}))
+            self._expect(")")
             self.nesting -= 1
             return inner
-        if tok.kind == "name":
-            if tok.text in _BUILDERS:
-                return self._builder_call(tok.text)
-            if tok.text == "sqrt":
+        if kind == "name":
+            if text in _BUILDERS:
+                return self._builder_call(text)
+            if text == "sqrt":
                 return self._sqrt_call()
-            if tok.text == "q":
+            if text == "q":
                 return self._qpower()
             raise ParseError(
-                f"unknown name {tok.text!r}",
+                f"unknown name {text!r}",
                 self._offset(),
                 frozenset({"'Pi'", "'psi'", "'phi'", "'sqrt'", "'q'"}),
             )
@@ -383,27 +384,27 @@ class _Parser:
         )
 
     def _at_negative(self) -> bool:
-        return self.current.kind == "(" and self.tokens[self.pos + 1].kind == "-"
+        return self.kind == "(" and self.tokens[self.pos + 1][0] == "-"
 
     def _negative(self, read):
         """'(' '-' x ')' with x read by read(); returns x."""
-        self._expect("(", frozenset({"'('"}))
-        self._expect("-", frozenset({"'-'"}))
+        self._expect("(")
+        self._expect("-")
         value = read()
-        self._expect(")", frozenset({"')'"}))
+        self._expect(")")
         return value
 
     def _integer(self) -> int:
-        return self._expect("int", frozenset({"integer"})).value
+        return self._expect("int")[3]
 
     def _rational(self) -> Fraction:
-        tok = self._expect("int", frozenset({"integer"}))
-        value = Fraction(tok.value)
+        tok = self._expect("int")
+        value = Fraction(tok[3])
         # consume '/' only when an integer follows, so 3/psi(q) stays a term
-        if self.current.kind == "/" and self.tokens[self.pos + 1].kind == "int":
+        if self.kind == "/" and self.tokens[self.pos + 1][0] == "int":
             self._advance()
             den_tok = self._advance()
-            den = den_tok.value
+            den = den_tok[3]
             if den == 0:
                 raise ParseError("rational with zero denominator", self._offset(den_tok))
             value /= den
@@ -411,24 +412,24 @@ class _Parser:
 
     def _builder_call(self, name: str) -> Expr:
         self._advance()  # name
-        self._expect("(", frozenset({"'('"}))
-        if self.current.kind == ")":
+        self._expect("(")
+        if self.kind == ")":
             raise ArityError(f"{name} requires exactly one argument", self._offset())
         k = self._qarg(name)
-        if self.current.kind == ",":
+        if self.kind == ",":
             raise ArityError(f"{name} takes exactly one argument", self._offset())
-        self._expect(")", frozenset({"')'"}))
+        self._expect(")")
         return _BUILDERS[name](k)
 
     def _qarg(self, name: str) -> int:
-        tok = self._expect("name", frozenset({"'q'"}))
-        if tok.text != "q":
+        tok = self._expect("name")
+        if tok[1] != "q":
             raise ParseError(
                 f"{name} argument must be a power of q", self._offset(tok), frozenset({"'q'"})
             )
         if self._accept("^"):
-            num = self._expect("int", frozenset({"integer"}))
-            k = num.value
+            num = self._expect("int")
+            k = num[3]
             if k < 1:
                 raise ParseError("builder power must be positive", self._offset(num))
             return k
@@ -437,12 +438,12 @@ class _Parser:
     def _sqrt_call(self) -> Expr:
         name = self._advance()  # sqrt
         self._open()
-        if self.current.kind == ")":
+        if self.kind == ")":
             raise ArityError("sqrt requires exactly one argument", self._offset())
         inner = self.expr()
-        if self.current.kind == ",":
+        if self.kind == ",":
             raise ArityError("sqrt takes exactly one argument", self._offset())
-        self._expect(")", frozenset({"')'"}))
+        self._expect(")")
         self.nesting -= 1
         node = Sqrt(inner)
         self._checked(node.depth, name)
@@ -450,7 +451,7 @@ class _Parser:
 
     def _qpower(self) -> Expr:
         self._advance()  # q
-        self._expect("^", frozenset({"'^'"}))
+        self._expect("^")
         rat_tok = self.current
         if self._at_negative():
             r = -self._negative(self._rational)
@@ -459,7 +460,7 @@ class _Parser:
             rat_tok = self.current
             r = self._rational()
             if braced:
-                self._expect("}", frozenset({"'}'"}))
+                self._expect("}")
         if (4 * r).denominator != 1:
             raise QPowNotQuarterIntegral(r, self._offset(rat_tok))
         if abs(4 * r) > MAX_ORDER:

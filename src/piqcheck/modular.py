@@ -96,8 +96,7 @@ def _modulus3(m):
 
 def _atoms3(m, s):
     """The degree-3 atoms at m and s, keyed by atom name."""
-    # quarter_ba as an inverse: at series, dividing by m + 3 (leading
-    # coefficient 4) does not divide exactly and falls back to Fractions
+    # quarter_ba = (m / (m + 3)) s, written as the inverse of quarter_ab
     quarter_ab = s / (m - 1)
     return {
         "alpha": (m - 1) * (m + 3) ** 3 / (16 * m**3),

@@ -41,13 +41,13 @@ else ``Fraction`` parses exactly, and rejects floats with ``TypeError``.
 Sum, difference, product, quotient and square root read the stored
 numerators directly.  A binary kernel runs on the step gcd(g_a, g_b) (a sum
 also folds in the distance between the valuations); an operand whose own g
-is coarser is spread onto that step with zeros, except a quotient's divisor
-(see below), and only its entries below the result window are read.  The
-recurrence runs on Python ints and its result list is brought back to
-canonical form: leading and trailing zeros dropped, g read from the offsets
-of the nonzero entries, content divided out of the denominator.  For the
-catalog's series, which in t live on lattices of step 4 or 8, that makes the
-quadratic recurrences 16 to 64 times shorter.
+is coarser is spread onto that step with zeros, except a quotient's divisor,
+which is inverted on its own lattice, and only its entries below the result
+window are read.  The recurrence runs on Python ints and its result list is
+brought back to canonical form: leading and trailing zeros dropped, g read
+from the offsets of the nonzero entries, content divided out of the
+denominator.  For the catalog's series, which in t live on lattices of step
+4 or 8, that makes the quadratic recurrences 16 to 64 times shorter.
 
   * Product: a factor with a single term c * t^e / d scales the other
     factor's numerators by c.  Both factors are in lowest terms, so the
@@ -57,24 +57,16 @@ quadratic recurrences 16 to 64 times shorter.
     as one big integer each (Kronecker substitution, see :func:`_packed_mul`).
   * Quotient: a divisor with a single term c * t^e / d scales the
     dividend, cut to the quotient's window, by d / c and shifts it by -e.
-    A divisor with lead +-1 and denominator 1, the only kind the catalog
-    divides by, is inverted by Newton's method on its own lattice (see
-    :func:`_reciprocal`) once its long division would take at least
-    :data:`NEWTON_MIN_WORK` multiplies; the quotient is then one product
-    by the kernel of ``*``.  The reciprocal is memoized on the divisor's
+    Every other divisor is inverted on its own lattice by Newton's method,
+    with its content and lead scaled out so that the doubling runs on
+    integers (see :func:`_reciprocal`), and the quotient is one product by
+    the kernel of ``*``.  The reciprocal is memoized on the divisor's
     canonical form and the window, so the quotients of a run by one
-    divisor invert it once.  Every other divisor takes long division by
-    its leading integer b0.  The divisor stays on its own lattice,
-    r = g_b / step quotient steps apart, so step k sums b[j] * quot[k - j*r]
-    over the divisor's stored terms only; a divisor such as psi(q^5)
-    (step 20) under a quotient off every lattice (step 1) costs one
-    multiply per term, not one per step.  Each step divides exactly when
-    b0 divides the partial sum and falls back to a Fraction when it does
-    not.
+    divisor invert it once.
   * Square root: of a / d, computed as sqrt(a * d) / d, so that its leading
     term isqrt(a[0] * d) is an integer.  Each step sums every symmetric pair
-    of products once and divides by twice that leading term with the same
-    exact-or-Fraction step.
+    of products once and divides by twice that leading term, exactly when
+    it divides the sum and as a Fraction when it does not.
 
 A power first bounds the size of each coefficient of its result
 (:data:`MAX_POWER_BITS`).
@@ -266,20 +258,17 @@ def _halves(width: int, n: int) -> int:
 def _pack(vals, width: int, code: str | None) -> int:
     """The signed integer sum(vals[i] * 256**(width*i)), each |vals[i]| < 256**width // 2.
 
-    With ``code``, the native unsigned word format of ``width`` bytes, the
-    entries plus half a slot are written as words in one step, and the
-    halves are taken off the integer they spell.  Otherwise the positive and
-    the negated negative entries are joined into one byte string each, and
-    the two integers they spell are subtracted.
+    Each entry plus half a slot is written as an unsigned slot: all in one
+    step with ``code``, the native unsigned word format of ``width`` bytes,
+    and otherwise one ``to_bytes`` per entry, joined once.  The halves are
+    then taken off the integer the slots spell.
     """
+    half = 1 << (8 * width - 1)
     if code:
-        half = 1 << (8 * width - 1)
-        words = array(code, [v + half for v in vals]).tobytes()
-        return int.from_bytes(words, "little") - _halves(width, len(vals))
-    zero = bytes(width)
-    pos = b"".join([v.to_bytes(width, "little") if v > 0 else zero for v in vals])
-    neg = b"".join([(-v).to_bytes(width, "little") if v < 0 else zero for v in vals])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        raw = array(code, [v + half for v in vals]).tobytes()
+    else:
+        raw = b"".join([(v + half).to_bytes(width, "little") for v in vals])
+    return int.from_bytes(raw, "little") - _halves(width, len(vals))
 
 
 def _packed_mul(a, b, m: int, square: bool, start: int = 0) -> list[int]:
@@ -343,57 +332,64 @@ def _canonical(valuation: int, order: int, step: int, vals, den: int) -> tuple:
     return valuation + first * step, order, r * step, tuple(nums), den
 
 
-NEWTON_MIN_WORK = 4096
-"""Least work of a long division, m quotient steps times len(b) divisor
-terms, at which a quotient by a divisor with lead +-1 and denominator 1
-inverts the divisor by Newton's method instead.
-
-Measured on a 2-core x86-64 host, Python 3.11, on catalog-like divisors:
-a first reciprocal and its product cost 2 to 3 times the long division at
-a work of about 1000, 1.2 to 1.4 times at 4096, and less from about 15000;
-a memoized reciprocal's product costs less than the long division from a
-work of about 100.  At 4096 one more quotient by the same divisor repays
-the reciprocal, and the 65 quotients of ``verify_all(800)`` by 16 divisors
-take about 30 ms against 65 ms by long division alone."""
-
 RECIPROCAL_CACHE_SIZE = 32
-"""Reciprocals the Newton path keeps, dropping the least recently used.
+"""Reciprocals the quotients keep, dropping the least recently used.
 
-One run of the catalog inverts at most 16 divisors.  A reciprocal is as
-large as the quotient of 1 by its divisor: those of ``verify_all`` hold 61,
-134, 295 and 659 KB together at orders 800 to 6400, the largest 8 to 97 KB.
-Growing so, one reciprocal of the catalog is about 3 MB at ``MAX_ORDER``
-and a full memo of them about 100 MB (extrapolated).  The count, not the
-size, is bounded: a divisor with wide coefficients has a wide reciprocal,
-as its quotients by long division are wide too."""
+One run of the catalog inverts at most 16 divisors, and one ``check-param``
+at most 10.  A reciprocal is as large as the quotient of 1 by its divisor:
+those of ``verify_all`` hold 61, 134, 295 and 659 KB together at orders 800
+to 6400, the largest 8 to 97 KB.  Growing so, one reciprocal of the catalog
+is about 3 MB at ``MAX_ORDER`` and a full memo of them about 100 MB
+(extrapolated).  The count, not the size, is bounded: a divisor with wide
+coefficients, or a lead other than +-1 over its content, has a wide
+reciprocal, as its quotients are wide too."""
 
 
 @lru_cache(maxsize=RECIPROCAL_CACHE_SIZE)
 def _reciprocal(g: int, nums: tuple[int, ...], n: int) -> LaurentSeries:
-    """1 / b to the window n, for b = sum nums[j] * t^(j*g) with nums[0] = +-1 and g > 0.
+    """1 / b to the window n, for b = sum nums[j] * x^j with x = t^g and g > 0.
 
-    Newton doubling on b's own lattice (Brent and Kung, JACM 1978): with y
-    exact below x^k, x = t^g, the error b*y - 1 is x^k * err + O(x^2k) and
-    y - x^k * y * err is exact below x^2k.  The lower k entries of b*y are
-    1, 0, ..., 0, so each step reads only the upper half of that product,
-    and only the first half of y meets err.  Every entry is an integer, as
-    nums[0] is a unit.  The key is b's canonical form and the window, so a
-    hit is exact.
+    With h the content of b's numerators below n and b0 = nums[0] / h, the
+    substitution x -> b0 * x gives b(b0 * x) = h * b0 * c(x), where c has the
+    integer entries c[j] = nums[j] / h * b0^(j-1) and c[0] = 1.  Newton
+    doubling (Brent and Kung, JACM 1978) inverts c on integers: with y exact
+    below x^k, the error c*y - 1 is x^k * err + O(x^2k) and y - x^k * y * err
+    is exact below x^2k.  The lower k entries of c*y are 1, 0, ..., 0, so
+    each step reads only the upper half of that product, and only the first
+    half of y meets err.  Over the w lattice points below n, 1 / b is then
+    sum y[j] * b0^(w-1-j) * x^j / (b0^w * h); b0 = 1 scales nothing, and a
+    negative b0^w flips the signs.  The key is b's canonical form and the
+    window, so a hit is exact.
     """
     w = -(-n // g)
     b = nums[:w]
-    y = [nums[0]]
+    h = gcd(*b)
+    b0 = b[0] // h
+    c = [1]
+    scale = 1
+    for v in b[1:]:
+        c.append(v // h * scale)
+        scale *= b0
+    y = [1]
     k = 1
     while k < w:
         k2 = min(2 * k, w)
-        a = b[:k2]
+        a = c[:k2]
         err = _packed_mul(a, y, min(k2, len(a) + k - 1), False, k)
         if any(err):
             head = y[: k2 - k]
             y += map(neg, _packed_mul(head, err, min(k2 - k, len(head) + len(err) - 1), False))
         y += [0] * (k2 - len(y))
         k = k2
-    return LaurentSeries._build(0, n, g, y)
+    if b0 != 1:
+        scale = 1
+        for j in range(w - 1, -1, -1):
+            y[j] *= scale
+            scale *= b0
+        h *= scale
+        if h < 0:
+            y, h = list(map(neg, y)), -h
+    return LaurentSeries._build(0, n, g, y, h)
 
 
 class _Frozen:
@@ -699,7 +695,7 @@ class LaurentSeries(_Frozen):
         return self._mul(rhs)
 
     def _mul(self, rhs: LaurentSeries) -> LaurentSeries:
-        """self * rhs: the kernel of ``*``, which a quotient by a unit divisor shares."""
+        """self * rhs: the kernel of ``*``, which every quotient by a reciprocal shares."""
         if self.is_zero or rhs.is_zero:
             return LaurentSeries.zero(
                 min(self.order + rhs.valuation, rhs.order + self.valuation)
@@ -721,7 +717,7 @@ class LaurentSeries(_Frozen):
         return LaurentSeries._build(val, val + n, step, prod, den)
 
     def __rmul__(self, other) -> LaurentSeries:
-        return self * other
+        return self.__mul__(other)
 
     def scale(self, c) -> LaurentSeries:
         c = _frac(c)
@@ -763,34 +759,13 @@ class LaurentSeries(_Frozen):
             c = rhs._nums[0]
             dividend = self.truncate(self.valuation + n)
             return dividend._times(rhs._den if c > 0 else -rhs._den, abs(c), -rhs.valuation)
-        g = rhs._g
-        step = gcd(self._g, g)
-        m = -(-n // step)
-        work = m * min(len(rhs._nums), -(-n // g))  # the multiplies of a long division
-        if rhs._den == 1 and abs(rhs._nums[0]) == 1 and work >= NEWTON_MIN_WORK:
-            return self._mul(_reciprocal(g, rhs._nums, n)).shift(-rhs.valuation)
-        a = list(self._lattice(step, n))
-        a += [0] * (m - len(a))
-        # the divisor stays on its own lattice, r quotient steps apart
-        r = g // step
-        b0, *b = rhs._lattice(g, n)
-        span = r * len(b)  # quot[k - span] is the last entry that meets b
-        quot: list = []
-        for k in range(m):
-            acc = a[k]
-            if k >= r:
-                acc -= sum(map(mul, b, quot[k - r : k - span - 1 if k > span else None : -r]))
-            quot.append(_exact_div(acc, b0))
-        quot, den = _scaled_ints(quot)
-        if rhs._den != 1:
-            quot = [v * rhs._den for v in quot]
-        val = self.valuation - rhs.valuation
-        return LaurentSeries._build(val, val + n, step, quot, self._den * den)
+        inverse = _reciprocal(rhs._g, rhs._nums, n)._times(rhs._den, 1)
+        return self._mul(inverse).shift(-rhs.valuation)
 
     def __rtruediv__(self, other) -> LaurentSeries:
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, (int, Fraction, float)):
             return NotImplemented
-        num = LaurentSeries.constant(other, max(self.precision, 1))
+        num = LaurentSeries.constant(other, max(self.precision, 1))  # rejects the float
         return num / self
 
     def __pow__(self, e: int) -> LaurentSeries:

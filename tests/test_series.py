@@ -91,6 +91,35 @@ def test_floats_rejected_at_every_constructor():
     assert LaurentSeries.constant("1/10", 4).coefficient(0) == Fraction(1, 10)
 
 
+FLOAT_HALF = "float 0.5 is not an exact coefficient; use an int, a Fraction or a str"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        # a reflected operator names itself and the operands in their written order
+        ("None * ONE", "unsupported operand type(s) for *: 'NoneType' and 'LaurentSeries'"),
+        ("ONE * None", "unsupported operand type(s) for *: 'LaurentSeries' and 'NoneType'"),
+        ('"a" * ONE', "can't multiply sequence by non-int of type 'LaurentSeries'"),
+        ("None + ONE", "unsupported operand type(s) for +: 'NoneType' and 'LaurentSeries'"),
+        ("None - ONE", "unsupported operand type(s) for -: 'NoneType' and 'LaurentSeries'"),
+        ("None / ONE", "unsupported operand type(s) for /: 'NoneType' and 'LaurentSeries'"),
+        ("ONE / None", "unsupported operand type(s) for /: 'LaurentSeries' and 'NoneType'"),
+        # a float names itself on either side of every operator
+        ("0.5 * ONE", FLOAT_HALF),
+        ("ONE * 0.5", FLOAT_HALF),
+        ("0.5 + ONE", FLOAT_HALF),
+        ("0.5 - ONE", FLOAT_HALF),
+        ("0.5 / ONE", FLOAT_HALF),
+        ("ONE / 0.5", FLOAT_HALF),
+    ],
+)
+def test_mixed_operand_errors(expr, message):
+    with pytest.raises(TypeError) as info:
+        eval(expr)
+    assert str(info.value) == message
+
+
 def test_int_and_fraction_operands_scale():
     a = S(-1, [2, Fraction(1, 3), 0, 4], 3)
     assert a * 3 == 3 * a == a.scale(3)

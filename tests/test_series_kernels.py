@@ -14,7 +14,7 @@ from functools import reduce
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck import series
@@ -469,8 +469,8 @@ def coarse_divisor_pairs(draw):
     """A numerator on the quotient's step and a divisor on a lattice `ratio` times coarser.
 
     Windows reach 200.  Either operand may be a single term (g == 0).  The
-    divisor's lead is +-1, a non-unit integer or a rational, so that steps
-    where it does not divide the partial sum fall back to Fractions.
+    divisor's lead is +-1, a non-unit integer or a rational, so that its
+    reciprocal scales a lead and a denominator out.
     """
     rnd = draw(st.randoms(use_true_random=False))
     step = draw(st.sampled_from([1, 1, 2, 4]))  # step 1: the shape of a sum off every lattice
@@ -569,9 +569,7 @@ def test_powers_skip_the_square_after_the_top_bit(make, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# quotients by unit divisors: the memoized Newton reciprocal
-
-NEWTON = series.NEWTON_MIN_WORK
+# quotients by multi-term divisors: the memoized Newton reciprocal
 
 
 def sparse_ref_div(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
@@ -592,12 +590,6 @@ def sparse_ref_div(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(val, [q.get(k, 0) for k in range(n)], val + n)
 
 
-def long_division_work(x: LaurentSeries, y: LaurentSeries) -> int:
-    """Quotient steps times divisor terms, for a divisor whose last lattice point is stored."""
-    n = min(x.precision, y.precision)
-    return -(-n // gcd(x._g, y._g)) * -(-n // y._g)
-
-
 def newton_calls() -> int:
     info = series._reciprocal.cache_info()
     return info.hits + info.misses
@@ -609,15 +601,15 @@ def unit_divisor_quotients(draw):
 
     The dividend has rational coefficients, any valuation and, in most
     examples, terms off the divisor's lattice.  The quotient's window is
-    drawn so that the long division would take from a quarter of
-    NEWTON_MIN_WORK multiplies to twice it, and either operand may be the
-    longer one.  The divisor's first and last lattice points are nonzero,
-    so its step is g and its stored terms reach the window.
+    drawn so that quotient steps times divisor terms run from 1024 to 8192,
+    and either operand may be the longer one.  The divisor's first and last
+    lattice points are nonzero, so its step is g and its stored terms reach
+    the window.
     """
     rnd = draw(st.randoms(use_true_random=True))  # windows reach 1800 terms
     g = draw(st.sampled_from([1, 4, 8, 20]))
     off = draw(st.sampled_from([0.0, 0.02, 0.3]))  # share of off-lattice dividend terms
-    work = draw(st.sampled_from([NEWTON // 4, NEWTON // 2, NEWTON, 2 * NEWTON]))
+    work = draw(st.sampled_from([1024, 2048, 4096, 8192]))
     n = max(2 * g + 1, isqrt(work * (1 if off else g) * g) + draw(st.integers(-2, 2)))
     extra = draw(st.integers(min_value=0, max_value=2 * g + 2))
     dividend_longer = draw(st.booleans())
@@ -631,8 +623,11 @@ def unit_divisor_quotients(draw):
     coeffs[g] = coeffs[points[-1]] = rnd.choice((-2, -1, 1, 2))
     val = draw(st.integers(min_value=-6, max_value=6))
     y = LaurentSeries(val, coeffs, val + window)
+    return dividend(draw, rnd, g, n + extra if dividend_longer else n, off), y
 
-    window = n + extra if dividend_longer else n
+
+def dividend(draw, rnd, g: int, window: int, off: float) -> LaurentSeries:
+    """Rational terms on the lattice g, a share ``off`` of them off it, at any valuation."""
     coeffs = []
     for i in range(window):
         if i == 0 or (i % g == 0 and rnd.random() < 0.7) or rnd.random() < off:
@@ -640,22 +635,62 @@ def unit_divisor_quotients(draw):
         else:
             coeffs.append(0)
     val = draw(st.integers(min_value=-6, max_value=6))
-    return LaurentSeries(val, coeffs, val + window), y
+    return LaurentSeries(val, coeffs, val + window)
+
+
+def check_one_reciprocal(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    """x / y, checked against the long division and for exactly one call of the reciprocal."""
+    calls = newton_calls()
+    got = x / y
+    assert newton_calls() == calls + 1
+    same_and_canonical(got, sparse_ref_div(x, y))
+    assert got.order == x.valuation - y.valuation + min(x.precision, y.precision)
+    # the quotient times the divisor gives back the dividend, cut to the quotient's window
+    assert got * y == x.truncate(x.valuation + got.precision)
+    return got
 
 
 @settings(max_examples=80, deadline=None)
 @given(unit_divisor_quotients())
 def test_unit_divisor_quotients_match_long_division(pair):
-    x, y = pair
-    calls = newton_calls()
-    got = x / y
-    newton = newton_calls() > calls
-    event("Newton reciprocal" if newton else "long division")
-    assert newton == (long_division_work(x, y) >= NEWTON)
-    same_and_canonical(got, sparse_ref_div(x, y))
-    assert got.order == x.valuation - y.valuation + min(x.precision, y.precision)
-    # the quotient times the divisor gives back the dividend, cut to the quotient's window
-    assert got * y == x.truncate(x.valuation + got.precision)
+    check_one_reciprocal(*pair)
+
+
+@st.composite
+def scaled_divisor_quotients(draw):
+    """A divisor whose canonical form has a content c > 1, a denominator d > 1 and any lead.
+
+    Its numerators are c * (b0, +-1, ...) over d, with the primitive lead b0
+    drawn from +-1, +-2, 3, 4, 16 and 2^64 and d coprime to c, so that the
+    reciprocal scales out each of c, b0 and d.  The lattice is 1, 4, 8 or
+    20, with up to 40 points in the window.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    g = draw(st.sampled_from([1, 4, 8, 20]))
+    lead = draw(st.sampled_from([1, -1, 2, -2, 3, 4, 16, 2**64]))
+    content = draw(st.sampled_from([2, 3, 4, 5, 16]))
+    den = draw(st.sampled_from([2, 3, 7, 9]).filter(lambda d: gcd(d, content) == 1))
+    n = g * draw(st.integers(min_value=2, max_value=40)) - draw(st.integers(0, g - 1))
+    extra = draw(st.integers(min_value=0, max_value=2 * g + 2))
+    dividend_longer = draw(st.booleans())
+
+    window = n + extra if not dividend_longer else n
+    nums = [lead] + [0] * (window - 1)
+    for i in range(g, window, g):
+        if rnd.random() < 0.6:
+            nums[i] = rnd.choice((-3, -2, -1, 1, 2, 3))
+    nums[g] = rnd.choice((-1, 1))  # keeps the content of the numerators at c
+    val = draw(st.integers(min_value=-6, max_value=6))
+    y = LaurentSeries(val, [Fraction(content * v, den) for v in nums], val + window)
+    assert (y._g, gcd(*y._nums), y._den, y._nums[0]) == (g, content, den, content * lead)
+    off = draw(st.sampled_from([0.0, 0.3]))
+    return dividend(draw, rnd, g, n + extra if dividend_longer else n, off), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_divisor_quotients())
+def test_scaled_divisor_quotients_match_long_division(pair):
+    check_one_reciprocal(*pair)
 
 
 def fibonacci(count: int) -> list[int]:
@@ -666,15 +701,14 @@ def fibonacci(count: int) -> list[int]:
 
 
 @pytest.mark.parametrize("lead", [1, -1])
-def test_the_path_rule_sits_at_newton_min_work(lead):
-    # 1 / (1 + t + t^2 + t^3) = (1 - t) / (1 - t^4): four divisor terms, so
-    # the long division of a window n takes 4n multiplies
-    at = -(-NEWTON // 4)
-    for n, newton in ((at - 1, False), (at, True)):
-        y = LaurentSeries(-2, [lead] * 4, -2 + n)
+def test_short_and_long_windows_take_the_reciprocal(lead):
+    # 1 / (1 + t + t^2 + t^3) = (1 - t) / (1 - t^4): every window, the
+    # shortest ones too, makes one call of the reciprocal
+    for n in (2, 3, 5, 1023, 1024):
+        y = LaurentSeries(-2, [lead] * min(n, 4), -2 + n)
         calls = newton_calls()
         got = 1 / y
-        assert (newton_calls() > calls) == newton
+        assert newton_calls() == calls + 1
         assert got.valuation == 2 and got.order == 2 + n
         assert got.coeffs == tuple(Fraction(lead * (1, -1, 0, 0)[k % 4]) for k in range(n))
 
@@ -701,8 +735,7 @@ def test_the_reciprocal_memo_is_bounded():
     # the reciprocal of 1 + t + ... + t^199 to any window n is 1 - t; each
     # window is its own key, so twice the bound in windows fill the memo
     y = LaurentSeries(0, [1] * 200, 200)
-    first = isqrt(NEWTON - 1) + 1  # the least window with n * n >= NEWTON_MIN_WORK
-    for n in range(first, first + 2 * series.RECIPROCAL_CACHE_SIZE):
+    for n in range(64, 64 + 2 * series.RECIPROCAL_CACHE_SIZE):
         x = LaurentSeries(3, [Fraction(k + 1, 2) for k in range(n)], 3 + n)
         calls = newton_calls()
         assert x / y == x * LaurentSeries(0, [1, -1], n)
@@ -738,7 +771,7 @@ one_term_divisors = st.builds(
 def test_one_term_divisors_scale_the_dividend(x, y):
     # 3*q^{1/2} and the like: no division step, no Fraction, no product
     def refuse(*args):
-        raise AssertionError("a one-term divisor ran the long division or a product")
+        raise AssertionError("a one-term divisor ran a division step, a reciprocal or a product")
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_exact_div", "_packed_mul", "_reciprocal"):
