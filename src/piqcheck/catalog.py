@@ -117,7 +117,7 @@ def evaluate(e: Expr, order: int) -> LaurentSeries:
     """Evaluate an expression tree to a Laurent series with tracked order.
 
     A tree whose root records a ``depth`` past ``dsl.MAX_DEPTH`` raises
-    ValueError, and so does an order that :func:`check_order` rejects.
+    ValueError; an order :func:`check_order` rejects raises its TypeError or ValueError.
     """
     check_order(order)
     check_depth(e)

@@ -20,7 +20,8 @@ q-power q^r, which is the t-power t^(4r); r must therefore be a quarter
 integer (4r integral) or :class:`QPowNotQuarterIntegral` is raised.  A
 q-power widens the window of a sum as far as an order does, so |4r| is
 bounded by ``series.MAX_ORDER``: a larger one is a :class:`ParseError` at
-its exponent, and a ValueError from the :class:`QPow` constructor.
+its exponent, and a ValueError from the :class:`QPow` constructor.  Like a
+series coefficient, a ``Const`` or ``QPow`` number that is a float is a TypeError.
 
 Each node records the depth of its tree when it is built: a leaf is 1
 level deep, any other node one more than its deepest child.  A tree more
@@ -56,7 +57,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .series import MAX_ORDER, _Frozen, exact_str
+from .series import MAX_ORDER, _frac, _Frozen, exact_str
 
 MAX_DEPTH = 100
 """Deepest expression tree, and deepest nesting of brackets, that parse accepts.
@@ -146,7 +147,7 @@ class QPow(Expr):
     r: Fraction
 
     def __post_init__(self) -> None:
-        r = Fraction(self.r)
+        r = _frac(self.r)
         if (4 * r).denominator != 1:
             text = exact_str(r)
             raise ValueError(f"q^{text} is not representable: 4*{text} is not an integer")
@@ -163,7 +164,7 @@ class Const(Expr):
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", _frac(self.value))
 
 
 class Binary(Expr):

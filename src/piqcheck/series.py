@@ -36,7 +36,8 @@ g = 0, so precision keeps propagating through cancellations.  ``coeffs``
 gives the whole window as a tuple of Fractions, built on each read.
 
 Coefficients are exact: the constructor accepts ints, Fractions and anything
-else ``Fraction`` parses exactly, and rejects floats with ``TypeError``.
+else ``Fraction`` parses exactly, and rejects floats with ``TypeError``; every
+constructor also refuses a valuation, exponent or order that is not an int.
 
 Sum, difference, product, quotient and square root read the stored
 numerators directly.  A binary kernel runs on the step gcd(g_a, g_b) (a sum
@@ -136,8 +137,15 @@ would need gigabytes.  A negative q-power widens a sum's window as far as
 an order does, so it is bounded by the same limit."""
 
 
+def _check_int(value, name: str) -> None:
+    """Raise TypeError, naming ``name``, unless ``value`` is an int."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def check_order(order: int, name: str = "order") -> None:
-    """Raise ValueError, naming ``name``, unless MIN_ORDER <= order <= MAX_ORDER."""
+    """TypeError, naming ``name``, for a non-int order; ValueError outside MIN_ORDER..MAX_ORDER."""
+    _check_int(order, name)
     if order < MIN_ORDER:
         raise ValueError(f"{name} must be at least {MIN_ORDER}")
     if order > MAX_ORDER:
@@ -496,6 +504,8 @@ class LaurentSeries(_Frozen):
     _den: int
 
     def __init__(self, valuation: int, coeffs, order: int) -> None:
+        _check_int(valuation, "valuation")
+        _check_int(order, "order")
         coeffs = tuple(c if isinstance(c, Fraction) else _frac(c) for c in coeffs)
         window = order - valuation
         if window < 0:
@@ -537,6 +547,7 @@ class LaurentSeries(_Frozen):
     @staticmethod
     def zero(order: int) -> LaurentSeries:
         """The canonical zero-to-order series."""
+        _check_int(order, "order")
         return LaurentSeries._raw(order, order, 0, (), 1)
 
     @staticmethod
@@ -546,6 +557,8 @@ class LaurentSeries(_Frozen):
     @staticmethod
     def monomial(exponent: int, order: int, coeff=1) -> LaurentSeries:
         """coeff * t^exponent.  Collapses to zero-to-order when exponent >= order."""
+        _check_int(exponent, "exponent")
+        _check_int(order, "order")
         if exponent >= order:
             return LaurentSeries.zero(order)
         c = _frac(coeff)

@@ -10,13 +10,15 @@ The functions constructed here:
   * ``pi_product(k, order)`` -- Pi_{q^k} = q^(k/4) (q^(2k);q^(2k))^2 / (q^k;q^(2k))^2,
     built as q^(k/4) * psi(q^k)^2;
   * ``z_series / m_series`` -- z_n = phi(q^n)^2 and the multiplier m = z_1/z_n;
-  * ``alpha_series / beta_series`` -- the series-level modular parameters
-    alpha = 16 q psi^4(q^2)/phi^4(q) and beta = 16 q^n psi^4(q^(2n))/phi^4(q^n);
+  * ``beta_series`` -- the modular parameter beta = 16 q^n psi^4(q^(2n))/phi^4(q^n);
+    ``alpha_series`` is beta of degree 1, whatever degree it is given;
   * ``rho_series`` -- sqrt(m^3 - 2m^2 + 5m) for the degree-5 multiplier,
     positive branch (constant term 2).
 
-Builders take an explicit target order, from 1 to ``series.MAX_ORDER``
-(ValueError otherwise); there is no global precision state.
+Builders take an explicit target order, an int from 8 to ``series.MAX_ORDER``
+(``series.check_order``: TypeError for a non-int, ValueError out of range);
+there is no global precision state.  m and beta are defined at every degree
+``phi`` and ``psi`` accept; ``modular.EQUATIONS`` has the degrees with equations.
 Results are cached (they are immutable), so repeated identity verifications
 at the same order share the underlying series.  Each builder keeps at most
 :data:`CACHE_SIZE` results, dropping the least recently used.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import MAX_ORDER, LaurentSeries, SeriesError
+from .series import LaurentSeries, SeriesError, check_order
 
 CACHE_SIZE = 128
 """Results each builder keeps.
@@ -34,17 +36,12 @@ CACHE_SIZE = 128
 One CLI run needs at most 8 per builder (``verify-all`` holds 8 ``psi``
 series), so no run evicts its own; a long-lived process that evaluates at
 many orders holds 128 per builder instead of every one it ever built."""
+# typed, so that an order of 8.0 misses the entry for 8 and reaches check_order
+_cached = lru_cache(maxsize=CACHE_SIZE, typed=True)
 
 
 class ZeroFactor(SeriesError):
     """Pochhammer product containing the factor (1 - 1) = 0."""
-
-
-def _check_order(order: int) -> None:
-    if not isinstance(order, int) or order < 1:
-        raise ValueError("target order must be a positive integer")
-    if order > MAX_ORDER:
-        raise ValueError(f"target order must be at most {MAX_ORDER}")
 
 
 def _check_k(k: int) -> None:
@@ -52,14 +49,14 @@ def _check_k(k: int) -> None:
         raise ValueError("power index k must be a positive integer")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def pochhammer(e: int, p: int, order: int) -> LaurentSeries:
     """Truncated product of (1 - t^(e+p*n)) over all factors with e+p*n < order."""
     if e == 0:
         raise ZeroFactor("pochhammer with e = 0 contains the zero factor (1 - 1)")
     if e < 0 or p < 1:
         raise ValueError("pochhammer requires e >= 1 and p >= 1")
-    _check_order(order)
+    check_order(order)
     coeffs = [0] * order
     coeffs[0] = 1
     j = e
@@ -71,11 +68,11 @@ def pochhammer(e: int, p: int, order: int) -> LaurentSeries:
     return LaurentSeries._build(0, order, 1, coeffs)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def psi(k: int, order: int) -> LaurentSeries:
     """psi(q^k) as a series in t: terms t^(4k*n(n+1)/2)."""
     _check_k(k)
-    _check_order(order)
+    check_order(order)
     coeffs = [0] * order
     n = 0
     while (exp := 2 * k * n * (n + 1)) < order:  # 4k * n(n+1)/2
@@ -84,19 +81,18 @@ def psi(k: int, order: int) -> LaurentSeries:
     return LaurentSeries._build(0, order, 1, coeffs)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def psi_product_form(k: int, order: int) -> LaurentSeries:
     """psi(q^k) via the product (q^(2k);q^(2k)) / (q^k;q^(2k)) in t-space."""
     _check_k(k)
-    _check_order(order)
     return pochhammer(8 * k, 8 * k, order) / pochhammer(4 * k, 8 * k, order)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def phi(k: int, order: int) -> LaurentSeries:
     """phi(q^k) as a series in t: 1 + 2 * sum_{n>=1} t^(4k*n^2)."""
     _check_k(k)
-    _check_order(order)
+    check_order(order)
     coeffs = [0] * order
     coeffs[0] = 1
     n = 1
@@ -106,54 +102,43 @@ def phi(k: int, order: int) -> LaurentSeries:
     return LaurentSeries._build(0, order, 1, coeffs)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def pi_product(k: int, order: int) -> LaurentSeries:
     """Pi_{q^k} in t-space: t^k * (t^(8k);t^(8k))^2 / (t^(4k);t^(8k))^2 = t^k psi(q^k)^2.
 
     The t^k prefactor is exact, so the result is known below order + k;
     the valuation is exactly k.
     """
-    _check_k(k)
-    _check_order(order)
     return (psi(k, order) ** 2).shift(k)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def z_series(n: int, order: int) -> LaurentSeries:
     """z_n = phi(q^n)^2."""
     s = phi(n, order)
     return s * s
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def m_series(n: int, order: int) -> LaurentSeries:
     """The multiplier m = z_1 / z_n as a series with constant term 1."""
-    if n not in (3, 5):
-        raise ValueError("multiplier series is defined for degrees 3 and 5")
     return z_series(1, order) / z_series(n, order)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def alpha_series(n: int, order: int) -> LaurentSeries:
-    """alpha = 16 q psi^4(q^2) / phi^4(q); valuation 4, independent of the degree n."""
-    if n not in (3, 5):
-        raise ValueError("alpha series is used for degrees 3 and 5")
-    _check_order(order)
-    num = (psi(2, order) ** 4).scale(16)
-    return (num / phi(1, order) ** 4).shift(4)
+    """alpha = 16 q psi^4(q^2) / phi^4(q), which is beta of degree 1 for every degree n."""
+    return beta_series(1, order)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def beta_series(n: int, order: int) -> LaurentSeries:
     """beta = 16 q^n psi^4(q^(2n)) / phi^4(q^n); valuation 4n."""
-    if n not in (3, 5):
-        raise ValueError("beta series is defined for degrees 3 and 5")
-    _check_order(order)
     num = (psi(2 * n, order) ** 4).scale(16)
     return (num / phi(n, order) ** 4).shift(4 * n)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@_cached
 def rho_series(order: int) -> LaurentSeries:
     """Positive-branch sqrt(m^3 - 2m^2 + 5m) for the degree-5 multiplier m.
 

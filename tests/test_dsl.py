@@ -139,6 +139,15 @@ def test_node_validation_direct_construction():
         QPow(Fraction(1, 3))
 
 
+def test_const_and_qpow_take_exact_numbers_only():
+    with pytest.raises(TypeError, match="float 0.1 is not an exact coefficient"):
+        Const(0.1)
+    with pytest.raises(TypeError, match="float 0.25 is not an exact coefficient"):
+        QPow(0.25)
+    assert Const("1/3") == Const(Fraction(1, 3))
+    assert QPow("1/2") == QPow(Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "text, offset",
     [("q^25001", 2), ("q^{25001}", 3), ("1 + q^(-100001/4)", 6)],

@@ -283,3 +283,13 @@ def test_check_param_series_bounds_the_order(order, monkeypatch):
     monkeypatch.setattr(theta, "m_series", unbuilt)
     with pytest.raises(ValueError, match="order must be at"):
         modular.check_param_series(3, order)
+
+
+@pytest.mark.parametrize("order", [8.5, 8.0, "64"], ids=["8.5", "8.0", "str"])
+def test_check_param_series_refuses_a_non_int_order(order, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a series was built for a rejected order")
+
+    monkeypatch.setattr(theta, "m_series", unbuilt)
+    with pytest.raises(TypeError, match="order must be an int"):
+        modular.check_param_series(5, order)

@@ -91,6 +91,25 @@ def test_floats_rejected_at_every_constructor():
     assert LaurentSeries.constant("1/10", 4).coefficient(0) == Fraction(1, 10)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: LaurentSeries(0.5, [1], 8), "valuation"),
+        (lambda: LaurentSeries(0, [1], 8.0), "order"),
+        (lambda: LaurentSeries.monomial(0, 8.5), "order"),
+        (lambda: LaurentSeries.monomial(Fraction(1), 8), "exponent"),
+        (lambda: LaurentSeries.monomial(9, "8"), "order"),
+        (lambda: LaurentSeries.constant(1, 8.5), "order"),
+        (lambda: LaurentSeries.zero(8.0), "order"),
+    ],
+    ids=["init-valuation", "init-order", "monomial-order", "monomial-exponent",
+         "monomial-past-order", "constant-order", "zero-order"],
+)
+def test_non_int_valuations_exponents_and_orders_are_refused(build, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
+        build()
+
+
 FLOAT_HALF = "float 0.5 is not an exact coefficient; use an int, a Fraction or a str"
 
 

@@ -15,18 +15,18 @@ def raise_q(s, k):
 
 
 def test_pochhammer_euler_start():
-    # oracle: expand (1-t)(1-t^2)(1-t^3)(1-t^4) and truncate below t^5
+    # oracle: expand (1-t)(1-t^2)...(1-t^7) and truncate below t^8
     coeffs = [1]
-    for j in (1, 2, 3, 4):
+    for j in range(1, 8):
         nxt = [0] * (len(coeffs) + j)
         for i, c in enumerate(coeffs):
             nxt[i] += c
             nxt[i + j] -= c
         coeffs = nxt
-    expected = coeffs[:5]
-    s = theta.pochhammer(1, 1, 5)
-    assert [s.coefficient(n) for n in range(5)] == expected
-    assert expected == [1, -1, -1, 0, 0]
+    expected = coeffs[:8]
+    s = theta.pochhammer(1, 1, 8)
+    assert [s.coefficient(n) for n in range(8)] == expected
+    assert expected == [1, -1, -1, 0, 0, 1, 0, 1]
 
 
 def test_pochhammer_single_factor_below_order():
@@ -104,8 +104,21 @@ def test_z_and_multiplier_series():
     # frozen from the series-division oracle z_1 / z_3
     assert m3.coefficient(4) == 4
     assert theta.m_series(5, 40).coefficient(0) == 1
-    with pytest.raises(ValueError):
-        theta.m_series(4, 40)
+    # m is z_1 / z_n at every degree; which degrees have an equation is modular's rule
+    assert theta.m_series(1, 40) == LaurentSeries.constant(1, 40)
+
+
+@pytest.mark.parametrize("order", [8, 9, 40, 137, 400])
+def test_alpha_is_beta_of_degree_one(order):
+    # 16 t^4 psi(q^2)^4 / phi(q)^4, from sums written out here, not from the builders
+    psi2_exponents = {4 * j * (j + 1) for j in range(order)}  # q^(j(j+1)) = t^(4j(j+1))
+    phi1_exponents = {4 * j * j for j in range(1, order)}
+    psi2 = LaurentSeries(0, [int(n in psi2_exponents) for n in range(order)], order)
+    phi1 = LaurentSeries(0, [1] + [2 * (n in phi1_exponents) for n in range(1, order)], order)
+    expected = ((psi2 ** 4).scale(16) / phi1 ** 4).shift(4)
+    assert theta.alpha_series(3, order) == expected
+    assert theta.alpha_series(5, order) == expected
+    assert theta.beta_series(1, order) == expected
 
 
 def test_alpha_beta_leading_terms():
@@ -157,26 +170,38 @@ def test_builder_caches_are_bounded():
         assert getattr(theta, name).cache_info().currsize == theta.CACHE_SIZE, name
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda n: theta.pochhammer(1, 1, n),
-        lambda n: theta.psi(1, n),
-        lambda n: theta.psi_product_form(1, n),
-        lambda n: theta.phi(1, n),
-        lambda n: theta.pi_product(1, n),
-        lambda n: theta.z_series(1, n),
-        lambda n: theta.m_series(3, n),
-        lambda n: theta.alpha_series(3, n),
-        lambda n: theta.beta_series(5, n),
-        lambda n: theta.rho_series(n),
-    ],
-    ids=[
-        "pochhammer", "psi", "psi_product_form", "phi", "pi_product",
-        "z_series", "m_series", "alpha_series", "beta_series", "rho_series",
-    ],
+BUILD_AT = (
+    lambda n: theta.pochhammer(1, 1, n),
+    lambda n: theta.psi(1, n),
+    lambda n: theta.psi_product_form(1, n),
+    lambda n: theta.phi(1, n),
+    lambda n: theta.pi_product(1, n),
+    lambda n: theta.z_series(1, n),
+    lambda n: theta.m_series(3, n),
+    lambda n: theta.alpha_series(3, n),
+    lambda n: theta.beta_series(5, n),
+    lambda n: theta.rho_series(n),
 )
+
+
+@pytest.mark.parametrize("build", BUILD_AT, ids=BUILDERS)
 def test_builders_refuse_an_order_past_max_order(build):
     # each would allocate one entry per exponent below the order
     with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
         build(MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("build", BUILD_AT, ids=BUILDERS)
+@pytest.mark.parametrize(
+    "order, error", [(7, ValueError), (8.5, TypeError), (8.0, TypeError), ("64", TypeError)],
+    ids=["7", "8.5", "8.0", "str"],
+)
+def test_builders_refuse_a_short_or_non_int_order(build, order, error, monkeypatch):
+    build(8)  # an order of 8.0 must not be served the cached series of order 8
+
+    def unbuilt(*args):
+        raise AssertionError("a series was built for a rejected order")
+
+    monkeypatch.setattr(LaurentSeries, "_set", unbuilt)
+    with pytest.raises(error, match="order must be"):
+        build(order)
