@@ -20,12 +20,14 @@ verified/proved, 1 at least one falsified, 2 usage or parse error, an
 unreadable input file or a power past ``series.MAX_POWER_BITS``, 3 internal
 precondition violation (including reports with status ``error``) or any
 other unexpected failure; each failure, argparse's too, is one stderr line
-without a traceback.  A precondition violation is a ``SeriesError`` or a
-``ValueError``, which ``field.FieldError`` and ``modular.ModularError``
-are, so the handler names no class of a module the command did not load.
-Exact numbers are rendered with ``series.exact_str``, so a report prints
-however many digits its coefficients, exponents and orders have; every int
-of a ``--json`` report is written by it too, as a JSON number.
+without a traceback.  A closed stdout is no failure: the code is the one
+the reports give, and stderr stays empty.  A precondition violation is a
+``SeriesError`` or a ``ValueError``, which ``field.FieldError`` and
+``modular.ModularError`` are, so the handler names no class of a module the
+command did not load.  Exact numbers are rendered with ``series.exact_str``,
+so a report prints however many digits its coefficients, exponents and
+orders have; every int of a ``--json`` report is written by it too, as a
+JSON number.
 
 Parse errors give a byte offset counted from the start of the identity text
 (for an ``--expr-file`` line, from the start of the line as written) and,
@@ -243,11 +245,18 @@ def _finish(args, reports: list[tuple[str, dict]]) -> int:
     """Print each (text, JSON object) report unless quiet; return the exit code.
 
     The exit code is EXIT_INTERNAL when any report has status ``error``,
-    EXIT_FALSIFIED when any is falsified, and EXIT_OK otherwise.
+    EXIT_FALSIFIED when any is falsified, and EXIT_OK otherwise.  A reader
+    that closes stdout early (``piqcheck list | head -1``) leaves the code
+    as ``--quiet`` would, with nothing on stderr.
     """
     if not args.quiet:
-        for text, fields in reports:
-            print(_json(fields) if args.json else text)
+        try:
+            for text, fields in reports:
+                print(_json(fields) if args.json else text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout now writes to os.devnull, so the interpreter's last flush stays silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     statuses = {fields.get("status") for _, fields in reports}
     if "error" in statuses:
         return EXIT_INTERNAL

@@ -37,12 +37,11 @@ series is; rational functions and extension elements print their polynomials.
 
 Each layer writes only what is its own: ``_lift`` (an int, a Fraction or an
 element of a lower layer into this one, else None; ``QuadExt`` raises), ``+``,
-unary ``-``, ``*``, ``/``, powers and printing.  The private base ``_Ring``
-derives the rest once: ``x - y`` as ``x + (-lift(y))``, ``c - x`` as
-``lift(c) + (-x)``, and reflected ``+`` and ``*`` as the forward operator,
-since both commute; ``_Field`` adds ``c / x`` as ``lift(c) / x`` for
-``RatFunc`` and ``QuadExt``.  Powers stay per layer: ``RatFunc`` raises numerator and
-denominator apart, so a power takes one gcd, not one per step.
+unary ``-``, ``*``, ``/``, powers and printing.  ``series._Ring``, the base
+``LaurentSeries`` shares, derives ``-`` and the reflected ``+ * -`` from
+those; its subclass ``_Field`` adds ``c / x`` as ``lift(c) / x`` for
+``RatFunc`` and ``QuadExt``.  Powers stay per layer: ``RatFunc`` raises
+numerator and denominator apart, so a power takes one gcd, not one per step.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .series import _frac, _Frozen, _power, _scaled_ints, exact_repr, terms_str
+from .series import _frac, _Frozen, _power, _Ring, _scaled_ints, exact_repr, terms_str
 
 
 class FieldError(ValueError):
@@ -134,32 +133,6 @@ def _zz_mul(a, b) -> list[int]:
     for i in compress(range(len(a)), a):
         out[i : i + n] = map(add, out[i : i + n], map(mul, repeat(a[i]), b))
     return out
-
-
-class _Ring:
-    """``-`` and reflected ``+ * -``, from a layer's ``_lift``, ``+``, unary ``-`` and ``*``."""
-
-    __slots__ = ()
-
-    # the forward method, not the operator: an operand neither side takes
-    # then gets Python's TypeError with the operands in their written order
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __sub__(self, other):
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        lhs = self._lift(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
 
 
 class _Field(_Ring):

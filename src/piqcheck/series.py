@@ -83,8 +83,12 @@ Every immutable value class of the package (series, polynomials, rational
 functions, expression nodes and reports) derives from the private base
 ``_Frozen``: its fields are the annotations of its class body, and the base
 derives the constructor, equality, hash, repr and ``__match_args__`` from
-them with plain methods, so loading a module generates no code.  It lives
-here because every command loads this module.
+them with plain methods, so loading a module generates no code.  Every ring
+(series, polynomials, rational functions and extension elements) derives
+``-`` and the reflected ``+ * -`` from the private base ``_Ring``: ``x - y``
+is ``x + (-lift(y))`` by the ring's own ``_lift``, ``c - x`` is
+``lift(c) + (-x)``, and reflected ``+`` and ``*`` are the forward operator.
+Both bases live here because every command loads this module.
 """
 
 from __future__ import annotations
@@ -486,7 +490,33 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class LaurentSeries(_Frozen):
+class _Ring:
+    """``-`` and reflected ``+ * -``, from a class's ``_lift``, ``+``, unary ``-`` and ``*``."""
+
+    __slots__ = ()
+
+    # the forward method, not the operator: an operand neither side takes
+    # then gets Python's TypeError with the operands in their written order
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        lhs = self._lift(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs + (-self)
+
+
+class LaurentSeries(_Ring, _Frozen):
     """An immutable truncated Laurent series with exact rational coefficients.
 
     ``LaurentSeries(valuation, coeffs, order)`` reads ``coeffs`` as the
@@ -559,9 +589,9 @@ class LaurentSeries(_Frozen):
         """coeff * t^exponent.  Collapses to zero-to-order when exponent >= order."""
         _check_int(exponent, "exponent")
         _check_int(order, "order")
+        c = _frac(coeff)
         if exponent >= order:
             return LaurentSeries.zero(order)
-        c = _frac(coeff)
         return LaurentSeries._build(exponent, order, 0, [c.numerator], c.denominator)
 
     # ------------------------------------------------------------------
@@ -600,6 +630,7 @@ class LaurentSeries(_Frozen):
 
     def coefficient(self, n: int) -> Fraction:
         """The coefficient of t^n.  Exponents below the valuation are known zero."""
+        _check_int(n, "n")
         if n >= self.order:
             raise InsufficientPrecision(
                 f"coefficient at t^{exact_str(n)} requested but series is only known"
@@ -646,63 +677,46 @@ class LaurentSeries(_Frozen):
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerce(self, other) -> LaurentSeries | None:
+    def _lift(self, other) -> LaurentSeries | None:
         if isinstance(other, LaurentSeries):
             return other
         if isinstance(other, (int, Fraction, float)):
             return LaurentSeries.constant(other, self.order)  # rejects the float
         return None
 
-    def _combine(self, rhs: LaurentSeries, sign: int) -> LaurentSeries:
-        """self + sign * rhs in one aligned integer pass; sign is 1 or -1."""
+    def __add__(self, other) -> LaurentSeries:
+        """self + other in one aligned integer pass; ``_Ring`` derives ``-`` from it."""
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
         order = min(self.order, rhs.order)
         if rhs.valuation >= order:
             return self.truncate(order)
         if self.valuation >= order:
-            return (rhs if sign > 0 else -rhs).truncate(order)
+            return rhs.truncate(order)
         start = min(self.valuation, rhs.valuation)
         # both operands sit on one lattice of this step counted from start
         step = gcd(self._g, rhs._g, self.valuation - start, rhs.valuation - start) or order - start
         den = lcm(self._den, rhs._den)
         out = [0] * -(-(order - start) // step)
-        for s, factor in ((self, den // self._den), (rhs, sign * (den // rhs._den))):
+        for s in (self, rhs):
             vals = s._lattice(step, order - s.valuation)
             first = (s.valuation - start) // step
             end = first + len(vals)
-            if factor != 1:
-                vals = map(mul, vals, repeat(factor))
+            if s._den != den:
+                vals = map(mul, vals, repeat(den // s._den))
             out[first:end] = map(add, out[first:end], vals)
         return LaurentSeries._build(start, order, step, out, den)
-
-    def __add__(self, other) -> LaurentSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, 1)
-
-    __radd__ = __add__
 
     def __neg__(self) -> LaurentSeries:
         return LaurentSeries._raw(
             self.valuation, self.order, self._g, tuple(map(neg, self._nums)), self._den
         )
 
-    def __sub__(self, other) -> LaurentSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, -1)
-
-    def __rsub__(self, other) -> LaurentSeries:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs._combine(self, -1)
-
     def __mul__(self, other) -> LaurentSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        rhs = self._coerce(other)
+        rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
         return self._mul(rhs)
@@ -729,9 +743,6 @@ class LaurentSeries(_Frozen):
         prod = _packed_mul(a[:m], b[:m], m, self is rhs)
         return LaurentSeries._build(val, val + n, step, prod, den)
 
-    def __rmul__(self, other) -> LaurentSeries:
-        return self.__mul__(other)
-
     def scale(self, c) -> LaurentSeries:
         c = _frac(c)
         if c == 0:
@@ -757,7 +768,7 @@ class LaurentSeries(_Frozen):
             if other == 0:
                 raise DivisionByZeroSeries("division by the zero constant")
             return self.scale(Fraction(1) / Fraction(other))
-        rhs = self._coerce(other)
+        rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
         if rhs.is_zero:
@@ -775,6 +786,7 @@ class LaurentSeries(_Frozen):
         inverse = _reciprocal(rhs._g, rhs._nums, n)._times(rhs._den, 1)
         return self._mul(inverse).shift(-rhs.valuation)
 
+    # not _Field's lift(c) / self: c known to self.order, not to self's precision, moves the order
     def __rtruediv__(self, other) -> LaurentSeries:
         if not isinstance(other, (int, Fraction, float)):
             return NotImplemented
@@ -813,6 +825,7 @@ class LaurentSeries(_Frozen):
 
     def shift(self, j: int) -> LaurentSeries:
         """Multiply by the exact monomial t^j (shifts the knowledge window too)."""
+        _check_int(j, "j")
         return LaurentSeries._raw(self.valuation + j, self.order + j, self._g, self._nums, self._den)
 
     def sqrt(self) -> LaurentSeries:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import LaurentSeries, SeriesError, check_order
+from .series import LaurentSeries, SeriesError, _check_int, check_order
 
 CACHE_SIZE = 128
 """Results each builder keeps.
@@ -52,6 +52,8 @@ def _check_k(k: int) -> None:
 @_cached
 def pochhammer(e: int, p: int, order: int) -> LaurentSeries:
     """Truncated product of (1 - t^(e+p*n)) over all factors with e+p*n < order."""
+    _check_int(e, "e")
+    _check_int(p, "p")
     if e == 0:
         raise ZeroFactor("pochhammer with e = 0 contains the zero factor (1 - 1)")
     if e < 0 or p < 1:

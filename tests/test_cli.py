@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -609,6 +612,35 @@ def test_quiet_suppresses_reports_keeps_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--expr", "Pi(q) = Pi(q^2)", "--order", "64", "--quiet")
     assert code == cli.EXIT_FALSIFIED
     assert out == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["list"], cli.EXIT_OK),
+        (["list", "--json"], cli.EXIT_OK),
+        (["verify-all", "--order", "64"], cli.EXIT_OK),
+        (["expand", "--expr", "Pi(q)", "--order", "4000"], cli.EXIT_OK),
+        (["verify", "--expr", "Pi(q) = 2*Pi(q)", "--order", "64"], cli.EXIT_FALSIFIED),
+    ],
+    ids=["list", "list-json", "verify-all", "expand", "falsified"],
+)
+def test_a_closed_stdout_keeps_the_exit_code_and_leaves_stderr_empty(argv, code, unbuffered):
+    # a pipe whose reader has gone, as after `piqcheck list | head -1`; a real
+    # process, since the interpreter's own last flush is part of what is tested
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from piqcheck.cli import main; raise SystemExit(main())", *argv],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 @pytest.mark.parametrize(

@@ -101,9 +101,13 @@ def test_floats_rejected_at_every_constructor():
         (lambda: LaurentSeries.monomial(9, "8"), "order"),
         (lambda: LaurentSeries.constant(1, 8.5), "order"),
         (lambda: LaurentSeries.zero(8.0), "order"),
+        (lambda: S(0, [1, 2, 3], 8).shift(0.5), "j"),
+        (lambda: S(0, [1, 2, 3], 8).coefficient(0.5), "n"),
+        (lambda: S(0, [1, 2, 3], 8).coefficient(2.0), "n"),
     ],
     ids=["init-valuation", "init-order", "monomial-order", "monomial-exponent",
-         "monomial-past-order", "constant-order", "zero-order"],
+         "monomial-past-order", "constant-order", "zero-order", "shift", "coefficient-half",
+         "coefficient-float-int"],
 )
 def test_non_int_valuations_exponents_and_orders_are_refused(build, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
@@ -111,6 +115,8 @@ def test_non_int_valuations_exponents_and_orders_are_refused(build, name):
 
 
 FLOAT_HALF = "float 0.5 is not an exact coefficient; use an int, a Fraction or a str"
+# known only below t^0, so a constant lifted to its order is the zero series
+LOW = S(-2, [1, 3], 0)
 
 
 @pytest.mark.parametrize(
@@ -131,12 +137,31 @@ FLOAT_HALF = "float 0.5 is not an exact coefficient; use an int, a Fraction or a
         ("0.5 - ONE", FLOAT_HALF),
         ("0.5 / ONE", FLOAT_HALF),
         ("ONE / 0.5", FLOAT_HALF),
+        # ... and at every order, also where the coefficient it gives is never known
+        ("LaurentSeries.constant(0.5, 0)", FLOAT_HALF),
+        ("LaurentSeries.monomial(9, 8, 0.5)", FLOAT_HALF),
+        ("LOW + 0.5", FLOAT_HALF),
+        ("0.5 + LOW", FLOAT_HALF),
+        ("LOW - 0.5", FLOAT_HALF),
+        ("0.5 - LOW", FLOAT_HALF),
+        ("LOW * 0.5", FLOAT_HALF),
+        ("0.5 * LOW", FLOAT_HALF),
     ],
 )
 def test_mixed_operand_errors(expr, message):
     with pytest.raises(TypeError) as info:
         eval(expr)
     assert str(info.value) == message
+
+
+def test_every_ring_derives_its_difference_and_reflected_operators_from_one_base():
+    from piqcheck import field, series
+
+    derived = ("__radd__", "__rmul__", "__sub__", "__rsub__")
+    for cls in (LaurentSeries, field.Poly, field.RatFunc, field.QuadExt):
+        for name in derived:
+            assert getattr(cls, name) is vars(series._Ring)[name], (cls.__name__, name)
+    assert not vars(LaurentSeries).keys() & {*derived, "_coerce", "_combine"}
 
 
 def test_int_and_fraction_operands_scale():

@@ -279,14 +279,25 @@ def unaligned_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(operand_pairs(lead=rationals), unaligned_pairs()))
-def test_add_and_sub_match_reference(pair):
+@given(
+    st.one_of(operand_pairs(lead=rationals), unaligned_pairs()),
+    st.one_of(st.integers(-12, 12), rationals),
+)
+def test_add_and_sub_match_reference(pair, c):
     x, y = pair
     same_and_canonical(x + y, ref_add(x, y))
     same_and_canonical(y + x, ref_add(x, y))
     same_and_canonical(x - y, ref_add(x, y, -1))
     same_and_canonical(y - x, ref_add(y, x, -1))
     same_and_canonical(x - x, LaurentSeries.zero(x.order))
+    # a constant term is known to x's order; a constant factor is exact, so
+    # its reference is known as far as x is, and a zero factor keeps x's order
+    const = LaurentSeries.constant(c, x.order)
+    same_and_canonical(c + x, ref_add(const, x))
+    same_and_canonical(c - x, ref_add(const, x, -1))
+    same_and_canonical(x - c, ref_add(x, const, -1))
+    factor = LaurentSeries.constant(c, max(x.precision, 1))
+    same_and_canonical(c * x, ref_mul(factor, x) if c else LaurentSeries.zero(x.order))
 
 
 @settings(max_examples=200, deadline=None)

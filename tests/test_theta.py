@@ -39,6 +39,12 @@ def test_pochhammer_zero_factor_rejected():
         theta.pochhammer(0, 8, 20)
 
 
+@pytest.mark.parametrize("args, name", [((1.5, 1, 8), "e"), ((0.0, 8, 20), "e"), ((1, 2.0, 8), "p")])
+def test_pochhammer_refuses_a_non_int_start_or_step(args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not float$"):
+        theta.pochhammer(*args)
+
+
 def test_psi_exponents_are_scaled_triangular_numbers():
     s = theta.psi(1, 41)
     nonzero = [n for n in range(41) if s.coefficient(n) != 0]
