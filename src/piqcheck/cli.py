@@ -38,7 +38,8 @@ line is still reported, and the exit code is the worst over all lines, in
 the order 3 > 2 > 1 > 0.  :func:`_failure` classes lines and commands alike.
 
 A command imports only what it uses.  This module loads only
-:mod:`.series`.  ``list``, ``verify``, ``verify-all`` and ``expand`` import
+:mod:`.series`, and ``json`` only when it writes ``--json`` output.
+``list``, ``verify``, ``verify-all`` and ``expand`` import
 :mod:`.catalog` (with :mod:`.dsl` and :mod:`.theta`) when they run;
 ``prove-modular`` and ``check-param`` import :mod:`.modular` (with
 :mod:`.field` and :mod:`.theta`) and neither the catalog nor the DSL.  So
@@ -58,7 +59,6 @@ error whose message names where the order came from.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -230,8 +230,11 @@ def _json(value) -> str:
 
     ``json.dumps`` refuses an int past the int string limit; this writes it
     as a JSON number of any length, and writes every other report byte for
-    byte as ``json.dumps`` does.
+    byte as ``json.dumps`` does.  ``json`` is imported here, so text mode
+    never loads it.
     """
+    import json
+
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()) + "}"
     if isinstance(value, list):

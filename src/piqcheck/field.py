@@ -25,9 +25,26 @@ compare the stored integers, and the kernels read them directly:
     (Collins, "Subresultants and reduced polynomial remainder sequences",
     JACM 1967): pseudo-remainders, each divided by its content; the monic
     gcd it returns has that primitive gcd as its numerators;
-  * ``RatFunc`` divides the numerator and the denominator numerators by it
-    exactly (by Gauss's lemma the primitive gcd divides both over Z), then
-    makes the denominator monic.
+  * ``RatFunc(num, den)`` divides the numerator and the denominator
+    numerators by it exactly (by Gauss's lemma the primitive gcd divides
+    both over Z), then makes the denominator monic.
+
+The ``RatFunc`` operators keep reduced operands reduced (Henrici, "A
+subroutine for computations with rational numbers", JACM 1956; Knuth,
+TAOCP vol. 2, 4.5.1), so none of them takes the gcd of an unreduced
+result.  For a/b and c/d, each reduced with b and d monic:
+
+  * a product takes g1 = gcd(a, d) and g2 = gcd(c, b), and is
+    (a/g1)(c/g2) / ((b/g2)(d/g1));
+  * a sum over b = d takes one gcd, of a + c and b.  Otherwise it takes
+    g = gcd(b, d); if g = 1 it is (ad + bc) / (bd), with no other gcd,
+    else it takes t = a(d/g) + c(b/g) and g2 = gcd(t, g), and is
+    (t/g2) / ((b/g)(d/g2));
+  * a quotient is a product by the inverse, d/c with c made monic, which
+    takes no gcd;
+  * a power a^e / b^e, a negation -a / b and a lift p / 1 take none.
+
+A gcd with a constant operand is 1 and is never computed.
 
 The canonical forms are the same as the Euclidean algorithm over Q gives,
 coefficient for coefficient.  Degrees stay small (32 at most in the modular
@@ -41,7 +58,7 @@ unary ``-``, ``*``, ``/``, powers and printing.  ``series._Ring``, the base
 ``LaurentSeries`` shares, derives ``-`` and the reflected ``+ * -`` from
 those; its subclass ``_Field`` adds ``c / x`` as ``lift(c) / x`` for
 ``RatFunc`` and ``QuadExt``.  Powers stay per layer: ``RatFunc`` raises
-numerator and denominator apart, so a power takes one gcd, not one per step.
+numerator and denominator apart, so a power takes no gcd, not one per step.
 """
 
 from __future__ import annotations
@@ -282,8 +299,44 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly._build(g, g[-1])
 
 
+def _quo(p: Poly, g: Poly) -> Poly:
+    """p divided exactly by g's integer numerators, which divide p's (Gauss's lemma)."""
+    return Poly._build(_zz_divmod(p._nums, g._nums)[0], p._den)
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly | None, Poly, Poly]:
+    """(g, a / g, b / g) for g = poly_gcd(a, b), a and b nonzero.
+
+    g is None, and a and b come back as they are, when the gcd is 1 or
+    when a or b is a constant, whose gcd with anything is 1 and is not
+    computed.  Each quotient is over g's integer numerators, a constant
+    multiple of g, so a / g and b / g are off by the same constant and
+    their ratio is exact.
+    """
+    if a.degree < 1 or b.degree < 1:
+        return None, a, b
+    g = poly_gcd(a, b)
+    if not g.degree:
+        return None, a, b
+    return g, _quo(a, g), _quo(b, g)
+
+
+def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / den with den scaled to be monic; num is scaled by the same constant."""
+    # den = d / dd with leading entry lc = d[-1]: num / den = (num dd / lc) / (d / lc)
+    lc = den._nums[-1]
+    if lc == den._den:
+        return num, den
+    return Poly._build(_scaled(num._nums, den._den), num._den * lc), Poly._build(den._nums, lc)
+
+
 class RatFunc(_Field, _Frozen):
-    """Canonical quotient of polynomials: gcd-reduced, monic denominator."""
+    """Canonical quotient of polynomials: gcd-reduced, monic denominator.
+
+    ``RatFunc(num, den)`` and ``RatFunc.of`` reduce any pair.  The operators
+    build their results already reduced from reduced operands, taking gcds
+    of their operands' parts only (see the module docstring).
+    """
 
     num: Poly
     den: Poly
@@ -295,18 +348,16 @@ class RatFunc(_Field, _Frozen):
         if num.is_zero:
             num, den = _ZERO, _ONE
         else:
-            # num = n / dn and den = d / dd; the primitive gcd g divides the
-            # integer numerators n and d exactly (Gauss's lemma), and
-            # num / den = (n/g) dd / ((d/g) dn)
-            g = poly_gcd(num, den)
-            n, d = num._nums, den._nums
-            if g.degree > 0:
-                n, d = _zz_divmod(n, g._nums)[0], _zz_divmod(d, g._nums)[0]
-            lc = d[-1]
-            num = Poly._build(_scaled(n, den._den), num._den * lc)
-            den = Poly._build(d, lc)
+            num, den = _monic_den(*_cancel(num, den)[1:])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _raw(cls, num: Poly, den: Poly) -> RatFunc:
+        """A rational function from parts that are already in canonical form."""
+        self = object.__new__(cls)
+        vars(self).update(num=num, den=den)
+        return self
 
     # ------------------------------------------------------------------
 
@@ -325,7 +376,7 @@ class RatFunc(_Field, _Frozen):
         p = Poly._lift(other)
         if p is None:
             return None
-        return RatFunc(p, _ONE)
+        return RatFunc._raw(p, _ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -335,37 +386,59 @@ class RatFunc(_Field, _Frozen):
         rhs = RatFunc._lift(other)
         if rhs is None:
             return NotImplemented
-        return RatFunc(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
+        if rhs.is_zero:
+            return self
+        if self.is_zero:
+            return rhs
+        a, b, c, d = self.num, self.den, rhs.num, rhs.den
+        if b == d:
+            t = a + c
+            return RF_ZERO if t.is_zero else RatFunc._raw(*_monic_den(*_cancel(t, b)[1:]))
+        # a/b + c/d = t / ((b/g) d) with t = a (d/g) + c (b/g); t shares with
+        # (b/g) d only what it shares with g
+        g, b1, d1 = _cancel(b, d)
+        t = a * d1 + c * b1
+        if g is None:
+            return RatFunc._raw(t, b * d)
+        h, t, _ = _cancel(t, g)
+        return RatFunc._raw(*_monic_den(t, b1 * (d if h is None else _quo(d, h))))
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc._raw(-self.num, self.den)
 
     def __mul__(self, other) -> RatFunc:
         rhs = RatFunc._lift(other)
         if rhs is None:
             return NotImplemented
-        return RatFunc(self.num * rhs.num, self.den * rhs.den)
+        if self.is_zero or rhs.is_zero:
+            return RF_ZERO
+        _, a, d = _cancel(self.num, rhs.den)
+        _, c, b = _cancel(rhs.num, self.den)
+        return RatFunc._raw(*_monic_den(a * c, b * d))
+
+    def _inverse(self) -> RatFunc:
+        """1 / self: numerator and denominator change places, with no gcd."""
+        if self.is_zero:
+            raise DivisionByZeroRatFunc("division by the zero rational function")
+        return RatFunc._raw(*_monic_den(self.den, self.num))
 
     def __truediv__(self, other) -> RatFunc:
         rhs = RatFunc._lift(other)
         if rhs is None:
             return NotImplemented
-        if rhs.is_zero:
-            raise DivisionByZeroRatFunc("division by the zero rational function")
-        return RatFunc(self.num * rhs.den, self.den * rhs.num)
+        return self * rhs._inverse()
 
     def __pow__(self, e: int) -> RatFunc:
         if not isinstance(e, int):
             raise ValueError("rational-function power must be an integer")
         if e < 0:
-            return (RatFunc._lift(1) / self) ** (-e)
-        return RatFunc(self.num**e, self.den**e)
+            return self._inverse() ** (-e)
+        return RatFunc._raw(self.num**e, self.den**e)
 
     def __str__(self) -> str:
         if self.den.degree == 0:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
 
 RF_ZERO = RatFunc.of(0)
 RF_ONE = RatFunc.of(1)

@@ -8,14 +8,20 @@ same coefficients, as Fractions, for the zero polynomial, constants,
 rational and negative leading coefficients, coprime inputs, common factors
 of degree two and more, and degrees up to about 35 (the modular goals reach
 32).
+
+The ``RatFunc`` operators build reduced results from reduced operands, with
+gcds of their operands' parts only; each must equal the public constructor
+on the unreduced numerator and denominator, which the oracle above checks.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piqcheck import modular
 from piqcheck.field import M, DivisionByZeroRatFunc, Poly, RatFunc, poly_gcd
 
 ZERO = Poly(())
@@ -207,3 +213,130 @@ def test_edge_cases_match_reference(a, b):
         want_num, want_den = ref_canonical(a, b)
         same(r.num, want_num)
         same(r.den, want_den)
+
+
+# ----------------------------------------------------------------------
+# RatFunc operators against the constructor on unreduced parts
+
+
+def check_operators(x: RatFunc, y: RatFunc) -> None:
+    """Each of x + y, x - y, x * y, x / y, -x and x ** e, against RatFunc(num, den) unreduced."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    assert x + y == RatFunc(a * d + c * b, b * d)
+    assert x - y == RatFunc(a * d - c * b, b * d)
+    assert x * y == RatFunc(a * c, b * d)
+    assert -x == RatFunc(-a, b)
+    if y.is_zero:
+        with pytest.raises(DivisionByZeroRatFunc):
+            x / y
+    else:
+        assert x / y == RatFunc(a * d, b * c)
+    for e in range(-3, 4):
+        if e < 0 and x.is_zero:
+            with pytest.raises(DivisionByZeroRatFunc):
+                x**e
+        else:
+            assert x**e == (RatFunc(a**e, b**e) if e >= 0 else RatFunc(b**-e, a**-e))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Reduced x and y whose parts are products of a few shared factors.
+
+    One factor has degree 2 or more.  y is one of: a quotient of other
+    products, so the denominators share factors; w - x for such a w, so
+    that x + y = w and the sum's numerator cancels part of the shared
+    denominator factor; a numerator over x's own denominator whose sum
+    with x's numerator cancels a factor of it; zero; a constant.
+    """
+    pool = [draw(polys(max_degree=3, min_degree=2))]
+    pool += draw(st.lists(polys(max_degree=3, min_degree=1), min_size=1, max_size=3))
+    picks = st.lists(st.sampled_from(pool), max_size=4)
+
+    def product(lead=True):
+        out = Poly((draw(nonzero_rationals),)) if lead else Poly((1,))
+        for f in draw(picks):
+            out = ref_mul(out, f)
+        return out
+
+    x = RatFunc(product(), product(lead=False))
+    kind = draw(st.sampled_from(["shared", "cancelling", "same-den", "zero", "constant"]))
+    if kind in ("shared", "cancelling"):
+        y = RatFunc(product(), product(lead=False))
+        if kind == "cancelling":
+            y = RatFunc(y.num * x.den - x.num * y.den, y.den * x.den)
+    elif kind == "same-den":
+        f = draw(st.sampled_from(pool))
+        y = RatFunc(ref_mul(product(), f) - x.num, x.den)
+    elif kind == "zero":
+        y = RatFunc.of(0)
+    else:
+        y = RatFunc.of(draw(nonzero_rationals))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_ratfunc_operators_match_the_unreduced_constructor(pair):
+    x, y = pair
+    check_operators(x, y)
+    check_operators(y, x)
+
+
+R = RatFunc.of
+QUAD = M**2 + 1
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # equal denominators; the sum cancels m - 1
+        (R(1, (M - 1) * (M + 2)), R(M - 2, (M - 1) * (M + 2))),
+        # a shared quadratic factor, and a sum coprime to it
+        (R(1, QUAD * (M - 1)), R(M, QUAD * (M + 3))),
+        # x + y = 1 / (m + 3): the second gcd takes all of the shared factor
+        (R(1, QUAD * (M - 1)), R(QUAD * (M - 1) - (M + 3), (M + 3) * QUAD * (M - 1))),
+        # coprime denominators, rational and negative leads
+        (R(Fraction(-3, 2) * M**2 + 1, Fraction(5, 7) * (M - 5)), R(Fraction(2, 3) * M, -(M + 4))),
+        # cross factors of a product: x's numerator with y's denominator and back
+        (R((M - 1) * QUAD, (M + 2) * (M - 3)), R((M + 2) * M, -(M - 1) * QUAD * M)),
+        # zero, constants and polynomials
+        (R(0), R((M - 1) * (M + 2), M)),
+        (R(Fraction(-2, 3)), R(5)),
+        (R(M**3 - 2), R(Fraction(1, 2), M**2 - 2)),
+    ],
+    ids=["same-den", "shared", "second-gcd", "coprime", "cross", "zero", "constants", "poly"],
+)
+def test_each_operator_branch_matches_the_unreduced_constructor(x, y):
+    check_operators(x, y)
+    check_operators(y, x)
+
+
+def test_no_operator_reaches_the_full_canonicalization_in_the_modular_replay(monkeypatch):
+    """Only the public constructors reduce a pair from scratch; the operators never do."""
+    # every method of RatFunc and its bases but the constructors, static and class methods unwrapped
+    methods = (
+        (name, getattr(f, "__func__", f)) for cls in RatFunc.__mro__ for name, f in vars(cls).items()
+    )
+    operators = {
+        f.__code__
+        for name, f in methods
+        if hasattr(f, "__code__") and name not in ("of", "__init__", "__post_init__")
+    }
+    reached, calls = [], []
+    post_init = RatFunc.__post_init__
+
+    def counted(self):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in operators:
+                reached.append(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(RatFunc, "__post_init__", counted)
+    reports = modular.prove_all(3) + modular.prove_all(5)
+    assert all(r.sides_equal for r in reports) and len(reports) == 14
+    assert calls  # RatFunc.of, which the tables call, still reduces
+    assert reached == []

@@ -18,10 +18,14 @@ to evaluate the tables' own parametrization at series: its two checks are
 now named ``alpha`` and ``beta``, in that order, and nothing else in them
 moved.  The ``list`` files were recorded before ``LaurentSeries`` took its
 difference and reflected operators from the base the field tower shares, so
-every command's output is pinned.  A change to any layer that moves a single coefficient, order,
-status, canonical form or exit code shows up here.  JSON reports are
-compared as ordered ``(key, value)`` lists without ``elapsed_ms``, the one
-field that carries a timing, so the order of the keys is pinned too.
+every command's output is pinned.  ``prove_modular_forms.txt`` holds the
+canonical form of every table atom and of both sides of every goal, one
+line each; it was recorded before the ``RatFunc`` operators began to build
+reduced results from their operands' parts.  A change to any layer that
+moves a single coefficient, order, status, canonical form or exit code
+shows up here.  JSON reports are compared as ordered ``(key, value)``
+lists without ``elapsed_ms``, the one field that carries a timing, so the
+order of the keys is pinned too.
 """
 
 import json
@@ -29,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from piqcheck import cli
+from piqcheck import cli, modular
 
 DATA = Path(__file__).parent / "data"
 MIXED = str(DATA / "mixed_identities.txt")
@@ -85,3 +89,18 @@ def test_json_output_is_identical_apart_from_timing(name, argv, code, capsys):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert _untimed(out) == _untimed((DATA / name).read_text(encoding="utf-8"))
+
+
+def _forms() -> str:
+    """One line per table atom and goal side of both degrees: its canonical form over Q(m)(s)."""
+    lines = []
+    for degree, build in ((3, modular.build_table3), (5, modular.build_table5)):
+        table = build()
+        lines += [f"{degree} atom {name}: {value}" for name, value in table.atoms.items()]
+        for eq_id, (lhs, rhs) in table.goals.items():
+            lines += [f"{degree} goal {eq_id} lhs: {lhs}", f"{degree} goal {eq_id} rhs: {rhs}"]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_modular_canonical_forms_are_byte_identical():
+    assert _forms().encode("utf-8") == (DATA / "prove_modular_forms.txt").read_bytes()

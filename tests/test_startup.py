@@ -111,6 +111,33 @@ def test_no_command_imports_dataclasses_inspect_or_typing():
     assert json.loads(done.stdout) == [[cli.EXIT_OK] * len(argvs), []]
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_only_json_output_imports_json(json_mode):
+    # the probe reads sys.modules before it imports anything else, and -S keeps
+    # site-packages' .pth files out of the child
+    argvs = [
+        ["verify", "--expr", "Pi(q) = q^{1/4} * psi(q)^2", "--order", "64"],
+        ["verify-all", "--order", "64"],
+        ["prove-modular"],
+        ["check-param", "--degree", "5", "--order", "64"],
+    ]
+    if json_mode:
+        argvs = [argv + ["--json"] for argv in argvs]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from piqcheck import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'json' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[cli.EXIT_OK] * len(argvs)} {json_mode}\n"
+
+
 def test_the_registry_is_built_on_first_lookup():
     probe = (
         "from piqcheck import catalog\n"
