@@ -75,9 +75,7 @@ class EvalError(SeriesError):
 # evaluation
 
 
-# the theta function that builds each builder's series, looked up by name in
-# the module at call time so that a wrapped builder sees every call
-_THETA = {Pi: "pi_product", Psi: "psi", Phi: "phi"}
+_THETA = {Pi: theta.pi_product, Psi: theta.psi, Phi: theta.phi}
 
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
@@ -93,7 +91,7 @@ def _apply(path: str, op, *args) -> LaurentSeries:
 def _eval(e: Expr, order: int, path: str) -> LaurentSeries:
     match e:
         case Builder(k):
-            return _apply(path, getattr(theta, _THETA[type(e)]), k, order)
+            return _apply(path, _THETA[type(e)], k, order)
         case QPow():
             exp = e.t_exponent
             return _apply(path, LaurentSeries.monomial, exp, order + max(exp, 0))
@@ -117,7 +115,7 @@ def evaluate(e: Expr, order: int) -> LaurentSeries:
     """Evaluate an expression tree to a Laurent series with tracked order.
 
     A tree whose root records a ``depth`` past ``dsl.MAX_DEPTH`` raises
-    ValueError; an order :func:`check_order` rejects raises its TypeError or ValueError.
+    ValueError; an order :func:`check_order` rejects raises its TypeError or UsageError.
     """
     check_order(order)
     check_depth(e)

@@ -16,15 +16,18 @@ that starts with the same seven fields (``id``, ``status``, ``order``,
 ``valid_order``, ``first_failure``, ``paper_form_match``, ``elapsed_ms``)
 and then adds its own.  Every command ends in :func:`_finish`, which prints
 the reports and applies one exit rule.  Exit codes: 0 all checks
-verified/proved, 1 at least one falsified, 2 usage or parse error, an
-unreadable input file or a power past ``series.MAX_POWER_BITS``, 3 internal
+verified/proved, 1 at least one falsified, 2 a ``series.UsageError`` (a
+parse error, a power past ``series.MAX_POWER_BITS``, an order out of range,
+a bad flag combination) or an unreadable input file, 3 internal
 precondition violation (including reports with status ``error``) or any
 other unexpected failure; each failure, argparse's too, is one stderr line
 without a traceback.  A closed stdout is no failure: the code is the one
 the reports give, and stderr stays empty.  A precondition violation is a
-``SeriesError`` or a ``ValueError``, which ``field.FieldError`` and
-``modular.ModularError`` are, so the handler names no class of a module the
-command did not load.  Exact numbers are rendered with ``series.exact_str``,
+``SeriesError`` or any other ``ValueError``, which ``field.FieldError`` and
+``modular.ModularError`` are.  Each refusal of the caller's input is raised
+as a ``UsageError`` where it is found (``dsl.ParseError`` is one), and its
+``label`` opens its stderr line, so the handler names no class of a module
+the command did not load.  Exact numbers are rendered with ``series.exact_str``,
 so a report prints however many digits its coefficients, exponents and
 orders have; every int of a ``--json`` report is written by it too, as a
 JSON number.
@@ -42,10 +45,8 @@ A command imports only what it uses.  This module loads only
 ``list``, ``verify``, ``verify-all`` and ``expand`` import
 :mod:`.catalog` (with :mod:`.dsl` and :mod:`.theta`) when they run;
 ``prove-modular`` and ``check-param`` import :mod:`.modular` (with
-:mod:`.field` and :mod:`.theta`) and neither the catalog nor the DSL.  So
-:func:`main` names no class of those modules: a ``dsl.ParseError`` is
-raised again as this module's ``_Unparsable`` where the text is parsed.
-The catalog parses its sides on the first lookup of a record, which
+:mod:`.field` and :mod:`.theta`) and neither the catalog nor the DSL.  The
+catalog parses its sides on the first lookup of a record, which
 ``expand`` and ``verify --expr``/``--expr-file`` never make.
 
 Text output contains no timestamps or timings, so identical invocations
@@ -66,8 +67,8 @@ from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
     MIN_ORDER,
-    PowerTooLarge,
     SeriesError,
+    UsageError,
     check_order,
     exact_str,
 )
@@ -278,29 +279,18 @@ def _resolve_order(args) -> int:
         order, source = args.order, "--order"
     else:
         order, source = _default_order(), ENV_ORDER
-    try:
-        check_order(order, source)
-    except ValueError as e:
-        raise _Usage(str(e)) from None
+    check_order(order, source)
     return order
 
 
-class _Usage(Exception):
-    pass
-
-
-class _Unparsable(Exception):
-    """A ``dsl.ParseError``, with its message, under a class :func:`main` can name."""
-
-
-# PowerTooLarge and UnicodeDecodeError are ValueErrors, so _failure tests these first
-_USAGE_ERRORS = (_Usage, _Unparsable, PowerTooLarge, OSError, UnicodeDecodeError)
+# UsageError and UnicodeDecodeError are ValueErrors, so _failure tests these first
+_USAGE_ERRORS = (UsageError, OSError, UnicodeDecodeError)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
-    """The exit code of a failure, and the prefix of its stderr line."""
+    """The exit code of a failure, and the prefix of its stderr line: a UsageError's label."""
     if isinstance(exc, _USAGE_ERRORS):
-        return EXIT_USAGE, "parse error" if isinstance(exc, _Unparsable) else "error"
+        return EXIT_USAGE, getattr(exc, "label", "error")
     if isinstance(exc, (SeriesError, ValueError)):
         # field.FieldError and modular.ModularError are ValueErrors
         return EXIT_INTERNAL, "internal precondition violation"
@@ -326,23 +316,15 @@ def _cmd_list(args) -> int:
     ])
 
 
-def _parse(text: str) -> Expr:
-    """``dsl.parse(text)``, raising its ParseError again as :class:`_Unparsable`."""
-    from .dsl import ParseError, parse
-
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise _Unparsable(str(exc)) from None
-
-
 def _split_identity(text: str) -> tuple[Expr, Expr]:
     """Both sides of 'LHS = RHS', with parse-error offsets counted from the start of text."""
+    from .dsl import parse
+
     if text.count("=") != 1:
-        raise _Usage("a user identity must contain exactly one '=' separating LHS and RHS")
+        raise UsageError("a user identity must contain exactly one '=' separating LHS and RHS")
     lhs_text, rhs_text = text.split("=")
     # the right side is parsed behind one blank byte per byte of 'LHS ='
-    return _parse(lhs_text), _parse(" " * (len(lhs_text.encode("utf-8")) + 1) + rhs_text)
+    return parse(lhs_text), parse(" " * (len(lhs_text.encode("utf-8")) + 1) + rhs_text)
 
 
 def _cmd_verify(args) -> int:
@@ -351,16 +333,14 @@ def _cmd_verify(args) -> int:
     order = _resolve_order(args)
     sources = [s for s in (args.ident, args.expr, args.expr_file) if s]
     if len(sources) != 1:
-        raise _Usage("verify needs exactly one of --id, --expr, --expr-file")
+        raise UsageError("verify needs exactly one of --id, --expr, --expr-file")
     reports: list[VerifyReport] = []
     worst = EXIT_OK
     if args.ident:
         try:
             reports.append(catalog.verify(args.ident, order))
         except catalog.UnknownIdentity:
-            raise _Usage(
-                f"unknown identity {args.ident!r}; see 'piqcheck list'"
-            ) from None
+            raise UsageError(f"unknown identity {args.ident!r}; see 'piqcheck list'") from None
     elif args.expr:
         reports.append(catalog.verify_sides("user", *_split_identity(args.expr), order))
     else:
@@ -388,9 +368,10 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_expand(args) -> int:
     from . import catalog
+    from .dsl import parse
 
     order = _resolve_order(args)
-    series = catalog.evaluate(_parse(args.expr), order)
+    series = catalog.evaluate(parse(args.expr), order)
     terms = [(exp, exact_str(c)) for exp, c in series.terms()]
     lines = [f"t^{exact_str(exp)}: {c}" for exp, c in terms]
     lines.append(
@@ -413,12 +394,12 @@ def _cmd_prove_modular(args) -> int:
     if args.theorem is not None:
         mapped = 3 if args.theorem == "2.2" else 5
         if degree is not None and degree != mapped:
-            raise _Usage("--degree and --theorem disagree")
+            raise UsageError("--degree and --theorem disagree")
         degree = mapped
     if degree is None and args.eq is not None:
         degree = next((d for d, eqs in modular.EQUATIONS.items() if args.eq in eqs), None)
         if degree is None:
-            raise _Usage(f"unknown equation id {args.eq!r}")
+            raise UsageError(f"unknown equation id {args.eq!r}")
     reports: list[ProofReport] = []
     degrees = (degree,) if degree is not None else tuple(modular.EQUATIONS)
     for d in degrees:
@@ -427,7 +408,7 @@ def _cmd_prove_modular(args) -> int:
         elif args.eq in modular.EQUATIONS[d]:
             reports.append(modular.prove(d, args.eq))
         else:
-            raise _Usage(f"equation {args.eq!r} is not a degree-{d} goal")
+            raise UsageError(f"equation {args.eq!r} is not a degree-{d} goal")
     return _finish(args, [_proof_report(r) for r in reports])
 
 

@@ -30,12 +30,13 @@ nested deeper than that, raises :class:`ParseError` at the operator or
 bracket that goes past the limit.  A deeper tree built through the API is
 refused with ValueError by :func:`to_text` and by ``catalog.evaluate``.
 
-Parse failures raise :class:`ParseError` carrying the byte offset into the
-UTF-8 encoding of the input and the set of token descriptions that were
-expected at that point.  An integer literal longer than the interpreter's
-int string limit (``sys.get_int_max_str_digits()``) is one, at the
-literal.  A builder or sqrt call with the wrong number of arguments raises
-:class:`ArityError` instead (same offset semantics).
+Parse failures raise :class:`ParseError`, a ``series.UsageError`` and so a
+ValueError, carrying the byte offset into the UTF-8 encoding of the input
+and the set of token descriptions that were expected at that point.  An
+integer literal longer than the interpreter's int string limit
+(``sys.get_int_max_str_digits()``) is one, at the literal.  A builder or
+sqrt call with the wrong number of arguments raises :class:`ArityError`
+instead (same offset semantics).
 
 :func:`to_text` renders a tree back to the grammar, spelling every number
 with ``series.exact_str``; ``parse(to_text(e))`` reproduces ``e`` node for
@@ -57,7 +58,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .series import MAX_ORDER, _frac, _Frozen, exact_str
+from .series import MAX_ORDER, UsageError, _frac, _Frozen, exact_str
 
 MAX_DEPTH = 100
 """Deepest expression tree, and deepest nesting of brackets, that parse accepts.
@@ -70,8 +71,10 @@ the API, before they are evaluated or printed, from the root's ``depth``.
 """
 
 
-class ParseError(Exception):
+class ParseError(UsageError):
     """Syntax error with a byte offset and the set of expected tokens."""
+
+    label = "parse error"
 
     def __init__(self, message: str, offset: int, expected: frozenset[str] = frozenset()):
         self.offset = offset
@@ -288,12 +291,14 @@ class _Parser:
             return self._advance()
         return None
 
-    def _expect(self, kind: str) -> tuple:
+    def _expect(self, kind: str, *others: str) -> tuple:
+        """Consume a token of ``kind``, else raise a ParseError expecting it or ``others``."""
         if self.kind != kind:
             # a name is expected only where q is
             expected = {"int": "integer", "name": "'q'"}.get(kind, f"'{kind}'")
             raise ParseError(
-                f"unexpected {self._describe(self.current)}", self._offset(), frozenset({expected})
+                f"unexpected {self._describe(self.current)}", self._offset(),
+                frozenset({expected, *others}),
             )
         return self._advance()
 
@@ -346,10 +351,11 @@ class _Parser:
         node = self.atom()
         op = self._accept("^")
         if op:
-            if self._at_negative():
+            # after '^' a '(' can only open a negative exponent
+            if self.kind == "(":
                 exponent = -self._negative(self._integer)
             else:
-                exponent = self._integer()
+                exponent = self._expect("int", "'('")[3]
             node = PowInt(node, exponent)
             self._checked(node.depth, op)
         return node
@@ -398,8 +404,8 @@ class _Parser:
     def _integer(self) -> int:
         return self._expect("int")[3]
 
-    def _rational(self) -> Fraction:
-        tok = self._expect("int")
+    def _rational(self, *others: str) -> Fraction:
+        tok = self._expect("int", *others)
         value = Fraction(tok[3])
         # consume '/' only when an integer follows, so 3/psi(q) stays a term
         if self.kind == "/" and self.tokens[self.pos + 1][0] == "int":
@@ -454,12 +460,12 @@ class _Parser:
         self._advance()  # q
         self._expect("^")
         rat_tok = self.current
-        if self._at_negative():
+        if self.kind == "(":
             r = -self._negative(self._rational)
         else:
             braced = self._accept("{") is not None
             rat_tok = self.current
-            r = self._rational()
+            r = self._rational() if braced else self._rational("'{'", "'('")
             if braced:
                 self._expect("}")
         if (4 * r).denominator != 1:

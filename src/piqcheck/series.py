@@ -147,13 +147,20 @@ def _check_int(value, name: str) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
+class UsageError(ValueError):
+    """Input the caller wrote, refused as written: the command line exits 2 on it,
+    and its ``label`` opens the stderr line.  ``dsl.ParseError`` is one."""
+
+    label = "error"
+
+
 def check_order(order: int, name: str = "order") -> None:
-    """TypeError, naming ``name``, for a non-int order; ValueError outside MIN_ORDER..MAX_ORDER."""
+    """TypeError, naming ``name``, for a non-int order; UsageError outside MIN_ORDER..MAX_ORDER."""
     _check_int(order, name)
     if order < MIN_ORDER:
-        raise ValueError(f"{name} must be at least {MIN_ORDER}")
+        raise UsageError(f"{name} must be at least {MIN_ORDER}")
     if order > MAX_ORDER:
-        raise ValueError(f"{name} must be at most {MAX_ORDER}")
+        raise UsageError(f"{name} must be at most {MAX_ORDER}")
 
 
 MAX_POWER_BITS = 1_000_000
@@ -164,7 +171,7 @@ and of ``check-param`` stay under 30000 at every order up to ``MAX_ORDER``.
 The window, which ``MAX_ORDER`` bounds, sets how many coefficients a power has."""
 
 
-class PowerTooLarge(ValueError):
+class PowerTooLarge(UsageError):
     """A power whose coefficient bound passes MAX_POWER_BITS, refused before any work."""
 
 

@@ -16,7 +16,7 @@ The functions constructed here:
     positive branch (constant term 2).
 
 Builders take an explicit target order, an int from 8 to ``series.MAX_ORDER``
-(``series.check_order``: TypeError for a non-int, ValueError out of range);
+(``series.check_order``: TypeError for a non-int, UsageError out of range);
 there is no global precision state.  m and beta are defined at every degree
 ``phi`` and ``psi`` accept; ``modular.EQUATIONS`` has the degrees with equations.
 Results are cached (they are immutable), so repeated identity verifications

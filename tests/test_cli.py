@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck import catalog, cli
-from piqcheck.series import PowerTooLarge, SeriesError
+from piqcheck.dsl import (
+    MAX_DEPTH,
+    ArityError,
+    ParseError,
+    Pi,
+    QPow,
+    QPowNotQuarterIntegral,
+    Sqrt,
+    check_depth,
+    parse,
+)
+from piqcheck.series import (
+    LaurentSeries,
+    PowerTooLarge,
+    SeriesError,
+    UsageError,
+    check_order,
+)
 
 
 def run(capsys, *argv):
@@ -156,19 +174,61 @@ def test_expr_file_undecodable_line_does_not_abort_the_batch(tmp_path, capsys):
 @pytest.mark.parametrize(
     "exc, failure",
     [
-        (cli._Usage("x"), (cli.EXIT_USAGE, "error")),
-        (cli._Unparsable("x"), (cli.EXIT_USAGE, "parse error")),
+        (UsageError("x"), (cli.EXIT_USAGE, "error")),
+        (ParseError("x", 0), (cli.EXIT_USAGE, "parse error")),
         (PowerTooLarge("x"), (cli.EXIT_USAGE, "error")),
         (OSError("x"), (cli.EXIT_USAGE, "error")),
         (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x"), (cli.EXIT_USAGE, "error")),
         (SeriesError("x"), (cli.EXIT_INTERNAL, "internal precondition violation")),
         (ValueError("x"), (cli.EXIT_INTERNAL, "internal precondition violation")),
         (RuntimeError("x"), (cli.EXIT_INTERNAL, "internal error: RuntimeError")),
+        (ArityError("x", 0), (cli.EXIT_USAGE, "parse error")),
+        (QPowNotQuarterIntegral(Fraction(1, 3), 0), (cli.EXIT_USAGE, "parse error")),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
 )
 def test_one_failure_table_for_lines_and_commands(exc, failure):
     assert cli._failure(exc) == failure
+
+
+def _raised(call, *args) -> Exception:
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return info.value
+
+
+def test_refused_input_is_a_usage_error_and_a_broken_precondition_is_not():
+    too_deep = Pi(1)
+    for _ in range(MAX_DEPTH):
+        too_deep = Sqrt(too_deep)
+    refused = [
+        _raised(pow, LaurentSeries.constant(Fraction(3, 2), 8), 10**7),
+        _raised(parse, "Pi(q"),
+        _raised(parse, "Pi(q, q)"),
+        _raised(parse, "q^{1/3}"),
+        _raised(check_order, 7),
+        _raised(check_order, 100001),
+    ]
+    assert [type(e) for e in refused[:4]] == [
+        PowerTooLarge, ParseError, ArityError, QPowNotQuarterIntegral,
+    ]
+    assert all(isinstance(e, UsageError) and isinstance(e, ValueError) for e in refused)
+    broken = [
+        _raised(check_order, 8.0),
+        _raised(Pi, 0),
+        _raised(QPow, Fraction(1, 3)),
+        _raised(check_depth, too_deep),
+    ]
+    assert [type(e) for e in broken] == [TypeError, ValueError, ValueError, ValueError]
+    assert not any(isinstance(e, UsageError) for e in broken)
+
+
+def test_cli_defines_no_error_class_and_no_parse_wrapper():
+    assert not hasattr(cli, "_parse")
+    assert not [
+        name for name, value in vars(cli).items()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == cli.__name__
+    ]
 
 
 @pytest.mark.parametrize(

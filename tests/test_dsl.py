@@ -85,6 +85,16 @@ def test_parse_error_offset_and_expected_set():
     with pytest.raises(ParseError) as exc:
         parse("Pi[q]")
     assert exc.value.offset == 2
+    # after '^' a '(' opens a negative exponent, so the token after it is blamed
+    for text, offset, expected in [
+        ("Pi(q)^(2)", 7, {"'-'"}),
+        ("q^(1/2)", 3, {"'-'"}),
+        ("Pi(q)^x", 6, {"integer", "'('"}),
+        ("q^x", 2, {"integer", "'{'", "'('"}),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.offset, exc.value.expected) == (offset, expected), text
 
 
 def test_arity_errors_with_offsets():

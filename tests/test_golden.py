@@ -21,9 +21,13 @@ difference and reflected operators from the base the field tower shares, so
 every command's output is pinned.  ``prove_modular_forms.txt`` holds the
 canonical form of every table atom and of both sides of every goal, one
 line each; it was recorded before the ``RatFunc`` operators began to build
-reduced results from their operands' parts.  A change to any layer that
-moves a single coefficient, order, status, canonical form or exit code
-shows up here.  JSON reports are compared as ordered ``(key, value)``
+reduced results from their operands' parts.  ``verify_refused_64.txt``
+and ``verify_refused_64.err`` hold the stdout and stderr of a batch with one
+line for each kind of refused input, and ``refusals.txt`` the exit code and
+stderr line of each refusal of a whole command; all three were recorded
+before every refusal became a ``series.UsageError`` where it is raised.  A
+change to any layer that moves a single coefficient, order, status,
+canonical form, exit code or refusal message shows up here.  JSON reports are compared as ordered ``(key, value)``
 lists without ``elapsed_ms``, the one field that carries a timing, so the
 order of the keys is pinned too.
 """
@@ -89,6 +93,59 @@ def test_json_output_is_identical_apart_from_timing(name, argv, code, capsys):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert _untimed(out) == _untimed((DATA / name).read_text(encoding="utf-8"))
+
+
+REFUSED = str(DATA / "refused_identities.txt")
+
+# one argv per line of refusals.txt, in its order
+REFUSALS = [
+    ["verify", "--id", "EQ9-9"],
+    ["verify"],
+    ["verify-all", "--order", "7"],
+    ["verify", "--expr", "Pi(q) = 1 = Pi(q)"],
+    ["expand", "--expr", "Pi(q"],
+    ["expand", "--expr", "(3/2)^10000000", "--order", "8"],
+    ["prove-modular", "--degree", "3", "--theorem", "3.2"],
+    ["prove-modular", "--eq", "9-9"],
+    ["prove-modular", "--degree", "5", "--eq", "4-1"],
+    ["verify", "--expr-file", "no_such_identities.txt"],
+    ["frobnicate"],
+]
+
+
+def test_refused_lines_keep_their_reports_and_stderr(capsys):
+    assert cli.main(["verify", "--expr-file", REFUSED, "--order", "64"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == (DATA / "verify_refused_64.txt").read_bytes()
+    assert captured.err.encode("utf-8") == (DATA / "verify_refused_64.err").read_bytes()
+
+
+def _choices_unquoted(line: str) -> str:
+    """The line with the choices of an argparse "invalid choice" message unquoted.
+
+    argparse quotes each choice with repr() in the Python these lines were
+    recorded with (3.11); later releases may print them with str(), so a
+    refusal matches its recorded line as written or with its choices unquoted.
+    """
+    head, sep, choices = line.partition("(choose from ")
+    return head + sep + choices.replace("'", "")
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    zip(REFUSALS, (DATA / "refusals.txt").read_text(encoding="utf-8").splitlines(True), strict=True),
+    ids=[" ".join(argv) for argv in REFUSALS],
+)
+def test_refused_commands_keep_their_exit_code_and_stderr(
+    argv, recorded, capsys, monkeypatch, tmp_path
+):
+    # the missing --expr-file is a relative path, so it is looked up in an empty directory
+    monkeypatch.chdir(tmp_path)
+    code, err = recorded.split("\t", 1)
+    assert cli.main(argv) == int(code)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err in (err, _choices_unquoted(err))
 
 
 def _forms() -> str:
