@@ -8,7 +8,8 @@ classical identities together with a small text DSL for user-supplied ones.
 ``import piqcheck`` imports no submodule.  Each public name is looked up in
 its submodule when it is first read (PEP 562), so ``piqcheck.verify``
 loads :mod:`.catalog` and what it imports, and ``piqcheck.prove_all``
-loads :mod:`.modular` and :mod:`.field` as well.
+loads :mod:`.modular` with the shared base :mod:`.exact`, then
+:mod:`.field` when it builds its first table, and no series module.
 """
 
 from importlib import import_module
@@ -21,12 +22,13 @@ _NAMES = {
     " evaluate get_identity known_ids list_identities verify verify_all verify_sides",
     "dsl": "Add ArityError Const Div Expr Mul ParseError Phi Pi PowInt Psi QPow"
     " QPowNotQuarterIntegral Sqrt Sub parse to_text",
+    "exact": "DEFAULT_ORDER DivisionByZeroSeries InsufficientPrecision NonSquareLeadingCoefficient"
+    " OddValuation SeriesError",
     "field": "DivisionByZeroRatFunc FieldError M ModulusMismatch Poly QuadExt RatFunc"
     " ZeroNormInverse poly_gcd quadext_equal",
     "modular": "DEGREE3_EQUATIONS DEGREE5_EQUATIONS ModularError ParamCheck ParamSeriesReport"
     " ProofReport build_table3 build_table5 check_param_series prove_all prove_degree3 prove_degree5",
-    "series": "DEFAULT_ORDER DivisionByZeroSeries InsufficientPrecision LaurentSeries"
-    " NonSquareLeadingCoefficient OddValuation SeriesError",
+    "series": "LaurentSeries",
     "theta": "ZeroFactor alpha_series beta_series m_series phi pi_product pochhammer psi"
     " psi_product_form rho_series z_series",
 }

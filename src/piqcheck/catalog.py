@@ -44,18 +44,18 @@ from .dsl import (
     parse,
     to_text,
 )
-# the default order and the order bounds are the series module's own
+# the default order and the order bounds are the exact module's own
 # objects, re-exported here
-from .series import (
+from .exact import (
     DEFAULT_ORDER,
     MAX_ORDER,
     MIN_ORDER,
     InsufficientPrecision,
-    LaurentSeries,
     SeriesError,
     _Frozen,
     check_order,
 )
+from .series import LaurentSeries
 
 
 class UnknownIdentity(KeyError):

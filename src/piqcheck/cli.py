@@ -16,7 +16,7 @@ that starts with the same seven fields (``id``, ``status``, ``order``,
 ``valid_order``, ``first_failure``, ``paper_form_match``, ``elapsed_ms``)
 and then adds its own.  Every command ends in :func:`_finish`, which prints
 the reports and applies one exit rule.  Exit codes: 0 all checks
-verified/proved, 1 at least one falsified, 2 a ``series.UsageError`` (a
+verified/proved, 1 at least one falsified, 2 an ``exact.UsageError`` (a
 parse error, a power past ``series.MAX_POWER_BITS``, an order out of range,
 a bad flag combination) or an unreadable input file, 3 internal
 precondition violation (including reports with status ``error``) or any
@@ -27,7 +27,7 @@ the reports give, and stderr stays empty.  A precondition violation is a
 ``modular.ModularError`` are.  Each refusal of the caller's input is raised
 as a ``UsageError`` where it is found (``dsl.ParseError`` is one), and its
 ``label`` opens its stderr line, so the handler names no class of a module
-the command did not load.  Exact numbers are rendered with ``series.exact_str``,
+the command did not load.  Exact numbers are rendered with ``exact.exact_str``,
 so a report prints however many digits its coefficients, exponents and
 orders have; every int of a ``--json`` report is written by it too, as a
 JSON number.
@@ -41,11 +41,12 @@ line is still reported, and the exit code is the worst over all lines, in
 the order 3 > 2 > 1 > 0.  :func:`_failure` classes lines and commands alike.
 
 A command imports only what it uses.  This module loads only
-:mod:`.series`, and ``json`` only when it writes ``--json`` output.
+:mod:`.exact`, and ``json`` only when it writes ``--json`` output.
 ``list``, ``verify``, ``verify-all`` and ``expand`` import
-:mod:`.catalog` (with :mod:`.dsl` and :mod:`.theta`) when they run;
-``prove-modular`` and ``check-param`` import :mod:`.modular` (with
-:mod:`.field` and :mod:`.theta`) and neither the catalog nor the DSL.  The
+:mod:`.catalog` (with :mod:`.dsl`, :mod:`.theta` and :mod:`.series`) when
+they run; ``prove-modular`` and ``check-param`` import :mod:`.modular` and
+neither the catalog nor the DSL, and the prover loads :mod:`.field` but no
+series, the series bridge :mod:`.theta` but no field.  The
 catalog parses its sides on the first lookup of a record, which
 ``expand`` and ``verify --expr``/``--expr-file`` never make.
 
@@ -53,7 +54,7 @@ Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
 ``elapsed_ms`` field.  The default order is 200 and may be overridden with
 the ``PIQCHECK_ORDER`` environment variable; an explicit ``--order`` wins.
-An order outside ``series.check_order``'s range (8 to 100000) is a usage
+An order outside ``exact.check_order``'s range (8 to 100000) is a usage
 error whose message names where the order came from.
 """
 
@@ -63,7 +64,7 @@ import argparse
 import os
 import sys
 
-from .series import (
+from .exact import (
     DEFAULT_ORDER,
     MAX_ORDER,
     MIN_ORDER,

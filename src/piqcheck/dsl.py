@@ -19,7 +19,7 @@ accepted after ``q^`` (``q^{1/2}``) and ignored.  ``q^r`` denotes the
 q-power q^r, which is the t-power t^(4r); r must therefore be a quarter
 integer (4r integral) or :class:`QPowNotQuarterIntegral` is raised.  A
 q-power widens the window of a sum as far as an order does, so |4r| is
-bounded by ``series.MAX_ORDER``: a larger one is a :class:`ParseError` at
+bounded by ``exact.MAX_ORDER``: a larger one is a :class:`ParseError` at
 its exponent, and a ValueError from the :class:`QPow` constructor.  Like a
 series coefficient, a ``Const`` or ``QPow`` number that is a float is a TypeError.
 
@@ -30,7 +30,7 @@ nested deeper than that, raises :class:`ParseError` at the operator or
 bracket that goes past the limit.  A deeper tree built through the API is
 refused with ValueError by :func:`to_text` and by ``catalog.evaluate``.
 
-Parse failures raise :class:`ParseError`, a ``series.UsageError`` and so a
+Parse failures raise :class:`ParseError`, an ``exact.UsageError`` and so a
 ValueError, carrying the byte offset into the UTF-8 encoding of the input
 and the set of token descriptions that were expected at that point.  An
 integer literal longer than the interpreter's int string limit
@@ -39,11 +39,11 @@ sqrt call with the wrong number of arguments raises :class:`ArityError`
 instead (same offset semantics).
 
 :func:`to_text` renders a tree back to the grammar, spelling every number
-with ``series.exact_str``; ``parse(to_text(e))`` reproduces ``e`` node for
+with ``exact.exact_str``; ``parse(to_text(e))`` reproduces ``e`` node for
 node, unless a number of e has more digits than the int string limit: that
 text prints, and parse refuses it as above.
 
-The nodes are frozen values (``series._Frozen``, whose fields are the
+The nodes are frozen values (``exact._Frozen``, whose fields are the
 annotations of each class body): :class:`Builder` (``Pi``, ``Psi``,
 ``Phi``), :class:`QPow`, :class:`Const`, :class:`Binary` (``Add``, ``Sub``,
 ``Mul``, ``Div``), :class:`PowInt` and :class:`Sqrt`.  A subclass adds no
@@ -58,7 +58,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .series import MAX_ORDER, UsageError, _frac, _Frozen, exact_str
+from .exact import MAX_ORDER, UsageError, _frac, _Frozen, exact_str
 
 MAX_DEPTH = 100
 """Deepest expression tree, and deepest nesting of brackets, that parse accepts.

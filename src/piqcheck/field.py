@@ -6,7 +6,7 @@ Three layers, all immutable with canonical forms so equality is structural:
     multiplier variable m, with no trailing zero coefficients;
   * :class:`RatFunc` -- quotient of two polynomials, gcd-reduced with a monic
     denominator;
-  * :class:`QuadExt` -- an element a(m) + b(m)*s of the quadratic extension
+  * :class:`QuadExt` -- an element (A + B*s) / D of the quadratic extension
     defined by s^2 = u(m), where the modulus u is itself a rational function.
 
 A polynomial is stored once, in one canonical integer form, the way a
@@ -46,19 +46,33 @@ result.  For a/b and c/d, each reduced with b and d monic:
 
 A gcd with a constant operand is 1 and is never computed.
 
+An extension element is stored on one common denominator: A, B and D are
+integer polynomials in the kernels' list form that share no polynomial
+factor, whose integer content together is 1, and D has a positive lead.
+That form of a = A / D and b = B / D is unique, so ``==``, ``hash`` and
+:func:`quadext_equal` compare the stored parts; ``a`` and ``b`` are reduced
+``RatFunc``s built when read.  Each operator forms its result on the kernels
+and reduces it once: one :func:`poly_gcd` chain over its three parts (none
+when a part is constant), then its content.  With u = U / V:
+
+  * a product is ((A1 A2 V + B1 B2 U) + (A1 B2 + A2 B1) V s) / (D1 D2 V); a
+    square takes three products, not four, and an operand with B = 0 skips
+    the U and V terms;
+  * a sum over equal D is one addition;
+  * the inverse is D V (A - B s) / (A^2 V - B^2 U), which for B = 0 is D / A
+    and needs no gcd, as negation and conjugation need none.
+
 The canonical forms are the same as the Euclidean algorithm over Q gives,
 coefficient for coefficient.  Degrees stay small (32 at most in the modular
 goals), so dense lists and quadratic loops are adequate.  A polynomial is
-written by ``series.terms_str`` and its repr by ``series.exact_repr``, as a
+written by ``exact.terms_str`` and its repr by ``exact.exact_repr``, as a
 series is; rational functions and extension elements print their polynomials.
 
-Each layer writes only what is its own: ``_lift`` (an int, a Fraction or an
-element of a lower layer into this one, else None; ``QuadExt`` raises), ``+``,
-unary ``-``, ``*``, ``/``, powers and printing.  ``series._Ring``, the base
-``LaurentSeries`` shares, derives ``-`` and the reflected ``+ * -`` from
-those; its subclass ``_Field`` adds ``c / x`` as ``lift(c) / x`` for
-``RatFunc`` and ``QuadExt``.  Powers stay per layer: ``RatFunc`` raises
-numerator and denominator apart, so a power takes no gcd, not one per step.
+Each layer writes only what is its own: ``_lift`` (into this layer, else
+None; ``QuadExt`` raises), ``+``, unary ``-``, ``*``, ``/``, powers and
+printing; ``exact._Ring`` derives ``-`` and the reflected ``+ * -``, and its
+subclass ``_Field`` adds ``c / x`` as ``lift(c) / x``.  ``RatFunc`` raises
+numerator and denominator apart, so a power takes no gcd.
 """
 
 from __future__ import annotations
@@ -68,7 +82,7 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .series import _frac, _Frozen, _power, _Ring, _scaled_ints, exact_repr, terms_str
+from .exact import _frac, _Frozen, _power, _Ring, _scaled_ints, exact_repr, terms_str
 
 
 class FieldError(ValueError):
@@ -144,11 +158,25 @@ def _zz_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _zz_mul(a, b) -> list[int]:
-    """Product of two nonzero integer polynomials; rows of a skip its zeros."""
+    """Product of two integer polynomials; rows of a skip its zeros."""
+    if len(b) == 1:
+        return _scaled(a, b[0])
+    if not a or not b:
+        return []
     n = len(b)
     out = [0] * (len(a) + n - 1)
     for i in compress(range(len(a)), a):
         out[i : i + n] = map(add, out[i : i + n], map(mul, repeat(a[i]), b))
+    return out
+
+
+def _zz_add(a, b) -> list[int]:
+    """Sum of two integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [*map(add, a, b), *a[len(b) :]]
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -243,9 +271,7 @@ class Poly(_Ring, _Frozen):
             return NotImplemented
         den = lcm(self._den, rhs._den)
         a, b = _scaled(self._nums, den // self._den), _scaled(rhs._nums, den // rhs._den)
-        if len(a) > len(b):
-            a, b = b, a
-        return Poly._build([*map(add, a, b), *b[len(a) :]], den)
+        return Poly._build(_zz_add(a, b), den)
 
     def __neg__(self) -> Poly:
         return Poly._build([-x for x in self._nums], self._den)
@@ -254,8 +280,6 @@ class Poly(_Ring, _Frozen):
         rhs = Poly._lift(other)
         if rhs is None:
             return NotImplemented
-        if self.is_zero or rhs.is_zero:
-            return _ZERO
         return Poly._build(_zz_mul(self._nums, rhs._nums), self._den * rhs._den)
 
     def __pow__(self, e: int) -> Poly:
@@ -302,6 +326,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def _quo(p: Poly, g: Poly) -> Poly:
     """p divided exactly by g's integer numerators, which divide p's (Gauss's lemma)."""
     return Poly._build(_zz_divmod(p._nums, g._nums)[0], p._den)
+
+
+def _common_factor(parts) -> list[int] | None:
+    """The primitive gcd of nonzero integer polynomials, shortest first; None if constant."""
+    if min(map(len, parts)) == 1:
+        return None
+    g, *rest = sorted(parts, key=len)
+    for p in rest:
+        g = poly_gcd(Poly._build(g, 1), Poly._build(p, 1))._nums
+        if len(g) == 1:
+            return None
+    return g
 
 
 def _cancel(a: Poly, b: Poly) -> tuple[Poly | None, Poly, Poly]:
@@ -440,21 +476,54 @@ class RatFunc(_Field, _Frozen):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
+def _zz_parts(r: RatFunc) -> tuple[list[int], list[int]]:
+    """Integer polynomials N and D with r = N / D."""
+    num, den = r.num, r.den
+    return _scaled(num._nums, den._den), _scaled(den._nums, num._den)
+
+
 RF_ZERO = RatFunc.of(0)
-RF_ONE = RatFunc.of(1)
 
 
 class QuadExt(_Field, _Frozen):
-    """Element a + b*s of the quadratic extension with s^2 = u.
+    """Element (A + B*s) / D of the quadratic extension with s^2 = u.
 
-    Elements over different moduli cannot be combined; the product rule
-    (a + b*s)(c + d*s) = (ac + bd*u) + (ad + bc)*s rewrites s^2 to u at every
-    multiplication, and both components stay in canonical rational form.
+    A, B and D are stored as ``_num``, ``_rad`` and ``_den`` in the canonical
+    form of the module docstring.  Elements over different moduli cannot be
+    combined.
     """
 
-    a: RatFunc
-    b: RatFunc
+    _num: tuple[int, ...]
+    _rad: tuple[int, ...]
+    _den: tuple[int, ...]
     u: RatFunc
+
+    def __init__(self, a: RatFunc, b: RatFunc, u: RatFunc) -> None:
+        (na, da), (nb, db) = _zz_parts(a), _zz_parts(b)
+        self._set(_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db), u)
+
+    def _set(self, a, b, d, u: RatFunc, coprime: bool = False) -> None:
+        """Store (a + b*s) / d, d != 0, over its parts' gcd (none if ``coprime``) and content."""
+        if not (a or b):
+            a, d = (), (1,)
+        elif not coprime and (g := _common_factor([p for p in (a, b, d) if p])):
+            a, b, d = (_zz_divmod(p, g)[0] for p in (a, b, d))
+        c = gcd(*a, *b, *d)
+        if d[-1] < 0:
+            c = -c
+        if c != 1:
+            a, b, d = ([x // c for x in p] for p in (a, b, d))
+        vars(self).update(_num=tuple(a), _rad=tuple(b), _den=tuple(d), u=u)
+
+    @classmethod
+    def _build(cls, a, b, d, u: RatFunc, coprime: bool = False) -> QuadExt:
+        """The element (a + b*s) / d over s^2 = u, in canonical form."""
+        self = object.__new__(cls)
+        self._set(a, b, d, u, coprime)
+        return self
+
+    def __repr__(self) -> str:
+        return f"QuadExt(a={self.a!r}, b={self.b!r}, u={self.u!r})"
 
     # ------------------------------------------------------------------
 
@@ -463,16 +532,27 @@ class QuadExt(_Field, _Frozen):
         r = RatFunc._lift(value)
         if r is None:
             raise TypeError("scalar part must be RatFunc, Poly, int or Fraction")
-        return QuadExt(r, RF_ZERO, u)
+        num, den = _zz_parts(r)
+        return QuadExt._build(num, (), den, u, coprime=True)
 
     @staticmethod
     def root(u: RatFunc) -> QuadExt:
         """The adjoined square root s itself."""
-        return QuadExt(RF_ZERO, RF_ONE, u)
+        return QuadExt._build((), (1,), (1,), u, coprime=True)
+
+    @property
+    def a(self) -> RatFunc:
+        """The rational part A / D, reduced (built on each read)."""
+        return RatFunc(Poly._build(self._num, 1), Poly._build(self._den, 1))
+
+    @property
+    def b(self) -> RatFunc:
+        """The coefficient B / D of s, reduced (built on each read)."""
+        return RatFunc(Poly._build(self._rad, 1), Poly._build(self._den, 1))
 
     @property
     def is_rational(self) -> bool:
-        return self.b.is_zero
+        return not self._rad
 
     def _lift(self, other) -> QuadExt:
         if isinstance(other, QuadExt):
@@ -484,35 +564,51 @@ class QuadExt(_Field, _Frozen):
         r = RatFunc._lift(other)
         if r is None:
             raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
-        return QuadExt(r, RF_ZERO, self.u)
+        return QuadExt.scalar(r, self.u)
 
     def __add__(self, other) -> QuadExt:
         rhs = self._lift(other)
-        return QuadExt(self.a + rhs.a, self.b + rhs.b, self.u)
+        a, b, d = self._num, self._rad, self._den
+        c, e, f = rhs._num, rhs._rad, rhs._den
+        if d != f:
+            a, b, c, e, d = _zz_mul(a, f), _zz_mul(b, f), _zz_mul(c, d), _zz_mul(e, d), _zz_mul(d, f)
+        return QuadExt._build(_zz_add(a, c), _zz_add(b, e), d, self.u)
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b, self.u)
+        num, rad = _scaled(self._num, -1), _scaled(self._rad, -1)
+        return QuadExt._build(num, rad, self._den, self.u, coprime=True)
 
     def __mul__(self, other) -> QuadExt:
         rhs = self._lift(other)
-        return QuadExt(
-            self.a * rhs.a + self.b * rhs.b * self.u,
-            self.a * rhs.b + self.b * rhs.a,
-            self.u,
-        )
+        a, b, d = self._num, self._rad, self._den
+        c, e, f = rhs._num, rhs._rad, rhs._den
+        # over d f V: (ac V + be U) + (ae + bc) V s, where V = 1 and be = 0 when b or e is
+        nu, nv = _zz_parts(self.u) if b and e else ((), (1,))
+        if rhs is self:
+            ac, be, ae = _zz_mul(a, a), _zz_mul(b, b), _zz_mul(_scaled(a, 2), b)
+        else:
+            ac, be, ae = _zz_mul(a, c), _zz_mul(b, e), _zz_add(_zz_mul(a, e), _zz_mul(b, c))
+        num, rad = _zz_add(_zz_mul(ac, nv), _zz_mul(be, nu)), _zz_mul(ae, nv)
+        return QuadExt._build(num, rad, _zz_mul(_zz_mul(d, f), nv), self.u)
 
     def conjugate(self) -> QuadExt:
-        return QuadExt(self.a, -self.b, self.u)
+        return QuadExt._build(self._num, _scaled(self._rad, -1), self._den, self.u, coprime=True)
 
     def norm(self) -> RatFunc:
         """a^2 - b^2 * u, the product with the conjugate."""
-        return self.a * self.a - self.b * self.b * self.u
+        return (self * self.conjugate()).a
 
     def inverse(self) -> QuadExt:
-        n = self.norm()
-        if n.is_zero:
+        """D V (A - B s) / (A^2 V - B^2 U); for B = 0, D / A, already coprime."""
+        a, b, d = self._num, self._rad, self._den
+        nu, nv = _zz_parts(self.u)
+        n = _zz_add(_zz_mul(_zz_mul(a, a), nv), _scaled(_zz_mul(_zz_mul(b, b), nu), -1)) if b else a
+        if not n:
             raise ZeroNormInverse("element has zero norm and no inverse")
-        return QuadExt(self.a / n, -self.b / n, self.u)
+        if not b:
+            return QuadExt._build(d, (), a, self.u, coprime=True)
+        dv = _zz_mul(d, nv)
+        return QuadExt._build(_zz_mul(dv, a), _scaled(_zz_mul(dv, b), -1), n, self.u)
 
     def __truediv__(self, other) -> QuadExt:
         return self * self._lift(other).inverse()
@@ -525,9 +621,9 @@ class QuadExt(_Field, _Frozen):
         return _power(self, e) if e else QuadExt.scalar(1, self.u)
 
     def __str__(self) -> str:
-        if self.b.is_zero:
+        if not self._rad:
             return str(self.a)
-        if self.a.is_zero:
+        if not self._num:
             return f"({self.b}) * s"
         return f"({self.a}) + ({self.b}) * s"
 
@@ -536,4 +632,4 @@ def quadext_equal(x: QuadExt, y: QuadExt) -> bool:
     """Exact equality of two extension elements; moduli must match."""
     if x.u != y.u:
         raise ModulusMismatch(f"cannot compare extensions with moduli {x.u} and {y.u}")
-    return x.a == y.a and x.b == y.b
+    return x == y

@@ -4,7 +4,8 @@ The multiplier parametrizations express the modular parameters alpha and beta
 (and the radicals built from them) as explicit elements of a quadratic
 extension of the rational function field Q(m): s^2 = (m-1)(m+3)/m for degree
 3 and rho^2 = m^3 - 2m^2 + 5m for degree 5.  Each is written once, as plain
-ring arithmetic: ``_modulus3``/``_modulus5`` give the radicand and
+ring arithmetic: ``_modulus3``/``_modulus5`` give the radicand,
+``_alpha_beta3``/``_alpha_beta5`` alpha, beta and the atoms they need, and
 ``_atoms3``/``_atoms5`` every atom, keyed by table field, from m and the
 root.  They use only ``+ - * / **`` with ints, so the same functions build
 the tables over Q(m)(s) and feed the series bridge below.
@@ -18,17 +19,18 @@ report also records whether the computed value matches it; that comparison is
 informational and never decides the proof (``sides_equal`` is the theorem).
 
 Both degrees build one kind of table, :class:`ParamTable`: its ``atoms``
-are the dict that ``_atoms3``/``_atoms5`` return, lifted to Q(m)(s), so an
+are the dict that ``_atoms3``/``_atoms5`` return at m in Q(m)(s), so an
 atom's name is written once, there, and ``t.alpha`` reads it.  A table's
 ``goals`` and ``references`` are built on first use and then kept, so
-proving every goal of a degree builds that degree's goals once, and
-importing the module builds nothing.  Both degrees share one proving body;
-a report's ``elapsed`` covers that goal's own comparisons, not the shared
-build.
+proving every goal of a degree builds that degree's goals once.  Importing
+the module builds nothing and loads no layer: :mod:`.field` loads with the
+first table, :mod:`.theta` and the series with the first bridge.  Both
+degrees share one proving body; a report's ``elapsed`` covers that goal's
+own comparisons, not the shared build.
 
-The series bridge, :func:`check_param_series`, evaluates the same atom
-functions at the multiplier series m and the positive-branch root of the
-modulus there, and compares the alpha and beta atoms with the theta-series
+The series bridge, :func:`check_param_series`, evaluates ``_alpha_beta*``
+alone at the multiplier series m (and for degree 5 the positive-branch root
+of the modulus there), and compares alpha and beta with the theta-series
 alpha and beta.  A wrong alpha or beta formula therefore reaches the
 bridge, not only the table.
 """
@@ -39,9 +41,13 @@ import time
 from fractions import Fraction
 from functools import cached_property
 
-from . import theta
-from .field import M, Poly, QuadExt, RatFunc, quadext_equal
-from .series import InsufficientPrecision, LaurentSeries, _Frozen, check_order
+from .exact import InsufficientPrecision, _Frozen, check_order
+
+# as in cli; the prover imports field, and the bridge theta, where each runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .field import QuadExt, RatFunc
+    from .series import LaurentSeries
 
 
 class ModularError(ValueError):
@@ -71,6 +77,8 @@ class ParamTable(_Frozen):
         return atoms[name]
 
     def scalar(self, value) -> QuadExt:
+        from .field import QuadExt
+
         return QuadExt.scalar(value, self.u)
 
     @cached_property
@@ -94,13 +102,20 @@ def _modulus3(m):
     return (m - 1) * (m + 3) / m
 
 
+def _alpha_beta3(m):
+    """alpha and beta at the degree-3 multiplier m; neither involves s."""
+    return {
+        "alpha": (m - 1) * (m + 3) ** 3 / (16 * m**3),
+        "beta": (m - 1) ** 3 * (m + 3) / (16 * m),
+    }
+
+
 def _atoms3(m, s):
     """The degree-3 atoms at m and s, keyed by atom name."""
     # quarter_ba = (m / (m + 3)) s, written as the inverse of quarter_ab
     quarter_ab = s / (m - 1)
     return {
-        "alpha": (m - 1) * (m + 3) ** 3 / (16 * m**3),
-        "beta": (m - 1) ** 3 * (m + 3) / (16 * m),
+        **_alpha_beta3(m),
         "sqrt_alpha": s * ((m + 3) / (4 * m)),
         "sqrt_beta": s * ((m - 1) / 4),
         "quarter_ba": 1 / quarter_ab,
@@ -116,88 +131,100 @@ def _modulus5(m):
     return m**3 - 2 * m**2 + 5 * m
 
 
-def _atoms5(m, rho):
-    """The degree-5 atoms at m and rho, keyed by atom name."""
-    plus, minus = 2 * m + rho, 2 * m - rho
-    pole, zero = m * (m - 1), 5 - m
-    rational = 4 * m**3 - 16 * m**2 + 20 * m
-    radical = rho * (m**2 - 5)
-    den = 16 * m**2
-    quarter_ab, quarter_ba = plus / pole, minus / zero
-    quarter_1b1a, quarter_1a1b = plus / zero, minus / pole
-    sqrt_ab_prod = (rational + radical) / den
-    sqrt_1a1b_prod = (rational - radical) / den
+def _alpha_beta5(m, rho):
+    """alpha and beta at the degree-5 multiplier m and rho, with the atoms they need."""
+    quarter_ab = (2 * m + rho) / (m * (m - 1))
+    quarter_ba = (2 * m - rho) / (5 - m)
+    sqrt_ab_prod = (4 * m**3 - 16 * m**2 + 20 * m + rho * (m**2 - 5)) / (16 * m**2)
     return {
         "alpha": quarter_ab**2 * sqrt_ab_prod,
         "beta": quarter_ba**2 * sqrt_ab_prod,
-        "one_minus_alpha": quarter_1a1b**2 * sqrt_1a1b_prod,
-        "one_minus_beta": quarter_1b1a**2 * sqrt_1a1b_prod,
         "quarter_ab": quarter_ab,
         "quarter_ba": quarter_ba,
-        "quarter_1b1a": quarter_1b1a,
-        "quarter_1a1b": quarter_1a1b,
         "sqrt_ab_prod": sqrt_ab_prod,
-        "sqrt_1a1b_prod": sqrt_1a1b_prod,
+    }
+
+
+def _atoms5(m, rho):
+    """The degree-5 atoms at m and rho, keyed by atom name.
+
+    1 - alpha and 1 - beta, and their roots, are alpha and beta, and theirs,
+    on the other branch rho -> -rho.
+    """
+    ab, other = _alpha_beta5(m, rho), _alpha_beta5(m, -rho)
+    return {
+        "alpha": ab["alpha"],
+        "beta": ab["beta"],
+        "one_minus_alpha": other["alpha"],
+        "one_minus_beta": other["beta"],
+        "quarter_ab": ab["quarter_ab"],
+        "quarter_ba": ab["quarter_ba"],
+        "quarter_1b1a": other["quarter_ba"],
+        "quarter_1a1b": other["quarter_ab"],
+        "sqrt_ab_prod": ab["sqrt_ab_prod"],
+        "sqrt_1a1b_prod": other["sqrt_ab_prod"],
         "m": m,
     }
 
 
-def _require(cond: bool, what: str) -> None:
-    if not cond:
+def _require(lhs: QuadExt, rhs: QuadExt, what: str) -> None:
+    from .field import quadext_equal
+
+    if not quadext_equal(lhs, rhs):
         raise ModularError(f"atom validation failed: {what}")
 
 
 def _table(degree: int, modulus, atoms) -> ParamTable:
-    """The atoms at m and the root of modulus(m), the rational ones lifted to Q(m)(s)."""
-    m = RatFunc.of(M)
-    u = modulus(m)
-    values = atoms(m, QuadExt.root(u))
-    return ParamTable(degree, u, {
-        k: v if isinstance(v, QuadExt) else QuadExt.scalar(v, u) for k, v in values.items()
-    })
+    """The atoms at m and the root s of u = modulus(m), all in Q(m)(s)."""
+    from .field import M, QuadExt, RatFunc
+
+    u = modulus(RatFunc.of(M))
+    return ParamTable(degree, u, atoms(QuadExt.scalar(M, u), QuadExt.root(u)))
 
 
 def build_table3() -> ParamTable:
     """Evaluate and validate the degree-3 atoms over s^2 = (m-1)(m+3)/m."""
     t = _table(3, _modulus3, _atoms3)
 
-    _require(quadext_equal(t.sqrt_alpha**2, t.alpha), "(alpha^(1/2))^2 = alpha")
-    _require(quadext_equal(t.sqrt_beta**2, t.beta), "(beta^(1/2))^2 = beta")
-    _require(quadext_equal(t.quarter_ba**4, t.beta / t.alpha), "((beta/alpha)^(1/4))^4 = beta/alpha")
-    _require(quadext_equal(t.quarter_ab**4, t.alpha / t.beta), "((alpha/beta)^(1/4))^4 = alpha/beta")
-    _require(quadext_equal(t.sqrt_ba**2, t.beta / t.alpha), "((beta/alpha)^(1/2))^2 = beta/alpha")
-    _require(quadext_equal(t.quarter_ba**2, t.sqrt_ba), "(beta/alpha)^(1/4) squares to (beta/alpha)^(1/2)")
-    _require(quadext_equal(t.eighth_ab**8, t.alpha * t.beta), "((alpha*beta)^(1/8))^8 = alpha*beta")
-    _require(quadext_equal(t.quarter_ba * t.quarter_ab, t.scalar(1)), "quarter roots are mutual inverses")
+    _require(t.sqrt_alpha**2, t.alpha, "(alpha^(1/2))^2 = alpha")
+    _require(t.sqrt_beta**2, t.beta, "(beta^(1/2))^2 = beta")
+    _require(t.quarter_ba**4, t.beta / t.alpha, "((beta/alpha)^(1/4))^4 = beta/alpha")
+    _require(t.quarter_ab**4, t.alpha / t.beta, "((alpha/beta)^(1/4))^4 = alpha/beta")
+    _require(t.sqrt_ba**2, t.beta / t.alpha, "((beta/alpha)^(1/2))^2 = beta/alpha")
+    _require(t.quarter_ba**2, t.sqrt_ba, "(beta/alpha)^(1/4) squares to (beta/alpha)^(1/2)")
+    _require(t.eighth_ab**8, t.alpha * t.beta, "((alpha*beta)^(1/8))^8 = alpha*beta")
+    _require(t.quarter_ba * t.quarter_ab, t.scalar(1), "quarter roots are mutual inverses")
     return t
 
 
 def build_table5() -> ParamTable:
     """Evaluate and validate the degree-5 atoms over rho^2 = m^3 - 2m^2 + 5m."""
+    from .field import M, QuadExt, RatFunc
+
     t = _table(5, _modulus5, _atoms5)
     rho = QuadExt.root(t.u)
 
     one = t.scalar(1)
-    _require(quadext_equal(t.alpha + t.one_minus_alpha, one), "alpha + (1-alpha) = 1")
-    _require(quadext_equal(t.beta + t.one_minus_beta, one), "beta + (1-beta) = 1")
-    _require(quadext_equal(t.quarter_ab * t.quarter_ba, one), "quarter roots are mutual inverses")
-    _require(quadext_equal(t.quarter_ab**4, t.alpha / t.beta), "((alpha/beta)^(1/4))^4 = alpha/beta")
-    _require(quadext_equal(t.quarter_ba**4, t.beta / t.alpha), "((beta/alpha)^(1/4))^4 = beta/alpha")
+    _require(t.alpha + t.one_minus_alpha, one, "alpha + (1-alpha) = 1")
+    _require(t.beta + t.one_minus_beta, one, "beta + (1-beta) = 1")
+    _require(t.quarter_ab * t.quarter_ba, one, "quarter roots are mutual inverses")
+    _require(t.quarter_ab**4, t.alpha / t.beta, "((alpha/beta)^(1/4))^4 = alpha/beta")
+    _require(t.quarter_ba**4, t.beta / t.alpha, "((beta/alpha)^(1/4))^4 = beta/alpha")
     _require(
-        quadext_equal(t.quarter_1b1a**4, t.one_minus_beta / t.one_minus_alpha),
+        t.quarter_1b1a**4, t.one_minus_beta / t.one_minus_alpha,
         "(((1-beta)/(1-alpha))^(1/4))^4 = (1-beta)/(1-alpha)",
     )
     _require(
-        quadext_equal(t.quarter_1a1b**4, t.one_minus_alpha / t.one_minus_beta),
+        t.quarter_1a1b**4, t.one_minus_alpha / t.one_minus_beta,
         "(((1-alpha)/(1-beta))^(1/4))^4 = (1-alpha)/(1-beta)",
     )
-    _require(quadext_equal(t.sqrt_ab_prod**2, t.alpha * t.beta), "((alpha*beta)^(1/2))^2 = alpha*beta")
+    _require(t.sqrt_ab_prod**2, t.alpha * t.beta, "((alpha*beta)^(1/2))^2 = alpha*beta")
     _require(
-        quadext_equal(t.sqrt_1a1b_prod**2, t.one_minus_alpha * t.one_minus_beta),
+        t.sqrt_1a1b_prod**2, t.one_minus_alpha * t.one_minus_beta,
         "(((1-alpha)(1-beta))^(1/2))^2 = (1-alpha)(1-beta)",
     )
     _require(
-        quadext_equal((2 * t.m + rho) * (2 * t.m - rho), t.scalar(RatFunc.of(M * (M - 1) * (5 - M)))),
+        (2 * t.m + rho) * (2 * t.m - rho), t.scalar(RatFunc.of(M * (M - 1) * (5 - M))),
         "(2m+rho)(2m-rho) = m(m-1)(5-m)",
     )
     return t
@@ -228,7 +255,7 @@ def _half(x: QuadExt) -> QuadExt:
 def _goals3(t: ParamTable) -> dict[str, tuple[QuadExt, QuadExt]]:
     m = t.m
     one = t.scalar(1)
-    inv_m = t.scalar(RatFunc.of(1, M))
+    inv_m = m.inverse()
     goals: dict[str, tuple[QuadExt, QuadExt]] = {}
 
     goals["4-1"] = (m - t.sqrt_ba, one + 3 * inv_m * t.sqrt_ba)
@@ -306,6 +333,8 @@ def _goals5(t: ParamTable) -> dict[str, tuple[QuadExt, QuadExt]]:
 # prefactor must equal the reference; a prefactor of None compares the common
 # value itself.
 def _reference_quotients3(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt]]:
+    from .field import M, Poly, QuadExt, RatFunc
+
     s = QuadExt.root(u)
     return {
         "4-2": (None, QuadExt.scalar(RatFunc.of((M - 1) * (M + 3) * (M**2 + 3), 4 * M), u)),
@@ -315,6 +344,8 @@ def _reference_quotients3(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt
 
 
 def _reference_quotients5(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt]]:
+    from .field import M, Poly, QuadExt, RatFunc
+
     rho = QuadExt.root(u)
     lift = lambda p: QuadExt.scalar(RatFunc.of(p), u)
 
@@ -349,6 +380,8 @@ def _prove(t: ParamTable, eq_id: str) -> ProofReport:
     The table's goals and references are built before the clock starts, so
     ``elapsed`` covers this goal's own comparisons only.
     """
+    from .field import quadext_equal
+
     goals, references = t.goals, t.references
     if eq_id not in goals:
         raise KeyError(
@@ -360,7 +393,7 @@ def _prove(t: ParamTable, eq_id: str) -> ProofReport:
     match = computed = reference = None
     if eq_id in references:
         prefactor, ref = references[eq_id]
-        value = lhs if prefactor is None else lhs / QuadExt.scalar(prefactor, t.u)
+        value = lhs if prefactor is None else lhs / t.scalar(prefactor)
         match = quadext_equal(value, ref)
         computed, reference = str(value), str(ref)
     return ProofReport(
@@ -448,23 +481,26 @@ def _compare(*pairs: tuple[str, LaurentSeries, LaurentSeries]) -> tuple[ParamChe
 
 
 def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -> ParamSeriesReport:
-    """Evaluate one degree's parametrization at series and compare alpha and beta.
+    """Evaluate one degree's ``_alpha_beta*`` at series and compare alpha and beta.
 
-    The atoms are those of the table, from the same ``_atoms*`` function,
-    evaluated at m = ``theta.m_series`` and at the positive-branch root of
-    the modulus there; ``alpha`` and ``beta`` are compared with
-    ``theta.alpha_series`` and ``theta.beta_series``.  Flipping the root's
-    branch must falsify degree 5; degree 3's alpha and beta do not involve
-    s.  The order must pass :func:`series.check_order`.
+    m is ``theta.m_series``; degree 5 also takes the positive-branch root of
+    the modulus there, and flipping its branch must falsify the check, while
+    degree 3 takes no root.  alpha and beta are compared with
+    ``theta.alpha_series`` and ``theta.beta_series``.  The order must pass
+    :func:`exact.check_order`.
     """
     if degree not in EQUATIONS:
         raise ValueError("degree must be 3 or 5")
     check_order(order)
+    from . import theta
+
     started = time.perf_counter()
-    modulus, atoms = (_modulus3, _atoms3) if degree == 3 else (_modulus5, _atoms5)
     m = theta.m_series(degree, order)
-    root = modulus(m).sqrt()
-    series = atoms(m, -root if flip_rho_branch else root)
+    if degree == 3:
+        series = _alpha_beta3(m)
+    else:
+        root = _modulus5(m).sqrt()
+        series = _alpha_beta5(m, -root if flip_rho_branch else root)
     checks = _compare(
         ("alpha", series["alpha"], theta.alpha_series(degree, order)),
         ("beta", series["beta"], theta.beta_series(degree, order)),

@@ -15,8 +15,8 @@ The functions constructed here:
   * ``rho_series`` -- sqrt(m^3 - 2m^2 + 5m) for the degree-5 multiplier,
     positive branch (constant term 2).
 
-Builders take an explicit target order, an int from 8 to ``series.MAX_ORDER``
-(``series.check_order``: TypeError for a non-int, UsageError out of range);
+Builders take an explicit target order, an int from 8 to ``exact.MAX_ORDER``
+(``exact.check_order``: TypeError for a non-int, UsageError out of range);
 there is no global precision state.  m and beta are defined at every degree
 ``phi`` and ``psi`` accept; ``modular.EQUATIONS`` has the degrees with equations.
 Results are cached (they are immutable), so repeated identity verifications
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import LaurentSeries, SeriesError, _check_int, check_order
+from .exact import SeriesError, _check_int, check_order
+from .series import LaurentSeries
 
 CACHE_SIZE = 128
 """Results each builder keeps.

@@ -26,13 +26,8 @@ from piqcheck.dsl import (
     check_depth,
     parse,
 )
-from piqcheck.series import (
-    LaurentSeries,
-    PowerTooLarge,
-    SeriesError,
-    UsageError,
-    check_order,
-)
+from piqcheck.exact import SeriesError, UsageError, check_order
+from piqcheck.series import LaurentSeries, PowerTooLarge
 
 
 def run(capsys, *argv):

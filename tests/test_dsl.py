@@ -27,7 +27,7 @@ from piqcheck.dsl import (
     parse,
     to_text,
 )
-from piqcheck.series import MAX_ORDER
+from piqcheck.exact import MAX_ORDER
 
 
 def test_parse_subtraction_of_builders():

@@ -12,17 +12,23 @@ of degree two and more, and degrees up to about 35 (the modular goals reach
 The ``RatFunc`` operators build reduced results from reduced operands, with
 gcds of their operands' parts only; each must equal the public constructor
 on the unreduced numerator and denominator, which the oracle above checks.
+
+``QuadExt`` computes on one common denominator, (A + B*s) / D; its
+operators must give the parts a and b that the textbook formulas over pairs
+of ``RatFunc`` give, written out below, and one value must have one stored
+form and one hash however it was built.
 """
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piqcheck import modular
-from piqcheck.field import M, DivisionByZeroRatFunc, Poly, RatFunc, poly_gcd
+from piqcheck.field import M, DivisionByZeroRatFunc, Poly, QuadExt, RatFunc, ZeroNormInverse, poly_gcd
 
 ZERO = Poly(())
 
@@ -340,3 +346,127 @@ def test_no_operator_reaches_the_full_canonicalization_in_the_modular_replay(mon
     assert all(r.sides_equal for r in reports) and len(reports) == 14
     assert calls  # RatFunc.of, which the tables call, still reduces
     assert reached == []
+
+
+# ----------------------------------------------------------------------
+# QuadExt against the pairwise RatFunc formulas: x = a + b*s as the pair (a, b)
+
+U3 = RatFunc.of((M - 1) * (M + 3), M)
+U5 = RatFunc.of(M**3 - 2 * M**2 + 5 * M)
+
+
+def pair_mul(x, y, u):
+    (a, b), (c, d) = x, y
+    return a * c + b * d * u, a * d + b * c
+
+
+def pair_norm(x, u):
+    a, b = x
+    return a * a - b * b * u
+
+
+def pair_inverse(x, u):
+    n = pair_norm(x, u)
+    return x[0] / n, -x[1] / n
+
+
+def pair_pow(x, e, u):
+    if e < 0:
+        return pair_pow(pair_inverse(x, u), -e, u)
+    out = (RatFunc.of(1), RatFunc.of(0))
+    for _ in range(e):
+        out = pair_mul(out, x, u)
+    return out
+
+
+def pair_str(x):
+    a, b = x
+    if b.is_zero:
+        return str(a)
+    if a.is_zero:
+        return f"({b}) * s"
+    return f"({a}) + ({b}) * s"
+
+
+def parts(z: QuadExt):
+    return z.a, z.b
+
+
+def stored(z: QuadExt):
+    return z._num, z._rad, z._den
+
+
+wide_rationals = st.builds(
+    Fraction, st.integers(min_value=-(2**80), max_value=2**80), st.integers(min_value=1, max_value=2**40)
+)
+
+
+@st.composite
+def ratfunc_parts(draw):
+    """A reduced rational function: zero, a rational scalar, or a quotient with wide coefficients."""
+    kind = draw(st.sampled_from(["zero", "scalar", "quotient", "wide"]))
+    if kind == "zero":
+        return RatFunc.of(0)
+    if kind == "scalar":
+        return RatFunc.of(draw(nonzero_rationals))
+    coeffs = wide_rationals if kind == "wide" else rationals
+    num = Poly(tuple(draw(st.lists(coeffs, max_size=4))))
+    den = Poly(tuple(draw(st.lists(coeffs, min_size=1, max_size=3)))).monic()
+    return RatFunc(num, den if not den.is_zero else Poly((1,)))
+
+
+pairs_of_parts = st.tuples(ratfunc_parts(), ratfunc_parts())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([U3, U5]), pairs_of_parts, pairs_of_parts, nonzero_rationals)
+def test_quadext_operators_match_the_pairwise_ratfunc_formulas(u, xp, yp, c):
+    x, y = QuadExt(*xp, u), QuadExt(*yp, u)
+    (a, b), (e, f) = xp, yp
+    assert parts(x) == xp and str(x) == pair_str(xp)
+    assert parts(x + y) == (a + e, b + f)
+    assert parts(x - y) == (a - e, b - f)
+    assert parts(-x) == (-a, -b)
+    assert parts(x.conjugate()) == (a, -b)
+    assert parts(x * y) == pair_mul(xp, yp, u)
+    assert parts(x * x) == pair_mul(xp, xp, u)
+    assert parts(x * c) == parts(c * x) == (a * c, b * c)
+    assert parts(x + c) == (a + c, b)
+    assert x.norm() == pair_norm(xp, u)
+    assert x.is_rational == b.is_zero
+    if y.is_rational and e.is_zero:
+        with pytest.raises(ZeroNormInverse):
+            y.inverse()
+    else:
+        assert parts(y.inverse()) == pair_inverse(yp, u)
+        assert parts(x / y) == pair_mul(xp, pair_inverse(yp, u), u)
+    for k in range(-2, 4):
+        if k < 0 and pair_norm(xp, u).is_zero:
+            continue
+        assert parts(x**k) == pair_pow(xp, k, u)
+        assert str(x**k) == pair_str(pair_pow(xp, k, u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([U3, U5]), pairs_of_parts, pairs_of_parts)
+def test_one_value_has_one_stored_form_and_hash(u, xp, yp):
+    x, y = QuadExt(*xp, u), QuadExt(*yp, u)
+    routes = [
+        (x * y, y * x),
+        ((x + y) - y, x),
+        (QuadExt(*parts(x * y), u), x * y),
+        (x * y + x, x * (y + 1)),
+        (x.conjugate().conjugate(), x),
+        (x * x, x**2),
+    ]
+    for left, right in routes:
+        assert stored(left) == stored(right)
+        assert left == right and hash(left) == hash(right)
+    # the stored parts share no factor and D's lead is positive
+    num, rad, den = stored(x * y)
+    assert den[-1] > 0
+    assert gcd(*num, *rad, *den) == 1
+    common = Poly(den)
+    for part in (num, rad):
+        common = poly_gcd(common, Poly(part))
+    assert common.degree == 0

@@ -161,3 +161,21 @@ def _forms() -> str:
 
 def test_modular_canonical_forms_are_byte_identical():
     assert _forms().encode("utf-8") == (DATA / "prove_modular_forms.txt").read_bytes()
+
+
+def _reference_forms() -> str:
+    """One line per recorded closed form of a common value and per value the prover compared with it."""
+    lines = []
+    for degree in (3, 5):
+        for report in modular.prove_all(degree):
+            if report.reference_form is not None:
+                lines += [
+                    f"{degree} reference {report.eq_id}: {report.reference_form}",
+                    f"{degree} computed {report.eq_id}: {report.computed_form}",
+                ]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_modular_forms_and_reference_values_are_byte_identical():
+    want = (DATA / "modular_forms.txt").read_bytes()
+    assert (_forms() + _reference_forms()).encode("utf-8") == want

@@ -243,12 +243,13 @@ def test_atoms5_at_series_quarter_root_valuation():
 
 def test_wrong_shared_formula_fails_table_and_bridge(monkeypatch):
     # one typo in the shared construction: alpha built on the minus core
-    def wrong(m, rho, _atoms=modular._atoms5):
-        atoms = _atoms(m, rho)
-        atoms["alpha"] = atoms["quarter_ab"] ** 2 * atoms["sqrt_1a1b_prod"]
+    def wrong(m, rho, _alpha_beta=modular._alpha_beta5):
+        atoms = _alpha_beta(m, rho)
+        # sqrt_1a1b_prod is sqrt_ab_prod on the other branch
+        atoms["alpha"] = atoms["quarter_ab"] ** 2 * _alpha_beta(m, -rho)["sqrt_ab_prod"]
         return atoms
 
-    monkeypatch.setattr(modular, "_atoms5", wrong)
+    monkeypatch.setattr(modular, "_alpha_beta5", wrong)
     assert not modular.check_param_series(5, 64).verified
     with pytest.raises(modular.ModularError):
         modular.build_table5()

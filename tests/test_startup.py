@@ -17,7 +17,7 @@ import pytest
 import piqcheck
 from piqcheck import catalog, cli, dsl, field, modular
 from piqcheck.dsl import Add, Const, Div, Mul, Phi, Pi, PowInt, Psi, QPow, Sqrt, Sub
-from piqcheck.series import _Frozen
+from piqcheck.exact import _Frozen
 
 SRC = str(Path(piqcheck.__file__).resolve().parents[1])
 
@@ -62,12 +62,8 @@ def test_user_expressions_load_no_field_tower_and_no_catalog_record(argv):
     assert no_records
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["prove-modular", "--degree", "3"], ["check-param", "--degree", "5", "--order", "64"]],
-    ids=["prove-modular", "check-param"],
-)
-def test_modular_commands_load_neither_the_catalog_nor_the_dsl(argv):
+def loaded_by(argv: list) -> list:
+    """The piqcheck modules a fresh interpreter has loaded after one CLI run, which must exit 0."""
     probe = (
         "import contextlib, io, json, sys\n"
         "from piqcheck import cli\n"
@@ -77,13 +73,37 @@ def test_modular_commands_load_neither_the_catalog_nor_the_dsl(argv):
     )
     code, loaded = json.loads(fresh(probe))
     assert code == cli.EXIT_OK
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prove-modular", "--degree", "3"], ["check-param", "--degree", "5", "--order", "64"]],
+    ids=["prove-modular", "check-param"],
+)
+def test_modular_commands_load_neither_the_catalog_nor_the_dsl(argv):
+    loaded = loaded_by(argv)
     assert "piqcheck.modular" in loaded
     assert "piqcheck.catalog" not in loaded and "piqcheck.dsl" not in loaded
 
 
-def test_import_cli_loads_only_the_series_module():
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["prove-modular"], {"piqcheck.series", "piqcheck.theta"}),
+        (["check-param", "--degree", "3", "--order", "64"], {"piqcheck.field"}),
+        (["check-param", "--degree", "5", "--order", "64"], {"piqcheck.field"}),
+    ],
+    ids=["prove-modular", "check-param-3", "check-param-5"],
+)
+def test_each_modular_command_loads_only_the_layers_it_runs(argv, unused):
+    # the prover computes no series, and the series bridge no rational function
+    assert not unused & set(loaded_by(argv))
+
+
+def test_import_cli_loads_only_the_exact_module():
     out = fresh(f"import sys, piqcheck.cli; print({LOADED})")
-    assert out == "['piqcheck.cli', 'piqcheck.series']\n"
+    assert out == "['piqcheck.cli', 'piqcheck.exact']\n"
 
 
 def test_no_command_imports_dataclasses_inspect_or_typing():

@@ -3,7 +3,8 @@
 import pytest
 
 from piqcheck import theta
-from piqcheck.series import MAX_ORDER, LaurentSeries
+from piqcheck.exact import MAX_ORDER
+from piqcheck.series import LaurentSeries
 from piqcheck.theta import ZeroFactor
 
 

@@ -16,7 +16,7 @@ import piqcheck
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(piqcheck.__file__).resolve().parents[1])
-MODULES = ("dsl", "series", "theta", "catalog", "field", "modular", "cli")
+MODULES = ("exact", "dsl", "series", "theta", "catalog", "field", "modular", "cli")
 
 PROBE = f"""
 import importlib, json, runpy, sys
