@@ -20,31 +20,21 @@ compare the stored integers, and the kernels read them directly:
   * one exact division kernel over Z serves ``divmod`` (on the dividend
     scaled by lb^(deg a - deg b + 1), lb the divisor's leading entry, so
     every step divides exactly), the pseudo-remainders of :func:`poly_gcd`
-    and the exact division of a ``RatFunc`` by its gcd;
+    and the one reduction below;
   * :func:`poly_gcd` runs the primitive polynomial remainder sequence over Z
     (Collins, "Subresultants and reduced polynomial remainder sequences",
     JACM 1967): pseudo-remainders, each divided by its content; the monic
-    gcd it returns has that primitive gcd as its numerators;
-  * ``RatFunc(num, den)`` divides the numerator and the denominator
-    numerators by it exactly (by Gauss's lemma the primitive gcd divides
-    both over Z), then makes the denominator monic.
+    gcd it returns has that primitive gcd as its numerators.
 
-The ``RatFunc`` operators keep reduced operands reduced (Henrici, "A
-subroutine for computations with rational numbers", JACM 1956; Knuth,
-TAOCP vol. 2, 4.5.1), so none of them takes the gcd of an unreduced
-result.  For a/b and c/d, each reduced with b and d monic:
-
-  * a product takes g1 = gcd(a, d) and g2 = gcd(c, b), and is
-    (a/g1)(c/g2) / ((b/g2)(d/g1));
-  * a sum over b = d takes one gcd, of a + c and b.  Otherwise it takes
-    g = gcd(b, d); if g = 1 it is (ad + bc) / (bd), with no other gcd,
-    else it takes t = a(d/g) + c(b/g) and g2 = gcd(t, g), and is
-    (t/g2) / ((b/g)(d/g2));
-  * a quotient is a product by the inverse, d/c with c made monic, which
-    takes no gcd;
-  * a power a^e / b^e, a negation -a / b and a lift p / 1 take none.
-
-A gcd with a constant operand is 1 and is never computed.
+Rational functions and extension elements share one reduction,
+:func:`_reduced`: integer polynomial parts are divided exactly by their
+primitive gcd (by Gauss's lemma it divides each over Z; no chain when a part
+is constant), then by their integer content, and the last part's lead is
+made positive.  ``RatFunc(num, den)`` reduces N / D, N and D the integer
+parts of num / den, and stores N and D over D's lead, so the denominator is
+monic.  Its ``+``, ``*`` and inverse are the plain formulas (ad + cb) / (bd),
+(ac) / (bd) and b / a, each reduced once; a power a^e / b^e, a negation
+-a / b and a lift p / 1 are reduced already.
 
 An extension element is stored on one common denominator: A, B and D are
 integer polynomials in the kernels' list form that share no polynomial
@@ -52,8 +42,7 @@ factor, whose integer content together is 1, and D has a positive lead.
 That form of a = A / D and b = B / D is unique, so ``==``, ``hash`` and
 :func:`quadext_equal` compare the stored parts; ``a`` and ``b`` are reduced
 ``RatFunc``s built when read.  Each operator forms its result on the kernels
-and reduces it once: one :func:`poly_gcd` chain over its three parts (none
-when a part is constant), then its content.  With u = U / V:
+and reduces it once, with :func:`_reduced`.  With u = U / V:
 
   * a product is ((A1 A2 V + B1 B2 U) + (A1 B2 + A2 B1) V s) / (D1 D2 V); a
     square takes three products, not four, and an operand with B = 0 skips
@@ -71,14 +60,13 @@ series is; rational functions and extension elements print their polynomials.
 Each layer writes only what is its own: ``_lift`` (into this layer, else
 None; ``QuadExt`` raises), ``+``, unary ``-``, ``*``, ``/``, powers and
 printing; ``exact._Ring`` derives ``-`` and the reflected ``+ * -``, and its
-subclass ``_Field`` adds ``c / x`` as ``lift(c) / x``.  ``RatFunc`` raises
-numerator and denominator apart, so a power takes no gcd.
+subclass ``_Field`` adds ``c / x`` as ``lift(c) / x``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -323,11 +311,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly._build(g, g[-1])
 
 
-def _quo(p: Poly, g: Poly) -> Poly:
-    """p divided exactly by g's integer numerators, which divide p's (Gauss's lemma)."""
-    return Poly._build(_zz_divmod(p._nums, g._nums)[0], p._den)
-
-
 def _common_factor(parts) -> list[int] | None:
     """The primitive gcd of nonzero integer polynomials, shortest first; None if constant."""
     if min(map(len, parts)) == 1:
@@ -340,53 +323,46 @@ def _common_factor(parts) -> list[int] | None:
     return g
 
 
-def _cancel(a: Poly, b: Poly) -> tuple[Poly | None, Poly, Poly]:
-    """(g, a / g, b / g) for g = poly_gcd(a, b), a and b nonzero.
+def _reduced(parts, coprime: bool = False) -> list:
+    """Integer polynomials over their common factor and content, the last with a positive lead.
 
-    g is None, and a and b come back as they are, when the gcd is 1 or
-    when a or b is a constant, whose gcd with anything is 1 and is not
-    computed.  Each quotient is over g's integer numerators, a constant
-    multiple of g, so a / g and b / g are off by the same constant and
-    their ratio is exact.
+    The last part is nonzero, and is 1 when the others are all zero.  The
+    common factor is one :func:`poly_gcd` chain, skipped if ``coprime``.
     """
-    if a.degree < 1 or b.degree < 1:
-        return None, a, b
-    g = poly_gcd(a, b)
-    if not g.degree:
-        return None, a, b
-    return g, _quo(a, g), _quo(b, g)
+    if not any(parts[:-1]):
+        return [*parts[:-1], (1,)]
+    if not coprime and (g := _common_factor([p for p in parts if p])):
+        parts = [_zz_divmod(p, g)[0] for p in parts]
+    c = gcd(*chain.from_iterable(parts))
+    if parts[-1][-1] < 0:
+        c = -c
+    return parts if c == 1 else [[x // c for x in p] for p in parts]
 
 
-def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num / den with den scaled to be monic; num is scaled by the same constant."""
-    # den = d / dd with leading entry lc = d[-1]: num / den = (num dd / lc) / (d / lc)
-    lc = den._nums[-1]
-    if lc == den._den:
-        return num, den
-    return Poly._build(_scaled(num._nums, den._den), num._den * lc), Poly._build(den._nums, lc)
+def _zz_parts(r) -> tuple[list[int], list[int]]:
+    """Integer polynomials N and D with N / D = r.num / r.den."""
+    num, den = r.num, r.den
+    return _scaled(num._nums, den._den), _scaled(den._nums, num._den)
 
 
 class RatFunc(_Field, _Frozen):
     """Canonical quotient of polynomials: gcd-reduced, monic denominator.
 
-    ``RatFunc(num, den)`` and ``RatFunc.of`` reduce any pair.  The operators
-    build their results already reduced from reduced operands, taking gcds
-    of their operands' parts only (see the module docstring).
+    ``RatFunc(num, den)`` reduces any pair, on integer parts, with the
+    extension elements' :func:`_reduced`.  ``+``, ``*`` and the inverse are
+    the plain formulas, reduced by that constructor; negation, powers and
+    lifts are reduced already.
     """
 
     num: Poly
     den: Poly
 
     def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if den.is_zero:
+        if self.den.is_zero:
             raise DivisionByZeroRatFunc("rational function with zero denominator")
-        if num.is_zero:
-            num, den = _ZERO, _ONE
-        else:
-            num, den = _monic_den(*_cancel(num, den)[1:])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = _reduced(_zz_parts(self))
+        object.__setattr__(self, "num", Poly._build(num, den[-1]))
+        object.__setattr__(self, "den", Poly._build(den, den[-1]))
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> RatFunc:
@@ -422,22 +398,8 @@ class RatFunc(_Field, _Frozen):
         rhs = RatFunc._lift(other)
         if rhs is None:
             return NotImplemented
-        if rhs.is_zero:
-            return self
-        if self.is_zero:
-            return rhs
         a, b, c, d = self.num, self.den, rhs.num, rhs.den
-        if b == d:
-            t = a + c
-            return RF_ZERO if t.is_zero else RatFunc._raw(*_monic_den(*_cancel(t, b)[1:]))
-        # a/b + c/d = t / ((b/g) d) with t = a (d/g) + c (b/g); t shares with
-        # (b/g) d only what it shares with g
-        g, b1, d1 = _cancel(b, d)
-        t = a * d1 + c * b1
-        if g is None:
-            return RatFunc._raw(t, b * d)
-        h, t, _ = _cancel(t, g)
-        return RatFunc._raw(*_monic_den(t, b1 * (d if h is None else _quo(d, h))))
+        return RatFunc(a * d + c * b, b * d)
 
     def __neg__(self) -> RatFunc:
         return RatFunc._raw(-self.num, self.den)
@@ -446,17 +408,13 @@ class RatFunc(_Field, _Frozen):
         rhs = RatFunc._lift(other)
         if rhs is None:
             return NotImplemented
-        if self.is_zero or rhs.is_zero:
-            return RF_ZERO
-        _, a, d = _cancel(self.num, rhs.den)
-        _, c, b = _cancel(rhs.num, self.den)
-        return RatFunc._raw(*_monic_den(a * c, b * d))
+        return RatFunc(self.num * rhs.num, self.den * rhs.den)
 
     def _inverse(self) -> RatFunc:
-        """1 / self: numerator and denominator change places, with no gcd."""
+        """1 / self."""
         if self.is_zero:
             raise DivisionByZeroRatFunc("division by the zero rational function")
-        return RatFunc._raw(*_monic_den(self.den, self.num))
+        return RatFunc(self.den, self.num)
 
     def __truediv__(self, other) -> RatFunc:
         rhs = RatFunc._lift(other)
@@ -475,14 +433,6 @@ class RatFunc(_Field, _Frozen):
         if self.den.degree == 0:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-def _zz_parts(r: RatFunc) -> tuple[list[int], list[int]]:
-    """Integer polynomials N and D with r = N / D."""
-    num, den = r.num, r.den
-    return _scaled(num._nums, den._den), _scaled(den._nums, num._den)
-
-
-RF_ZERO = RatFunc.of(0)
 
 
 class QuadExt(_Field, _Frozen):
@@ -503,16 +453,8 @@ class QuadExt(_Field, _Frozen):
         self._set(_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db), u)
 
     def _set(self, a, b, d, u: RatFunc, coprime: bool = False) -> None:
-        """Store (a + b*s) / d, d != 0, over its parts' gcd (none if ``coprime``) and content."""
-        if not (a or b):
-            a, d = (), (1,)
-        elif not coprime and (g := _common_factor([p for p in (a, b, d) if p])):
-            a, b, d = (_zz_divmod(p, g)[0] for p in (a, b, d))
-        c = gcd(*a, *b, *d)
-        if d[-1] < 0:
-            c = -c
-        if c != 1:
-            a, b, d = ([x // c for x in p] for p in (a, b, d))
+        """Store (a + b*s) / d, d != 0, reduced by :func:`_reduced`."""
+        a, b, d = _reduced((a, b, d), coprime)
         vars(self).update(_num=tuple(a), _rad=tuple(b), _den=tuple(d), u=u)
 
     @classmethod

@@ -248,10 +248,6 @@ class ProofReport(_Frozen):
     elapsed: float = 0.0
 
 
-def _half(x: QuadExt) -> QuadExt:
-    return x * Fraction(1, 2)
-
-
 def _goals3(t: ParamTable) -> dict[str, tuple[QuadExt, QuadExt]]:
     m = t.m
     one = t.scalar(1)
@@ -269,25 +265,25 @@ def _goals3(t: ParamTable) -> dict[str, tuple[QuadExt, QuadExt]]:
     )
     goals["4-4"] = (
         inv_m * t.quarter_ba * (one + t.alpha),
-        _half(_half(t.sqrt_alpha))
+        t.sqrt_alpha / 4
         * (one + 18 * inv_m**2 * t.sqrt_ba - 27 * inv_m**4 * (t.beta / t.alpha)),
     )
     goals["4-5"] = (
         m * t.quarter_ab * (one + t.beta),
-        _half(_half(t.sqrt_beta))
+        t.sqrt_beta / 4
         * (m**4 * (t.alpha / t.beta) - 6 * m**2 * (t.sqrt_ba.inverse()) - 3 * one),
     )
     for tag, sgn in (("+", 1), ("-", -1)):
         pm = t.scalar(sgn)
         goals[f"4-6{tag}"] = (
             inv_m * t.quarter_ba * (one + pm * t.sqrt_alpha) ** 2,
-            _half(_half(t.sqrt_alpha))
+            t.sqrt_alpha / 4
             * (one - pm * inv_m * t.quarter_ba)
             * (one + 3 * pm * inv_m * t.quarter_ba) ** 3,
         )
         goals[f"44-7{tag}"] = (
             m * t.quarter_ab * (one + pm * t.sqrt_beta) ** 2,
-            _half(_half(t.sqrt_beta))
+            t.sqrt_beta / 4
             * (m * t.quarter_ab - pm * one) ** 3
             * (m * t.quarter_ab + 3 * pm * one),
         )
