@@ -4,8 +4,7 @@ Three layers, all immutable with canonical forms so equality is structural:
 
   * :class:`Poly` -- dense univariate polynomial over rationals in the
     multiplier variable m, with no trailing zero coefficients;
-  * :class:`RatFunc` -- quotient of two polynomials, gcd-reduced with a monic
-    denominator;
+  * :class:`RatFunc` -- quotient of two polynomials, reduced, monic denominator;
   * :class:`QuadExt` -- an element (A + B*s) / D of the quadratic extension
     defined by s^2 = u(m), where the modulus u is itself a rational function.
 
@@ -26,30 +25,26 @@ compare the stored integers, and the kernels read them directly:
     JACM 1967): pseudo-remainders, each divided by its content; the monic
     gcd it returns has that primitive gcd as its numerators.
 
-Rational functions and extension elements share one reduction,
-:func:`_reduced`: integer polynomial parts are divided exactly by their
-primitive gcd (by Gauss's lemma it divides each over Z; no chain when a part
-is constant), then by their integer content, and the last part's lead is
-made positive.  ``RatFunc(num, den)`` reduces N / D, N and D the integer
-parts of num / den, and stores N and D over D's lead, so the denominator is
-monic.  Its ``+``, ``*`` and inverse are the plain formulas (ad + cb) / (bd),
-(ac) / (bd) and b / a, each reduced once; a power a^e / b^e, a negation
--a / b and a lift p / 1 are reduced already.
+Rational functions and extension elements have one stored form,
+(A + B*s) / D with B = 0 for a rational function: integer polynomials that
+share no polynomial factor, whose content together is 1, and D's lead is
+positive.  It is unique, so ``==``, ``hash`` and :func:`quadext_equal`
+compare the stored parts; ``num`` and ``den`` (over D's lead, so the
+denominator is monic), ``a`` and ``b`` are built when read.
+:func:`_reduced` makes the form: it divides the parts exactly by their
+primitive gcd (by Gauss's lemma it divides each over Z; no chain when a
+part is constant), then by their content, and makes D's lead positive.
 
-An extension element is stored on one common denominator: A, B and D are
-integer polynomials in the kernels' list form that share no polynomial
-factor, whose integer content together is 1, and D has a positive lead.
-That form of a = A / D and b = B / D is unique, so ``==``, ``hash`` and
-:func:`quadext_equal` compare the stored parts; ``a`` and ``b`` are reduced
-``RatFunc``s built when read.  Each operator forms its result on the kernels
-and reduces it once, with :func:`_reduced`.  With u = U / V:
+One arithmetic, in the private base of both classes, forms each result on
+the kernels and reduces it once.  With u = U / V:
 
   * a product is ((A1 A2 V + B1 B2 U) + (A1 B2 + A2 B1) V s) / (D1 D2 V); a
     square takes three products, not four, and an operand with B = 0 skips
-    the U and V terms;
+    the U and V terms, so a rational function never reads a modulus;
   * a sum over equal D is one addition;
   * the inverse is D V (A - B s) / (A^2 V - B^2 U), which for B = 0 is D / A
-    and needs no gcd, as negation and conjugation need none.
+    and needs no gcd, as negation, conjugation, a lift and a power
+    A^e / D^e of a B = 0 value need none.
 
 The canonical forms are the same as the Euclidean algorithm over Q gives,
 coefficient for coefficient.  Degrees stay small (32 at most in the modular
@@ -57,10 +52,9 @@ goals), so dense lists and quadratic loops are adequate.  A polynomial is
 written by ``exact.terms_str`` and its repr by ``exact.exact_repr``, as a
 series is; rational functions and extension elements print their polynomials.
 
-Each layer writes only what is its own: ``_lift`` (into this layer, else
-None; ``QuadExt`` raises), ``+``, unary ``-``, ``*``, ``/``, powers and
-printing; ``exact._Ring`` derives ``-`` and the reflected ``+ * -``, and its
-subclass ``_Field`` adds ``c / x`` as ``lift(c) / x``.
+``Poly`` and the base write ``_lift`` (into the layer, else None; ``QuadExt``
+raises), ``+``, unary ``-``, ``*``, powers and printing, the base also ``/``
+and ``c / x``; ``exact._Ring`` derives ``-`` and the reflected ``+ * -``.
 """
 
 from __future__ import annotations
@@ -166,18 +160,6 @@ def _zz_add(a, b) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-class _Field(_Ring):
-    """``c / x`` as ``lift(c) / x``, for the layers that have ``/``."""
-
-    __slots__ = ()
-
-    def __rtruediv__(self, other):
-        lhs = self._lift(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
 
 
 class Poly(_Ring, _Frozen):
@@ -339,228 +321,209 @@ def _reduced(parts, coprime: bool = False) -> list:
     return parts if c == 1 else [[x // c for x in p] for p in parts]
 
 
-def _zz_parts(r) -> tuple[list[int], list[int]]:
-    """Integer polynomials N and D with N / D = r.num / r.den."""
-    num, den = r.num, r.den
-    return _scaled(num._nums, den._den), _scaled(den._nums, num._den)
+def _parts(x, name: str = "") -> tuple | None:
+    """Integer polynomials N and D with N / D = x, in the stored form below.
 
-
-class RatFunc(_Field, _Frozen):
-    """Canonical quotient of polynomials: gcd-reduced, monic denominator.
-
-    ``RatFunc(num, den)`` reduces any pair, on integer parts, with the
-    extension elements' :func:`_reduced`.  ``+``, ``*`` and the inverse are
-    the plain formulas, reduced by that constructor; negation, powers and
-    lifts are reduced already.
+    x is a RatFunc, Poly, int or Fraction; anything else gives None, or a
+    TypeError that names the argument when ``name`` is given.
     """
-
-    num: Poly
-    den: Poly
-
-    def __post_init__(self) -> None:
-        if self.den.is_zero:
-            raise DivisionByZeroRatFunc("rational function with zero denominator")
-        num, den = _reduced(_zz_parts(self))
-        object.__setattr__(self, "num", Poly._build(num, den[-1]))
-        object.__setattr__(self, "den", Poly._build(den, den[-1]))
-
-    @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> RatFunc:
-        """A rational function from parts that are already in canonical form."""
-        self = object.__new__(cls)
-        vars(self).update(num=num, den=den)
-        return self
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def of(num, den=1) -> RatFunc:
-        n = Poly._lift(num)
-        d = Poly._lift(den)
-        if n is None or d is None:
-            raise TypeError("RatFunc.of expects Poly, int or Fraction arguments")
-        return RatFunc(n, d)
-
-    @staticmethod
-    def _lift(other) -> RatFunc | None:
-        if isinstance(other, RatFunc):
-            return other
-        p = Poly._lift(other)
-        if p is None:
-            return None
-        return RatFunc._raw(p, _ONE)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other) -> RatFunc:
-        rhs = RatFunc._lift(other)
-        if rhs is None:
-            return NotImplemented
-        a, b, c, d = self.num, self.den, rhs.num, rhs.den
-        return RatFunc(a * d + c * b, b * d)
-
-    def __neg__(self) -> RatFunc:
-        return RatFunc._raw(-self.num, self.den)
-
-    def __mul__(self, other) -> RatFunc:
-        rhs = RatFunc._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return RatFunc(self.num * rhs.num, self.den * rhs.den)
-
-    def _inverse(self) -> RatFunc:
-        """1 / self."""
-        if self.is_zero:
-            raise DivisionByZeroRatFunc("division by the zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other) -> RatFunc:
-        rhs = RatFunc._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs._inverse()
-
-    def __pow__(self, e: int) -> RatFunc:
-        if not isinstance(e, int):
-            raise ValueError("rational-function power must be an integer")
-        if e < 0:
-            return self._inverse() ** (-e)
-        return RatFunc._raw(self.num**e, self.den**e)
-
-    def __str__(self) -> str:
-        if self.den.degree == 0:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+    if isinstance(x, RatFunc):
+        return x._num, x._den
+    p = Poly._lift(x)
+    if p is not None:
+        return p._nums, (p._den,)
+    if name:
+        raise TypeError(f"{name} must be a RatFunc, Poly, int or Fraction, not {type(x).__name__}")
+    return None
 
 
-class QuadExt(_Field, _Frozen):
-    """Element (A + B*s) / D of the quadratic extension with s^2 = u.
+class _Quotient(_Ring, _Frozen):
+    """The stored form (A + B*s) / D and the one arithmetic of RatFunc and QuadExt.
 
-    A, B and D are stored as ``_num``, ``_rad`` and ``_den`` in the canonical
-    form of the module docstring.  Elements over different moduli cannot be
-    combined.
+    Each result is built by :meth:`_new`, in the operand's class and modulus.
     """
 
     _num: tuple[int, ...]
     _rad: tuple[int, ...]
     _den: tuple[int, ...]
-    u: RatFunc
 
-    def __init__(self, a: RatFunc, b: RatFunc, u: RatFunc) -> None:
-        (na, da), (nb, db) = _zz_parts(a), _zz_parts(b)
-        self._set(_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db), u)
-
-    def _set(self, a, b, d, u: RatFunc, coprime: bool = False) -> None:
-        """Store (a + b*s) / d, d != 0, reduced by :func:`_reduced`."""
+    def _new(self, a, b, d, coprime: bool = False):
+        """(a + b*s) / d, d != 0, reduced, of self's class and modulus."""
         a, b, d = _reduced((a, b, d), coprime)
-        vars(self).update(_num=tuple(a), _rad=tuple(b), _den=tuple(d), u=u)
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), _num=tuple(a), _rad=tuple(b), _den=tuple(d))
+        return new
 
-    @classmethod
-    def _build(cls, a, b, d, u: RatFunc, coprime: bool = False) -> QuadExt:
-        """The element (a + b*s) / d over s^2 = u, in canonical form."""
-        self = object.__new__(cls)
-        self._set(a, b, d, u, coprime)
-        return self
+    def _lift(self, other):
+        """other in self's class and modulus; None unless it is one or a rational value."""
+        if type(other) is type(self):
+            return other
+        parts = _parts(other)
+        return None if parts is None else self._new(parts[0], (), parts[1], coprime=True)
+
+    def __add__(self, other):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        a, b, d = self._num, self._rad, self._den
+        c, e, f = rhs._num, rhs._rad, rhs._den
+        if d != f:
+            a, b, c, e, d = _zz_mul(a, f), _zz_mul(b, f), _zz_mul(c, d), _zz_mul(e, d), _zz_mul(d, f)
+        return self._new(_zz_add(a, c), _zz_add(b, e), d)
+
+    def __neg__(self):
+        return self._new(_scaled(self._num, -1), _scaled(self._rad, -1), self._den, coprime=True)
+
+    def __mul__(self, other):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        a, b, d = self._num, self._rad, self._den
+        c, e, f = rhs._num, rhs._rad, rhs._den
+        # over d f V: (ac V + be U) + (ae + bc) V s, where V = 1 and be = 0 when b or e is
+        nu, nv = (self.u._num, self.u._den) if b and e else ((), (1,))
+        if rhs is self:
+            ac, be, ae = _zz_mul(a, a), _zz_mul(b, b), _zz_mul(_scaled(a, 2), b)
+        else:
+            ac, be, ae = _zz_mul(a, c), _zz_mul(b, e), _zz_add(_zz_mul(a, e), _zz_mul(b, c))
+        num, rad = _zz_add(_zz_mul(ac, nv), _zz_mul(be, nu)), _zz_mul(ae, nv)
+        return self._new(num, rad, _zz_mul(_zz_mul(d, f), nv))
+
+    def inverse(self):
+        """D V (A - B s) / (A^2 V - B^2 U); for B = 0, D / A, already coprime."""
+        a, b, d = self._num, self._rad, self._den
+        nu, nv = (self.u._num, self.u._den) if b else ((), (1,))
+        n = _zz_add(_zz_mul(_zz_mul(a, a), nv), _scaled(_zz_mul(_zz_mul(b, b), nu), -1)) if b else a
+        if not n:
+            error, text = self._no_inverse
+            raise error(text)
+        if not b:
+            return self._new(d, (), a, coprime=True)
+        dv = _zz_mul(d, nv)
+        return self._new(_zz_mul(dv, a), _scaled(_zz_mul(dv, b), -1), n)
+
+    def __truediv__(self, other):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        return self * rhs.inverse()
+
+    def __rtruediv__(self, other):
+        lhs = self._lift(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs / self
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            raise ValueError("power must be an integer")
+        if e < 0:
+            return self.inverse() ** (-e)
+        if self._rad and e:
+            return _power(self, e)
+        # A^e / D^e, coprime as A and D are; for B != 0 this is e = 0, so 1
+        a, d = (Poly._build(p, 1) ** e for p in (self._num, self._den))
+        return self._new(a._nums, (), d._nums, coprime=True)
+
+
+class RatFunc(_Quotient):
+    """Canonical quotient of polynomials: the B = 0 case of the stored form.
+
+    ``RatFunc(num, den=1)``, also spelled ``RatFunc.of``, reduces num / den,
+    each a RatFunc, Poly, int or Fraction.
+    """
+
+    _no_inverse = DivisionByZeroRatFunc, "division by the zero rational function"
+
+    def __init__(self, num, den=1) -> None:
+        (a, b), (c, d) = _parts(num, "RatFunc() argument 'num'"), _parts(den, "RatFunc() argument 'den'")
+        if not c:
+            raise DivisionByZeroRatFunc("rational function with zero denominator")
+        vars(self).update(vars(self._new(_zz_mul(a, d), (), _zz_mul(b, c))))
+
+    def __repr__(self) -> str:
+        return f"RatFunc(num={self.num!r}, den={self.den!r})"
+
+    @property
+    def num(self) -> Poly:
+        """The numerator, over the denominator's lead (built on each read)."""
+        return Poly._build(self._num, self._den[-1])
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator (built on each read)."""
+        return Poly._build(self._den, self._den[-1])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __str__(self) -> str:
+        if len(self._den) == 1:
+            return str(self.num)
+        return f"({self.num}) / ({self.den})"
+
+
+RatFunc.of = RatFunc
+
+
+class QuadExt(_Quotient):
+    """Element (A + B*s) / D of the quadratic extension with s^2 = u.
+
+    ``QuadExt(a, b, u)`` lifts a, b and u as ``RatFunc`` lifts its
+    arguments.  Elements over different moduli cannot be combined.
+    """
+
+    u: RatFunc
+    _no_inverse = ZeroNormInverse, "element has zero norm and no inverse"
+
+    def __init__(self, a, b, u) -> None:
+        (na, da), (nb, db), _ = (_parts(x, f"QuadExt() argument {n!r}") for x, n in zip((a, b, u), "abu"))
+        vars(self)["u"] = u if isinstance(u, RatFunc) else RatFunc(u)
+        # coprime when a or b is zero: the parts are then the other's reduced form
+        vars(self).update(vars(self._new(_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db), not (na and nb))))
 
     def __repr__(self) -> str:
         return f"QuadExt(a={self.a!r}, b={self.b!r}, u={self.u!r})"
 
-    # ------------------------------------------------------------------
+    @staticmethod
+    def scalar(value, u) -> QuadExt:
+        """``QuadExt(value, 0, u)``."""
+        return QuadExt(value, 0, u)
 
     @staticmethod
-    def scalar(value, u: RatFunc) -> QuadExt:
-        r = RatFunc._lift(value)
-        if r is None:
-            raise TypeError("scalar part must be RatFunc, Poly, int or Fraction")
-        num, den = _zz_parts(r)
-        return QuadExt._build(num, (), den, u, coprime=True)
-
-    @staticmethod
-    def root(u: RatFunc) -> QuadExt:
+    def root(u) -> QuadExt:
         """The adjoined square root s itself."""
-        return QuadExt._build((), (1,), (1,), u, coprime=True)
+        return QuadExt(0, 1, u)
 
     @property
     def a(self) -> RatFunc:
-        """The rational part A / D, reduced (built on each read)."""
-        return RatFunc(Poly._build(self._num, 1), Poly._build(self._den, 1))
+        """The rational part A / D, reduced (built on each read by u, a RatFunc)."""
+        return self.u._new(self._num, (), self._den)
 
     @property
     def b(self) -> RatFunc:
-        """The coefficient B / D of s, reduced (built on each read)."""
-        return RatFunc(Poly._build(self._rad, 1), Poly._build(self._den, 1))
+        """The coefficient B / D of s, reduced (built on each read by u, a RatFunc)."""
+        return self.u._new(self._rad, (), self._den)
 
     @property
     def is_rational(self) -> bool:
         return not self._rad
 
     def _lift(self, other) -> QuadExt:
-        if isinstance(other, QuadExt):
-            if other.u != self.u:
-                raise ModulusMismatch(
-                    f"cannot combine extensions with moduli {self.u} and {other.u}"
-                )
-            return other
-        r = RatFunc._lift(other)
-        if r is None:
+        if isinstance(other, QuadExt) and other.u != self.u:
+            raise ModulusMismatch(f"cannot combine extensions with moduli {self.u} and {other.u}")
+        rhs = super()._lift(other)
+        if rhs is None:
             raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
-        return QuadExt.scalar(r, self.u)
-
-    def __add__(self, other) -> QuadExt:
-        rhs = self._lift(other)
-        a, b, d = self._num, self._rad, self._den
-        c, e, f = rhs._num, rhs._rad, rhs._den
-        if d != f:
-            a, b, c, e, d = _zz_mul(a, f), _zz_mul(b, f), _zz_mul(c, d), _zz_mul(e, d), _zz_mul(d, f)
-        return QuadExt._build(_zz_add(a, c), _zz_add(b, e), d, self.u)
-
-    def __neg__(self) -> QuadExt:
-        num, rad = _scaled(self._num, -1), _scaled(self._rad, -1)
-        return QuadExt._build(num, rad, self._den, self.u, coprime=True)
-
-    def __mul__(self, other) -> QuadExt:
-        rhs = self._lift(other)
-        a, b, d = self._num, self._rad, self._den
-        c, e, f = rhs._num, rhs._rad, rhs._den
-        # over d f V: (ac V + be U) + (ae + bc) V s, where V = 1 and be = 0 when b or e is
-        nu, nv = _zz_parts(self.u) if b and e else ((), (1,))
-        if rhs is self:
-            ac, be, ae = _zz_mul(a, a), _zz_mul(b, b), _zz_mul(_scaled(a, 2), b)
-        else:
-            ac, be, ae = _zz_mul(a, c), _zz_mul(b, e), _zz_add(_zz_mul(a, e), _zz_mul(b, c))
-        num, rad = _zz_add(_zz_mul(ac, nv), _zz_mul(be, nu)), _zz_mul(ae, nv)
-        return QuadExt._build(num, rad, _zz_mul(_zz_mul(d, f), nv), self.u)
+        return rhs
 
     def conjugate(self) -> QuadExt:
-        return QuadExt._build(self._num, _scaled(self._rad, -1), self._den, self.u, coprime=True)
+        return self._new(self._num, _scaled(self._rad, -1), self._den, coprime=True)
 
     def norm(self) -> RatFunc:
         """a^2 - b^2 * u, the product with the conjugate."""
         return (self * self.conjugate()).a
-
-    def inverse(self) -> QuadExt:
-        """D V (A - B s) / (A^2 V - B^2 U); for B = 0, D / A, already coprime."""
-        a, b, d = self._num, self._rad, self._den
-        nu, nv = _zz_parts(self.u)
-        n = _zz_add(_zz_mul(_zz_mul(a, a), nv), _scaled(_zz_mul(_zz_mul(b, b), nu), -1)) if b else a
-        if not n:
-            raise ZeroNormInverse("element has zero norm and no inverse")
-        if not b:
-            return QuadExt._build(d, (), a, self.u, coprime=True)
-        dv = _zz_mul(d, nv)
-        return QuadExt._build(_zz_mul(dv, a), _scaled(_zz_mul(dv, b), -1), n, self.u)
-
-    def __truediv__(self, other) -> QuadExt:
-        return self * self._lift(other).inverse()
-
-    def __pow__(self, e: int) -> QuadExt:
-        if not isinstance(e, int):
-            raise ValueError("power must be an integer")
-        if e < 0:
-            return self.inverse() ** (-e)
-        return _power(self, e) if e else QuadExt.scalar(1, self.u)
 
     def __str__(self) -> str:
         if not self._rad:

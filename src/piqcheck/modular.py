@@ -199,7 +199,7 @@ def build_table3() -> ParamTable:
 
 def build_table5() -> ParamTable:
     """Evaluate and validate the degree-5 atoms over rho^2 = m^3 - 2m^2 + 5m."""
-    from .field import M, QuadExt, RatFunc
+    from .field import M, QuadExt
 
     t = _table(5, _modulus5, _atoms5)
     rho = QuadExt.root(t.u)
@@ -224,7 +224,7 @@ def build_table5() -> ParamTable:
         "(((1-alpha)(1-beta))^(1/2))^2 = (1-alpha)(1-beta)",
     )
     _require(
-        (2 * t.m + rho) * (2 * t.m - rho), t.scalar(RatFunc.of(M * (M - 1) * (5 - M))),
+        (2 * t.m + rho) * (2 * t.m - rho), t.scalar(M * (M - 1) * (5 - M)),
         "(2m+rho)(2m-rho) = m(m-1)(5-m)",
     )
     return t
@@ -343,7 +343,7 @@ def _reference_quotients5(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt
     from .field import M, Poly, QuadExt, RatFunc
 
     rho = QuadExt.root(u)
-    lift = lambda p: QuadExt.scalar(RatFunc.of(p), u)
+    lift = lambda p: QuadExt.scalar(p, u)
 
     a_rat = Poly((0, -28, -504, -1280, -40, -40, -200, 64, -24, 4))
     a_rho = Poly((-1, -70, -470, -470, 80, -98, 6, -2, 1))
@@ -353,14 +353,14 @@ def _reference_quotients5(u: RatFunc) -> dict[str, tuple[RatFunc | None, QuadExt
     c_rho = Poly((390625, -156250, 93750, -306250, 50000, -58750, -11750, -350, -1))
     d_rat = Poly((0, -6250, 6250, -500, 100, 510, 18))
     d_rho = Poly((3125, -3125, 1250, -1050, -135, -1))
-    common_2_5 = (lift(Poly((1, 7, -1, 1))) + rho * RatFunc.of(2 * M + 2)) \
+    common_2_5 = (lift(Poly((1, 7, -1, 1))) + rho * (2 * M + 2)) \
         * RatFunc.of((M - 5) ** 2, (M - 1) ** 4)
 
     return {
-        "2-1": (RatFunc.of(4, (M - 1) ** 2), lift(a_rat) + rho * RatFunc.of(a_rho)),
-        "2-2": (RatFunc.of(-4096 * M**2, (M - 5) ** 12), lift(c_rat) + rho * RatFunc.of(c_rho)),
-        "2-3": (RatFunc.of(1 - M, 256 * M**6 * (M - 5)), lift(d_rat) + rho * RatFunc.of(d_rho)),
-        "2-4": (RatFunc.of(M - 5, 256 * M * (M - 1)), lift(b_rat) + rho * RatFunc.of(b_rho)),
+        "2-1": (RatFunc.of(4, (M - 1) ** 2), lift(a_rat) + rho * a_rho),
+        "2-2": (RatFunc.of(-4096 * M**2, (M - 5) ** 12), lift(c_rat) + rho * c_rho),
+        "2-3": (RatFunc.of(1 - M, 256 * M**6 * (M - 5)), lift(d_rat) + rho * d_rho),
+        "2-4": (RatFunc.of(M - 5, 256 * M * (M - 1)), lift(b_rat) + rho * b_rho),
         "2-5": (None, common_2_5),
     }
 

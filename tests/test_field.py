@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piqcheck import field
 from piqcheck.field import (
     M,
     DivisionByZeroRatFunc,
@@ -65,6 +66,24 @@ def test_poly_repr_keeps_fraction_text():
     assert repr(RatFunc.of(M, 2 * M + 2)) == (
         "RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(1, 2))), "
         "den=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1))))"
+    )
+
+
+def test_quadext_repr_keeps_fraction_text():
+    x = QuadExt(RatFunc.of(M, 2), RatFunc.of(-1, M + 1), RatFunc.of(M**2 - 3))
+    assert repr(x) == (
+        "QuadExt(a=RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(1, 2))), "
+        "den=Poly(coeffs=(Fraction(1, 1),))), "
+        "b=RatFunc(num=Poly(coeffs=(Fraction(-1, 1),)), "
+        "den=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1)))), "
+        "u=RatFunc(num=Poly(coeffs=(Fraction(-3, 1), Fraction(0, 1), Fraction(1, 1))), "
+        "den=Poly(coeffs=(Fraction(1, 1),))))"
+    )
+    assert repr(QuadExt.root(RatFunc.of(M))) == (
+        "QuadExt(a=RatFunc(num=Poly(coeffs=()), den=Poly(coeffs=(Fraction(1, 1),))), "
+        "b=RatFunc(num=Poly(coeffs=(Fraction(1, 1),)), den=Poly(coeffs=(Fraction(1, 1),))), "
+        "u=RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(1, 1))), "
+        "den=Poly(coeffs=(Fraction(1, 1),))))"
     )
 
 
@@ -137,6 +156,25 @@ def test_ratfunc_canonical_form_is_idempotent():
     assert r == again
     assert r.den.leading_coefficient == 1
     assert poly_gcd(r.num, r.den).degree == 0
+
+
+@pytest.mark.parametrize(
+    "expr, gcds, text",
+    [
+        ("r ** -1", 0, "(m^2 - 3) / (m^2 + 2*m + 1)"),
+        ("r ** -2", 0, "(m^4 - 6*m^2 + 9) / (m^4 + 4*m^3 + 6*m^2 + 4*m + 1)"),
+        ("r ** 3", 0, "(m^6 + 6*m^5 + 15*m^4 + 20*m^3 + 15*m^2 + 6*m + 1) / (m^6 - 9*m^4 + 27*m^2 - 27)"),
+        ("r / r", 1, "1"),
+    ],
+)
+def test_rational_powers_and_inverses_run_no_gcd_chain(monkeypatch, expr, gcds, text):
+    # the parts of a reduced value are coprime, and so are their powers and their swap
+    r = RatFunc((M + 1) ** 2, M**2 - 3)
+    calls = []
+    real = field.poly_gcd
+    monkeypatch.setattr(field, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert str(eval(expr)) == text
+    assert len(calls) == gcds
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +286,42 @@ def test_mixed_operand_errors(expr, exc, message):
         eval(expr)
     assert type(info.value) is exc
     assert str(info.value).startswith(message)
+
+
+NOT_RATIONAL = "must be a RatFunc, Poly, int or Fraction, not"
+
+
+@pytest.mark.parametrize(
+    "expr, exc, text",
+    [
+        # every constructor lifts a Poly, int or Fraction argument
+        ("RatFunc(M, 3)", None, "1/3*m"),
+        ("RatFunc(1, M)", None, "(1) / (m)"),
+        ("RatFunc(Fraction(1, 2))", None, "1/2"),
+        ("RatFunc(R, M)", None, "(m + 1) / (m^2 - 2*m)"),
+        ("RatFunc.of(M, 3)", None, "1/3*m"),
+        ("QuadExt(1, 0, U5)", None, "1"),
+        ("QuadExt(M, Fraction(1, 2), M)", None, "(m) + (1/2) * s"),
+        ("QuadExt.scalar(M, M + 1)", None, "m"),
+        ("QuadExt.root(M) * QuadExt.root(M)", None, "m"),
+        # and names the argument it cannot lift
+        ("RatFunc(0.5)", TypeError, f"RatFunc() argument 'num' {NOT_RATIONAL} float"),
+        ("RatFunc(M, 'm')", TypeError, f"RatFunc() argument 'den' {NOT_RATIONAL} str"),
+        ("RatFunc.of(X)", TypeError, f"RatFunc() argument 'num' {NOT_RATIONAL} QuadExt"),
+        ("QuadExt(0.5, 0, U5)", TypeError, f"QuadExt() argument 'a' {NOT_RATIONAL} float"),
+        ("QuadExt(1, None, U5)", TypeError, f"QuadExt() argument 'b' {NOT_RATIONAL} NoneType"),
+        ("QuadExt(1, 0, 2.0)", TypeError, f"QuadExt() argument 'u' {NOT_RATIONAL} float"),
+        ("QuadExt.scalar(X, U5)", TypeError, f"QuadExt() argument 'a' {NOT_RATIONAL} QuadExt"),
+        ("QuadExt.root('m')", TypeError, f"QuadExt() argument 'u' {NOT_RATIONAL} str"),
+    ],
+)
+def test_constructors_lift_their_arguments_or_name_the_bad_one(expr, exc, text):
+    if exc is None:
+        assert str(eval(expr)) == text
+        return
+    with pytest.raises(exc) as info:
+        eval(expr)
+    assert str(info.value) == text
 
 
 # ----------------------------------------------------------------------

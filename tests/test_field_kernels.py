@@ -438,6 +438,14 @@ def test_one_value_has_one_stored_form_and_hash(u, xp, yp):
         (x.conjugate().conjugate(), x),
         (x * x, x**2),
     ]
+    # the same routes through RatFunc, and a common integer factor of the parts
+    r, q = xp[0], yp[0]
+    routes += [
+        (r * q, q * r),
+        ((r + q) - q, r),
+        (r * r, r**2),
+        (RatFunc(2 * r.num, 2 * r.den), RatFunc(r.num, r.den)),
+    ]
     for left, right in routes:
         assert stored(left) == stored(right)
         assert left == right and hash(left) == hash(right)
