@@ -16,6 +16,13 @@ Laurent series in t (q = t^4) at a requested order and reports either
 ``error`` when evaluation could not produce a meaningful comparison range.
 :func:`verify` looks a registered id up and compares its sides; user
 identities and mutated records go to :func:`verify_sides` directly.
+
+A run evaluates each distinct subtree of its sides once.  The sides are
+interned first (:class:`_Plan`), so equal subtrees share one key, and a
+value is kept from its first walk to its last.  :func:`verify_all` makes
+its 62 sides one run, and :func:`verify_sides` its own two.  So the
+``elapsed`` of a report leaves out a subtree shared with an earlier
+identity of the run: that identity was charged for it.
 """
 
 from __future__ import annotations
@@ -88,38 +95,118 @@ def _apply(path: str, op, *args) -> LaurentSeries:
         raise EvalError(path, err) from err
 
 
-def _eval(e: Expr, order: int, path: str) -> LaurentSeries:
+class _Plan:
+    """The distinct subtrees of one run's sides, each evaluated once at the run's order.
+
+    Interning gives each subtree a key, an int, from its node class, its
+    own fields and its children's keys, so that equal subtrees get one key
+    and a lookup reads only the node itself: no subtree is hashed whole,
+    and the key is never the identity of a node object.  ``children[key]``
+    holds the keys of a node's children in order, so :func:`_eval` walks a
+    tree and its keys together.  ``uses[key]`` counts the walks that will
+    reach the key: one per side it is the root of, and one per child slot
+    of each distinct parent.  A value is kept only while walks remain, and
+    a failure keeps nothing, so each later occurrence of a failing subtree
+    raises again with its own path.  A plan belongs to one run: no state is
+    shared between runs or threads.
+    """
+
+    def __init__(self, order: int, sides) -> None:
+        check_order(order)
+        for side in sides:
+            check_depth(side)  # interning recurses once per level
+        self.keys: dict[tuple, int] = {}
+        self.children: list[tuple[int, ...]] = []
+        self.uses: list[int] = []
+        self.values: dict[int, LaurentSeries] = {}
+        # the plan holds its sides, so an identity test finds a side's key
+        self.sides = [(side, self.intern(side)) for side in sides]
+        for _, key in self.sides:
+            self.uses[key] += 1
+
+    def root(self, e: Expr) -> int:
+        """The key of e, one of the plan's sides; any other tree is interned now."""
+        for side, key in self.sides:
+            if side is e:
+                return key
+        return self.intern(e)
+
+    def intern(self, e: Expr) -> int:
+        """The key of e's tree, interning each subtree not seen before."""
+        match e:
+            case Binary(left, right):
+                kids = (self.intern(left), self.intern(right))
+                signature = (type(e), *kids)
+            case PowInt(base, exponent):
+                kids = (self.intern(base),)
+                signature = (PowInt, *kids, exponent)
+            case Sqrt(arg):
+                kids = (self.intern(arg),)
+                signature = (Sqrt, *kids)
+            case Builder() | QPow() | Const():
+                kids = ()
+                signature = (type(e), *e._values(e))
+            case _:
+                raise TypeError(f"not an expression node: {e!r}")
+        key = self.keys.get(signature)
+        if key is None:
+            key = self.keys[signature] = len(self.children)
+            self.children.append(kids)
+            self.uses.append(0)
+            for kid in kids:
+                self.uses[kid] += 1
+        return key
+
+
+def _eval(e: Expr, order: int, path: str, plan: _Plan, key: int) -> LaurentSeries:
+    """The series of e, whose key in plan is ``key``.
+
+    A value an earlier walk stored is read, and dropped at its last use; a
+    value computed here is stored while later walks will reach its key.
+    """
+    plan.uses[key] -= 1
+    value = plan.values.get(key)
+    if value is not None:
+        if not plan.uses[key]:
+            del plan.values[key]
+        return value
+    kids = plan.children[key]
     match e:
         case Builder(k):
-            return _apply(path, _THETA[type(e)], k, order)
+            value = _apply(path, _THETA[type(e)], k, order)
         case QPow():
             exp = e.t_exponent
-            return _apply(path, LaurentSeries.monomial, exp, order + max(exp, 0))
-        case Const(value):
-            return _apply(path, LaurentSeries.constant, value, order)
+            value = _apply(path, LaurentSeries.monomial, exp, order + max(exp, 0))
+        case Const(v):
+            value = _apply(path, LaurentSeries.constant, v, order)
         case Binary(left, right):
             node = f"{path}/{type(e).__name__}"
-            lhs = _eval(left, order, f"{node}.left")
-            rhs = _eval(right, order, f"{node}.right")
-            return _apply(node, _BINARY[type(e)], lhs, rhs)
+            lhs = _eval(left, order, f"{node}.left", plan, kids[0])
+            rhs = _eval(right, order, f"{node}.right", plan, kids[1])
+            value = _apply(node, _BINARY[type(e)], lhs, rhs)
         case PowInt(base, exponent):
-            base = _eval(base, order, f"{path}/PowInt.base")
-            return _apply(f"{path}/PowInt", pow, base, exponent)
+            base = _eval(base, order, f"{path}/PowInt.base", plan, kids[0])
+            value = _apply(f"{path}/PowInt", pow, base, exponent)
         case Sqrt(arg):
-            arg = _eval(arg, order, f"{path}/Sqrt.arg")
-            return _apply(f"{path}/Sqrt", LaurentSeries.sqrt, arg)
-    raise TypeError(f"not an expression node: {e!r}")
+            arg = _eval(arg, order, f"{path}/Sqrt.arg", plan, kids[0])
+            value = _apply(f"{path}/Sqrt", LaurentSeries.sqrt, arg)
+    if plan.uses[key] > 0:
+        plan.values[key] = value
+    return value
 
 
-def evaluate(e: Expr, order: int) -> LaurentSeries:
+def evaluate(e: Expr, order: int, plan: _Plan | None = None) -> LaurentSeries:
     """Evaluate an expression tree to a Laurent series with tracked order.
 
     A tree whose root records a ``depth`` past ``dsl.MAX_DEPTH`` raises
     ValueError; an order :func:`check_order` rejects raises its TypeError or UsageError.
+    ``plan``, when given, is the run's plan, built at this order with e
+    among its sides; its stored subtrees are read instead of evaluated again.
     """
     check_order(order)
     check_depth(e)
-    return _eval(e, order, "")
+    plan = plan or _Plan(order, (e,))
+    return _eval(e, order, "", plan, plan.root(e))
 
 
 # ----------------------------------------------------------------------
@@ -368,17 +455,24 @@ def known_ids() -> tuple[str, ...]:
 # verification
 
 
-def verify_sides(ident: str, lhs: Expr, rhs: Expr, order: int) -> VerifyReport:
-    """Compare two expression sides as series; the core of :func:`verify`."""
+def verify_sides(
+    ident: str, lhs: Expr, rhs: Expr, order: int, plan: _Plan | None = None
+) -> VerifyReport:
+    """Compare two expression sides as series; the core of :func:`verify`.
+
+    ``plan`` is the run's plan (see :func:`evaluate`); without one, the two
+    sides get their own, so a subtree they share is evaluated once.
+    """
     started = time.perf_counter()
+    plan = plan or _Plan(order, (lhs, rhs))
 
     def report(status: str, **fields) -> VerifyReport:
         elapsed = time.perf_counter() - started
         return VerifyReport(id=ident, status=status, order=order, elapsed=elapsed, **fields)
 
     try:
-        left = evaluate(lhs, order)
-        right = evaluate(rhs, order)
+        left = evaluate(lhs, order, plan)
+        right = evaluate(rhs, order, plan)
     except SeriesError as err:
         return report("error", error=str(err))
     try:
@@ -393,12 +487,18 @@ def verify_sides(ident: str, lhs: Expr, rhs: Expr, order: int) -> VerifyReport:
     return report("falsified", valid_order=diff.order, first_failure=failure)
 
 
-def verify(ident: str, order: int = DEFAULT_ORDER) -> VerifyReport:
-    """Verify a registered identity at the given t-order."""
+def verify(ident: str, order: int = DEFAULT_ORDER, plan: _Plan | None = None) -> VerifyReport:
+    """Verify a registered identity at the given t-order, within the run of ``plan``."""
     rec = get_identity(ident)
-    return verify_sides(rec.id, rec.lhs, rec.rhs, order)
+    return verify_sides(rec.id, rec.lhs, rec.rhs, order, plan)
 
 
 def verify_all(order: int = DEFAULT_ORDER) -> list[VerifyReport]:
-    """Verify the whole catalog; reports are ordered by id."""
-    return [verify(ident, order) for ident in known_ids()]
+    """Verify the whole catalog; reports are ordered by id.
+
+    The 62 sides share one plan, so each distinct subtree of the catalog is
+    evaluated once, by the first identity that reaches it.
+    """
+    records = list_identities()
+    plan = _Plan(order, [side for rec in records for side in (rec.lhs, rec.rhs)])
+    return [verify(rec.id, order, plan) for rec in records]

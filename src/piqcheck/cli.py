@@ -41,7 +41,8 @@ line is still reported, and the exit code is the worst over all lines, in
 the order 3 > 2 > 1 > 0.  :func:`_failure` classes lines and commands alike.
 
 A command imports only what it uses.  This module loads only
-:mod:`.exact`, and ``json`` only when it writes ``--json`` output.
+:mod:`.exact`, and no command loads ``json``: :func:`_json` writes
+``--json`` output as ``json.dumps`` would.
 ``list``, ``verify``, ``verify-all`` and ``expand`` import
 :mod:`.catalog` (with :mod:`.dsl`, :mod:`.theta` and :mod:`.series`) when
 they run; ``prove-modular`` and ``check-param`` import :mod:`.modular` and
@@ -227,23 +228,51 @@ def _param_report(r: ParamSeriesReport) -> tuple[str, dict]:
     )
 
 
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_char(c: str) -> str:
+    """The character c inside a JSON string, in ASCII, as ``json.dumps`` writes it."""
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:  # a UTF-16 surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+_JSON_FLOATS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
 def _json(value) -> str:
-    """``json.dumps(value)`` with every int written by ``exact_str``.
+    """``json.dumps(value)``, byte for byte, with every int written by ``exact_str``.
 
     ``json.dumps`` refuses an int past the int string limit; this writes it
-    as a JSON number of any length, and writes every other report byte for
-    byte as ``json.dumps`` does.  ``json`` is imported here, so text mode
-    never loads it.
+    as a JSON number of any length.  Strings are escaped to ASCII and floats
+    spelled as ``json.dumps`` does by default, so no command imports ``json``.
     """
-    import json
-
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_json, value)) + "]"
-    if isinstance(value, int) and not isinstance(value, bool):
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+            value = "".join(map(_json_char, value))
+        return f'"{value}"'
+    if isinstance(value, int):
         return exact_str(value)
-    return json.dumps(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return _JSON_FLOATS.get(value) or float.__repr__(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _finish(args, reports: list[tuple[str, dict]]) -> int:

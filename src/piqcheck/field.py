@@ -64,7 +64,7 @@ from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .exact import _frac, _Frozen, _power, _Ring, _scaled_ints, exact_repr, terms_str
+from .exact import _check_int, _frac, _Frozen, _power, _Ring, _scaled_ints, exact_repr, terms_str
 
 
 class FieldError(ValueError):
@@ -253,7 +253,8 @@ class Poly(_Ring, _Frozen):
         return Poly._build(_zz_mul(self._nums, rhs._nums), self._den * rhs._den)
 
     def __pow__(self, e: int) -> Poly:
-        if not isinstance(e, int) or e < 0:
+        _check_int(e, "power")
+        if e < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
         return _power(self, e) if e else _ONE
 
@@ -415,8 +416,7 @@ class _Quotient(_Ring, _Frozen):
         return lhs / self
 
     def __pow__(self, e: int):
-        if not isinstance(e, int):
-            raise ValueError("power must be an integer")
+        _check_int(e, "power")
         if e < 0:
             return self.inverse() ** (-e)
         if self._rad and e:

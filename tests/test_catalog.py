@@ -10,7 +10,7 @@ import pytest
 import piqcheck
 from piqcheck import catalog, exact, modular, series, theta
 from piqcheck.catalog import EvalError, UnknownIdentity, evaluate, verify_sides
-from piqcheck.dsl import Const, Div, Mul, Pi, Sqrt, Sub, parse
+from piqcheck.dsl import Const, Div, Expr, Mul, Pi, Sqrt, Sub, parse
 from piqcheck.series import LaurentSeries
 
 
@@ -146,6 +146,49 @@ def test_evaluate_rejects_orders_beyond_the_limit():
         catalog.verify("EQ1-1", catalog.MAX_ORDER + 1)
 
 
+def report_fields(r):
+    """A verify report's fields, elapsed time aside."""
+    return r.id, r.status, r.order, r.valid_order, r.first_failure, r.error
+
+
+@pytest.mark.parametrize("order", [40, 206, 520])
+def test_verify_all_reports_what_each_identity_reports_alone(order):
+    shared = catalog.verify_all(order)
+    alone = [catalog.verify(ident, order) for ident in catalog.known_ids()]
+    assert list(map(report_fields, shared)) == list(map(report_fields, alone))
+
+
+def test_a_plan_evaluates_each_distinct_subtree_once_and_keeps_no_value_past_its_last_use(
+    monkeypatch,
+):
+    def size(e):
+        return 1 + sum(size(v) for v in e._values(e) if isinstance(v, Expr))
+
+    sides = [side for rec in catalog.list_identities() for side in (rec.lhs, rec.rhs)]
+    alone = [evaluate(side, 64) for side in sides]
+    plan = catalog._Plan(64, sides)
+    paths = []
+    apply = catalog._apply
+    monkeypatch.setattr(catalog, "_apply", lambda path, *rest: paths.append(path) or apply(path, *rest))
+    assert [evaluate(side, 64, plan) for side in sides] == alone
+    # one step per distinct subtree, far fewer than the sides' nodes
+    assert len(paths) == len(plan.children) < sum(map(size, sides)) // 2
+    assert plan.values == {} and set(plan.uses) == {0}
+
+
+def test_a_failing_subtree_fails_again_at_each_of_its_own_paths():
+    bad = "sqrt(Pi(q))"
+    lhs, rhs = parse(f"1 + {bad}"), parse(f"2 * {bad} * {bad}")
+    plan = catalog._Plan(64, (lhs, rhs))
+    for side, path in ((lhs, "/Add.right/Sqrt"), (rhs, "/Mul.left/Mul.right/Sqrt")):
+        with pytest.raises(EvalError) as info:
+            evaluate(side, 64, plan)
+        assert info.value.path == path
+    assert plan.values == {}
+    report = verify_sides("user", rhs, lhs, 64)
+    assert report.status == "error" and report.error.startswith("/Mul.left/Mul.right/Sqrt: ")
+
+
 def test_catalog_and_check_param_powers_stay_far_inside_the_power_bound(monkeypatch):
     # A base's widest numerator grows like 4.2 to 4.4 times sqrt(order): 118,
     # 170, 244 and 499 bits at orders 800, 1600, 3200 and 12800.  Pin a rate of
@@ -162,7 +205,7 @@ def test_catalog_and_check_param_powers_stay_far_inside_the_power_bound(monkeypa
         catalog.verify_all(order)
         modular.check_param_series(3, order)
         modular.check_param_series(5, order)
-        assert len(bases) == 240
+        assert len(bases) == 87
         assert all(e <= 8 and s._den == 1 for s, e in bases)
         assert max(max(map(int.bit_length, s._nums)) for s, _ in bases) <= 5 * isqrt(order)
     nums = (2 ** (10 * isqrt(exact.MAX_ORDER)) - 1,) * exact.MAX_ORDER

@@ -244,6 +244,45 @@ def test_expr_file_exits_with_the_worst_code_over_all_lines(tmp_path, capsys, go
     assert err.startswith("parse error: line 1: ") and "\nerror: line 3: " in err
 
 
+# subexpressions that recur within and across lines, and three that fail
+SHARED = ["(Pi(q) + q^{1/2} * psi(q^2))", "psi(q^3)^2 / psi(q)^2", "(phi(q) - 2 * Pi(q^2))"]
+FAILING = ["sqrt(Pi(q))", "1 / (Pi(q) - Pi(q))", "sqrt(2 + psi(q))"]
+LINE_SHAPES = [
+    "{a}^2 = {a} * {a}",
+    "{a} * {b} = {b} * {a}",
+    "{b}^2 / {a} = {b} * ({b} / {a})",
+    "{a}^2 = {a} * {a} + q^{{3}}",                  # falsified
+    "{f} + {a} = {a} + {f}",                        # an error on the left
+    "{a} * {b} = {b} * {a} - {f}",                  # an error on the right
+    "({a} + {f})^2 = {a}^2",
+]
+
+
+def test_expr_file_batch_prints_what_each_line_prints_alone(tmp_path, capsys):
+    # a line's sides share subtrees, and no value may leak from one line into
+    # the next: the batch prints what the lines print one by one
+    lines = [
+        shape.format(a=a, b=b, f=f)
+        for shape in LINE_SHAPES
+        for k in (1, 2)
+        for a, b, f in zip(SHARED, SHARED[k:] + SHARED[:k], FAILING[k - 1 :] + FAILING[: k - 1])
+    ]
+    lines += ["(2 + Pi(q))^1000000 = 1", "Pi(q = 1", "no equals"]  # refused lines
+    lines += lines[:20]  # repeated lines
+    assert len(lines) >= 50
+    path = tmp_path / "batch.txt"
+    path.write_text("\n".join(lines) + "\n")
+    batch = run(capsys, "verify", "--expr-file", str(path), "--order", "40")
+    codes, outs, errs = [], [], []
+    for i, line in enumerate(lines):
+        alone = tmp_path / f"line{i}.txt"
+        alone.write_text("\n" * i + line + "\n")  # blank lines keep the line number
+        code, out, err = run(capsys, "verify", "--expr-file", str(alone), "--order", "40")
+        codes.append(code), outs.append(out), errs.append(err)
+    assert batch == (max(codes), "".join(outs), "".join(errs))
+    assert set(codes) == {cli.EXIT_OK, cli.EXIT_FALSIFIED, cli.EXIT_USAGE, cli.EXIT_INTERNAL}
+
+
 LONG = "9" * 5000  # more digits than the interpreter converts with int() by default
 LONG_ERROR = f"integer literal of 5000 digits is longer than {sys.get_int_max_str_digits()}"
 
@@ -431,6 +470,24 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps_below_the_int_string_limit(value):
     assert cli._json(value) == json.dumps(value)
+
+
+# the characters json.dumps escapes: controls, quote, backslash, DEL, non-ASCII
+# (lone surrogates included) and non-BMP text, beside printable ASCII
+JSON_TEXT = st.text(
+    st.sampled_from('\x00\x08\t\n\x0b\x0c\r\x1f "\\/~\x7f\x80\xe9\u2028\ud800\udc80\uffff')
+    | st.characters(min_codepoint=0x10000)
+    | st.characters(max_codepoint=0x7F)
+    | st.characters(),
+)
+
+
+@given(st.lists(JSON_TEXT | st.floats(), max_size=6), st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=4))
+def test_json_writer_escapes_text_and_spells_floats_as_json_dumps(items, mapping):
+    for value in (*items, items, mapping):
+        assert cli._json(value) == json.dumps(value)
+    for special in (float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324):
+        assert cli._json(special) == json.dumps(special)
 
 
 def test_non_integer_order_from_the_environment_falls_back_to_the_default(capsys, monkeypatch):

@@ -313,6 +313,11 @@ NOT_RATIONAL = "must be a RatFunc, Poly, int or Fraction, not"
         ("QuadExt(1, 0, 2.0)", TypeError, f"QuadExt() argument 'u' {NOT_RATIONAL} float"),
         ("QuadExt.scalar(X, U5)", TypeError, f"QuadExt() argument 'a' {NOT_RATIONAL} QuadExt"),
         ("QuadExt.root('m')", TypeError, f"QuadExt() argument 'u' {NOT_RATIONAL} str"),
+        # a power's exponent that is not an int is named too; a negative one is a value error
+        ("RatFunc(M) ** 0.5", TypeError, "power must be an int, not float"),
+        ("QuadExt.root(M) ** Fraction(1, 2)", TypeError, "power must be an int, not Fraction"),
+        ("M ** 0.5", TypeError, "power must be an int, not float"),
+        ("M ** -1", ValueError, "polynomial power must be a nonnegative integer"),
     ],
 )
 def test_constructors_lift_their_arguments_or_name_the_bad_one(expr, exc, text):

@@ -85,33 +85,56 @@ nonzero_rationals = rationals.filter(bool)
 strides = st.sampled_from([1, 2, 3, 4, 8])
 
 
+# numerators of 40 to 60 bits: a product slot of such entries is over 8 bytes wide
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.sampled_from([1, 1, 3, 2**20 + 1]),
+)
+
+
 @st.composite
-def lattice_series(draw, g=None, lead=nonzero_rationals, even_valuation=False):
+def lattice_series(
+    draw, g=None, lead=nonzero_rationals, even_valuation=False, max_window=40, values=rationals,
+    intact=st.just(False),
+):
     """A series whose nonzero offsets below a cut lie on the lattice g*i.
 
     At and beyond the cut any offset may be nonzero, so the lattice holds only
-    for windows that end at or before it.
+    for windows that end at or before it; ``intact`` draws True to put the
+    cut at the end of the window.
     """
     g = draw(strides) if g is None else g
     val = draw(st.integers(min_value=-6, max_value=6))
     if even_valuation:
         val -= val % 2
-    window = draw(st.integers(min_value=1, max_value=40))
+    window = draw(st.integers(min_value=1, max_value=max_window))
     cut = draw(st.integers(min_value=0, max_value=window + 8))
+    if draw(intact):
+        cut = window
     coeffs = [draw(lead)]
     for i in range(1, window):
         on_lattice = i % g == 0 or i >= cut
-        coeffs.append(draw(rationals) if on_lattice and draw(st.booleans()) else Fraction(0))
+        coeffs.append(draw(values) if on_lattice and draw(st.booleans()) else Fraction(0))
     return LaurentSeries(val, tuple(coeffs), val + window)
 
 
 @st.composite
 def operand_pairs(draw, lead=nonzero_rationals):
-    g = draw(strides)
-    x = draw(lattice_series(g))
-    # the second operand sits on the same lattice, a multiple of it, or none
-    y = draw(lattice_series(g * draw(st.sampled_from([1, 1, 2])), lead=lead))
-    return x, y
+    if draw(st.booleans()):
+        g = draw(strides)
+        x = draw(lattice_series(g))
+        # the second operand sits on the same lattice, a multiple of it, or none
+        return x, draw(lattice_series(g * draw(st.sampled_from([1, 1, 2])), lead=lead))
+    # lattices 2 to 48 apart, with up to 12 coarse terms of narrow or wide
+    # numerators: class products on both sides of series.SPLIT_MIN_BYTES
+    g = draw(st.sampled_from([1, 2]))
+    r = draw(st.integers(min_value=2, max_value=48))
+    values = draw(st.sampled_from([rationals, wide_rationals, wide_rationals]))
+    window = min(12 * g * r, 144)
+    x = draw(lattice_series(g, max_window=window, values=values, intact=st.booleans()))
+    y = draw(lattice_series(g * r, lead=lead, max_window=window, values=values, intact=st.booleans()))
+    return (x, y) if draw(st.booleans()) else (y, x)
 
 
 divisor_leads = st.sampled_from(
