@@ -228,7 +228,9 @@ def _param_report(r: ParamSeriesReport) -> tuple[str, dict]:
     )
 
 
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_JSON_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
 
 
 def _json_char(c: str) -> str:
