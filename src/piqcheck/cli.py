@@ -42,7 +42,12 @@ the order 3 > 2 > 1 > 0.  :func:`_failure` classes lines and commands alike.
 
 A command imports only what it uses.  This module loads only
 :mod:`.exact`, and no command loads ``json``: :func:`_json` writes
-``--json`` output as ``json.dumps`` would.
+``--json`` output as ``json.dumps`` would.  Nor does a plain line load
+``argparse`` (with its ``gettext`` and ``locale``): :func:`_plain_args` reads
+a command followed by its flags spelled in full, each value a str that does
+not start with ``-``.  Help and every other line go through the parser that
+:func:`_build_parser` builds from the same command table, so their text and
+errors are argparse's own.
 ``list``, ``verify``, ``verify-all`` and ``expand`` import
 :mod:`.catalog` (with :mod:`.dsl`, :mod:`.theta` and :mod:`.series`) when
 they run; ``prove-modular`` and ``check-param`` import :mod:`.modular` and
@@ -61,9 +66,9 @@ error whose message names where the order came from.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .exact import (
     DEFAULT_ORDER,
@@ -79,6 +84,8 @@ from .exact import (
 # type checkers read a module-level TYPE_CHECKING = False the same way
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from .catalog import VerifyReport
     from .dsl import Expr
     from .modular import ParamSeriesReport, ProofReport
@@ -100,58 +107,6 @@ def _default_order() -> int:
     except ValueError:
         print(f"warning: ignoring non-integer {ENV_ORDER}={raw!r}", file=sys.stderr)
         return DEFAULT_ORDER
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # one stderr line, as every other diagnostic; argparse would add its usage block
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(
-        prog="piqcheck",
-        description="Exact verification of Pi_q / theta identities and modular-equation goals.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, order: bool = True) -> None:
-        if order:
-            p.add_argument(
-                "--order", type=int, default=None,
-                help=f"t-order for series comparisons (default {DEFAULT_ORDER}, "
-                f"env {ENV_ORDER}; minimum {MIN_ORDER}, maximum {MAX_ORDER})",
-            )
-        p.add_argument("--json", action="store_true", help="one JSON object per report")
-        p.add_argument("--quiet", action="store_true", help="suppress per-report output")
-
-    p = sub.add_parser("list", help="list the identity catalog")
-    add_common(p, order=False)
-
-    p = sub.add_parser("verify", help="verify one identity")
-    p.add_argument("--id", dest="ident", help="registered identity id, e.g. EQ1-1")
-    p.add_argument("--expr", help="user identity of the form 'LHS = RHS'")
-    p.add_argument("--expr-file", help="file with one 'LHS = RHS' identity per line")
-    add_common(p)
-
-    p = sub.add_parser("verify-all", help="verify the whole catalog")
-    add_common(p)
-
-    p = sub.add_parser("expand", help="expand a DSL expression into t-coefficients")
-    p.add_argument("--expr", required=True, help="a DSL expression, e.g. 'Pi(q)'")
-    add_common(p)
-
-    p = sub.add_parser("prove-modular", help="replay modular-equation goals")
-    p.add_argument("--degree", type=int, choices=(3, 5), help="equation family")
-    p.add_argument("--theorem", choices=("2.2", "3.2"), help="alias: 2.2 = degree 3, 3.2 = degree 5")
-    p.add_argument("--eq", help="single equation id, e.g. 4-2 or 2-5")
-    add_common(p, order=False)
-
-    p = sub.add_parser("check-param", help="series-level parametrization check")
-    p.add_argument("--degree", type=int, choices=(3, 5), required=True)
-    add_common(p)
-
-    return ap
 
 
 # ----------------------------------------------------------------------
@@ -451,25 +406,127 @@ def _cmd_check_param(args) -> int:
     return _finish(args, [_param_report(modular.check_param_series(args.degree, order))])
 
 
+# ----------------------------------------------------------------------
+# command line
+
+# one row per flag: (flag, dest, type, choices, required, help); a flag of
+# type bool is a switch, which takes no value and defaults to False, and one of
+# type None keeps its value as written
+_ORDER = (
+    "--order", "order", int, None, False,
+    f"t-order for series comparisons (default {DEFAULT_ORDER}, "
+    f"env {ENV_ORDER}; minimum {MIN_ORDER}, maximum {MAX_ORDER})",
+)
+_OUTPUT = (
+    ("--json", "json", bool, None, False, "one JSON object per report"),
+    ("--quiet", "quiet", bool, None, False, "suppress per-report output"),
+)
+
+# command: (handler, help, flags), in the order of the help text
 _COMMANDS = {
-    "list": _cmd_list,
-    "verify": _cmd_verify,
-    "verify-all": _cmd_verify_all,
-    "expand": _cmd_expand,
-    "prove-modular": _cmd_prove_modular,
-    "check-param": _cmd_check_param,
+    "list": (_cmd_list, "list the identity catalog", _OUTPUT),
+    "verify": (_cmd_verify, "verify one identity", (
+        ("--id", "ident", None, None, False, "registered identity id, e.g. EQ1-1"),
+        ("--expr", "expr", None, None, False, "user identity of the form 'LHS = RHS'"),
+        ("--expr-file", "expr_file", None, None, False, "file with one 'LHS = RHS' identity per line"),
+        _ORDER, *_OUTPUT,
+    )),
+    "verify-all": (_cmd_verify_all, "verify the whole catalog", (_ORDER, *_OUTPUT)),
+    "expand": (_cmd_expand, "expand a DSL expression into t-coefficients", (
+        ("--expr", "expr", None, None, True, "a DSL expression, e.g. 'Pi(q)'"),
+        _ORDER, *_OUTPUT,
+    )),
+    "prove-modular": (_cmd_prove_modular, "replay modular-equation goals", (
+        ("--degree", "degree", int, (3, 5), False, "equation family"),
+        ("--theorem", "theorem", None, ("2.2", "3.2"), False, "alias: 2.2 = degree 3, 3.2 = degree 5"),
+        ("--eq", "eq", None, None, False, "single equation id, e.g. 4-2 or 2-5"),
+        *_OUTPUT,
+    )),
+    "check-param": (_cmd_check_param, "series-level parametrization check", (
+        ("--degree", "degree", int, (3, 5), True, None),
+        _ORDER, *_OUTPUT,
+    )),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """argparse's parser for the command table; it reads every line that _plain_args does not."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message: str):
+            # one stderr line, as every other diagnostic; argparse would add its usage block
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    ap = _ArgumentParser(
+        prog="piqcheck",
+        description="Exact verification of Pi_q / theta identities and modular-equation goals.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (_, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, dest, kind, choices, required, text in flags:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(flag, dest=dest, type=kind, choices=choices, required=required, help=text)
+    return ap
+
+
+def _plain_args(argv: list) -> SimpleNamespace | None:
+    """What argparse reads from a plain line, or None for any other line.
+
+    A plain line is a command, then its flags spelled in full: a switch
+    alone, any other flag followed by a str that does not start with '-',
+    converts with the flag's type and is one of its choices.  Every required
+    flag is there, and a repeated flag keeps its last value.  Any other line
+    (no command, -h, --help, an abbreviation, --flag=value, a value that
+    starts with '-', an unknown token, an item that is not a str) is left to
+    argparse, so help and every error line are argparse's own.
+    """
+    command = argv[0] if argv else None
+    if not isinstance(command, str) or command not in _COMMANDS:
+        return None
+    flags = {row[0]: row for row in _COMMANDS[command][2]}
+    values = {dest: False if kind is bool else None for _, dest, kind, *_ in flags.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        row = flags.get(token) if isinstance(token, str) else None
+        if row is None:
+            return None
+        _, dest, kind, choices, _, _ = row
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    # a given value is never None, so a required dest still None was not given
+    if any(required and values[dest] is None for _, dest, _, _, required, _ in flags.values()):
+        return None
+    return SimpleNamespace(command=command, **values)
+
+
 def main(argv: list | None = None) -> int:
-    ap = _build_parser()
+    # argparse reads sys.argv[1:] the same way, and makes any other argv a list
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse reports usage errors on stderr and exits 2 already
+            return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reports usage errors on stderr and exits 2 already
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except Exception as exc:
         code, prefix = _failure(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -28,6 +31,9 @@ from piqcheck.dsl import (
 )
 from piqcheck.exact import SeriesError, UsageError, check_order
 from piqcheck.series import LaurentSeries, PowerTooLarge
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -774,6 +780,155 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     assert cli.main(["no-such-command"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def argparse_reads(argv) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where argparse exits or fails."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except (SystemExit, TypeError):
+        # argparse exits on help and on a malformed line, and fails on some items that are not a str
+        return None
+
+
+def assert_plain(argv: list) -> None:
+    plain = cli._plain_args(argv)
+    assert plain is not None, argv
+    assert vars(plain) == argparse_reads(argv), argv
+
+
+ALL_FLAGS = sorted({row[0] for _, _, flags in cli._COMMANDS.values() for row in flags})
+FLAG_VALUES = st.sampled_from([
+    "-5", "08", " 8", "1_000", "64", "3", "5", "4", "2.2", "3.2", "2.3", "-Pi(q)", "",
+    "Pi(q) = q^{1/4} * psi(q)^2", "a=b", "EQ1-1",
+])
+NOT_FLAG_TOKENS = ["-h", "--help", "--", "--ord", "--exp", "-", "frobnicate", None, 5, b"--json"]
+NOT_FLAGS = st.sampled_from(NOT_FLAG_TOKENS)
+
+
+def own_flag(row, values: st.SearchStrategy) -> st.SearchStrategy:
+    """One use of the flag of a table row: alone if a switch, else with a value it takes or one of values."""
+    flag, _, kind, choices, _, _ = row
+    if kind is bool:
+        return st.just((flag,))
+    if choices is not None:
+        taken = st.sampled_from([str(c) for c in choices])
+    elif kind is int:
+        taken = st.sampled_from(["08", " 8", "1_000", "64"])
+    else:
+        taken = st.sampled_from(["", "a=b", "Pi(q) = q^{1/4} * psi(q)^2", "EQ1-1"])
+    return st.tuples(st.just(flag), taken | values)
+
+
+ANY_ITEM = (
+    st.tuples(st.sampled_from(ALL_FLAGS), FLAG_VALUES)
+    | st.tuples(st.sampled_from(ALL_FLAGS))
+    | st.tuples(st.builds("{}={}".format, st.sampled_from(ALL_FLAGS), FLAG_VALUES))
+    | st.tuples(NOT_FLAGS)
+)
+
+
+@st.composite
+def command_lines(draw) -> list:
+    """A command, then its own flags, or tokens of any kind.
+
+    The head is sometimes missing or not a command.  A line's flags take only
+    values they take, or any of FLAG_VALUES, or else its tokens may also be
+    another command's flag, a flag=value, a prefix, help, '--' or an item that
+    is not a str.
+    """
+    head = draw(st.sampled_from([*cli._COMMANDS] * 3 + [None, *NOT_FLAG_TOKENS]))
+    rows = cli._COMMANDS[head][2] if head in cli._COMMANDS else ()
+    values = draw(st.sampled_from([st.nothing(), FLAG_VALUES, None]))
+    if rows and values is not None:
+        item = st.one_of(*(own_flag(row, values) for row in rows))
+    else:
+        item = st.one_of(*(own_flag(row, FLAG_VALUES) for row in rows), ANY_ITEM)
+    items = draw(st.lists(item, max_size=6))
+    return ([] if head is None else [head]) + [token for item in items for token in item]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(command_lines())
+def test_a_line_read_without_argparse_reads_as_argparse_reads_it(argv):
+    # argparse exiting implies the reader refused the line: a refused line goes on to argparse
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == argparse_reads(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check-param", "--degree", "3", "--order", "08"],
+         {"command": "check-param", "degree": 3, "order": 8, "json": False, "quiet": False}),
+        (["verify", "--expr", "", "--json", "--order", " 8", "--order", "1_000", "--json"],
+         {"command": "verify", "ident": None, "expr": "", "expr_file": None, "order": 1000,
+          "json": True, "quiet": False}),
+        (["prove-modular", "--theorem", "3.2", "--eq", "a=b"],
+         {"command": "prove-modular", "degree": None, "theorem": "3.2", "eq": "a=b",
+          "json": False, "quiet": False}),
+    ],
+    ids=["int-forms", "repeated-flags", "choice-and-equals"],
+)
+def test_plain_lines_keep_argparse_defaults_conversions_and_last_values(argv, expected):
+    assert vars(cli._plain_args(argv)) == argparse_reads(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["verify", "--help"], ["verify", "--ord", "64"], ["verify", "--order=64"],
+        ["expand", "--expr", "-Pi(q)"], ["verify", "--order", "-5"], ["check-param", "--degree", "4"],
+        ["check-param", "--order", "64"], ["verify", "--json", "--"], ["list", "--order", "64"],
+        ["verify", "--expr", None], ("verify", 5), ["frobnicate"],
+    ],
+)
+def test_help_and_every_other_line_are_left_to_argparse(argv):
+    assert cli._plain_args(list(argv)) is None
+
+
+def test_every_benchmark_line_is_read_without_argparse(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = [
+        list(inv.args) for name in workloads.WORKLOADS for inv in workloads.build(name, 1, tmp_path)
+    ]
+    assert len(argvs) == 12
+    for argv in argvs:
+        assert_plain(argv)
+
+
+# the CI step whose lines must reach argparse: help, and a malformed line
+ARGPARSE_STEP = "Installed help and argument errors"
+
+
+# a shell line that runs the installed script, as is, under timeout, or under -X importtime
+PIQCHECK_LINE = r'^ *(?:timeout \d+ +|python -X importtime "\$\(command -v )?piqcheck(?:\)")? +(.*)'
+
+
+def installed_script_lines() -> dict:
+    """The argv of every piqcheck line in each CI step whose name starts with 'Installed'."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    steps = {}
+    for step in text.replace("\\\n", " ").split("\n      - name: ")[1:]:
+        name, _, body = step.partition("\n")
+        if name.startswith("Installed"):
+            # a line's arguments end at its first redirection or ||
+            steps[name] = [
+                shlex.split(re.split(r" +(?:\d?>|\|\|)", rest)[0])
+                for rest in re.findall(PIQCHECK_LINE, body, re.MULTILINE)
+            ]
+    return steps
+
+
+def test_every_installed_script_line_in_ci_is_read_without_argparse_but_help_and_errors():
+    steps = installed_script_lines()
+    assert [cli._plain_args(argv) for argv in steps.pop(ARGPARSE_STEP)] == [None, None]
+    argvs = [argv for lines in steps.values() for argv in lines]
+    assert len(steps) == 3 and len(argvs) >= 18
+    for argv in argvs:
+        assert_plain(argv)
 
 
 def test_unreadable_expr_file_is_usage_error(tmp_path, capsys):

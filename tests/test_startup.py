@@ -102,14 +102,18 @@ def test_each_modular_command_loads_only_the_layers_it_runs(argv, unused):
 
 
 def test_import_cli_loads_only_the_exact_module():
-    out = fresh(f"import sys, piqcheck.cli; print({LOADED})")
-    assert out == "['piqcheck.cli', 'piqcheck.exact']\n"
+    # argparse is imported only for a line that the CLI does not read itself
+    out = fresh(f"import sys, piqcheck.cli; print({LOADED}, 'argparse' in sys.modules)")
+    assert out == "['piqcheck.cli', 'piqcheck.exact'] False\n"
 
 
-def test_no_command_imports_dataclasses_inspect_or_typing():
+def test_no_plain_command_line_imports_argparse_dataclasses_inspect_or_typing(tmp_path):
     # -S keeps site-packages' .pth files, which may import typing, out of the child
+    identities = tmp_path / "identities.txt"
+    identities.write_text("Pi(q) = q^{1/4} * psi(q)^2\n", encoding="utf-8")
     argvs = [
         ["verify", "--expr", "Pi(q) = q^{1/4} * psi(q)^2", "--order", "64"],
+        ["verify", "--expr-file", str(identities), "--order", "64"],
         ["verify-all", "--order", "64"],
         ["expand", "--expr", "Pi(q)^2 / phi(q)", "--order", "64"],
         ["prove-modular"],
@@ -120,7 +124,8 @@ def test_no_command_imports_dataclasses_inspect_or_typing():
         "from piqcheck import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
-        "heavy = {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
+        "heavy = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'typing'}"
+        " & set(sys.modules)\n"
         "print(json.dumps([codes, sorted(heavy)]))\n"
     )
     done = subprocess.run(
