@@ -17,6 +17,14 @@ Laurent series in t (q = t^4) at a requested order and reports either
 :func:`verify` looks a registered id up and compares its sides; user
 identities and mutated records go to :func:`verify_sides` directly.
 
+Evaluation is one walk over the nodes, which reads a node's subtrees from
+its first ``arity`` fields (see :mod:`.dsl`).  A leaf's value comes from one
+table, ``_LEAVES``: a function of the leaf's fields and the order, and the
+walk's only link to series.  Any other node applies its entry in
+``_OPERATORS`` (``+ - * /``, ``pow``, ``sqrt``) to its subtrees' values and
+its other fields.  A failure names the path to its node, built from the
+field names, as ``/Add.right/Sqrt``.
+
 A run evaluates each distinct subtree of its sides once.  The sides are
 interned first (:class:`_Plan`), so equal subtrees share one key, and a
 value is kept from its first walk to its last.  :func:`verify_all` makes
@@ -34,8 +42,6 @@ from fractions import Fraction
 from . import theta
 from .dsl import (
     Add,
-    Binary,
-    Builder,
     Const,
     Div,
     Expr,
@@ -82,9 +88,31 @@ class EvalError(SeriesError):
 # evaluation
 
 
-_THETA = {Pi: theta.pi_product, Psi: theta.psi, Phi: theta.phi}
+def _monomial(r: Fraction, order: int) -> LaurentSeries:
+    """q^r, the monomial t^(4r), known to t^order or order terms past its
+    exponent, whichever is further."""
+    exp = int(4 * r)
+    return LaurentSeries.monomial(exp, order + max(exp, 0))
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+_LEAVES = {
+    Pi: theta.pi_product,
+    Psi: theta.psi,
+    Phi: theta.phi,
+    QPow: _monomial,
+    Const: LaurentSeries.constant,
+}
+"""The value of a leaf node: a function of its fields and the order."""
+
+_OPERATORS = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    PowInt: pow,
+    Sqrt: operator.methodcaller("sqrt"),
+}
+"""The value of any other node: a function of its subtrees' values, then its other fields."""
 
 
 def _apply(path: str, op, *args) -> LaurentSeries:
@@ -133,21 +161,12 @@ class _Plan:
 
     def intern(self, e: Expr) -> int:
         """The key of e's tree, interning each subtree not seen before."""
-        match e:
-            case Binary(left, right):
-                kids = (self.intern(left), self.intern(right))
-                signature = (type(e), *kids)
-            case PowInt(base, exponent):
-                kids = (self.intern(base),)
-                signature = (PowInt, *kids, exponent)
-            case Sqrt(arg):
-                kids = (self.intern(arg),)
-                signature = (Sqrt, *kids)
-            case Builder() | QPow() | Const():
-                kids = ()
-                signature = (type(e), *e._values(e))
-            case _:
-                raise TypeError(f"not an expression node: {e!r}")
+        cls = type(e)
+        if cls not in _LEAVES and cls not in _OPERATORS:  # an abstract node too
+            raise TypeError(f"not an expression node: {e!r}")
+        fields, arity = e._values(e), cls.arity
+        kids = tuple(map(self.intern, fields[:arity]))
+        signature = (cls, *kids, *fields[arity:])
         key = self.keys.get(signature)
         if key is None:
             key = self.keys[signature] = len(self.children)
@@ -170,26 +189,15 @@ def _eval(e: Expr, order: int, path: str, plan: _Plan, key: int) -> LaurentSerie
         if not plan.uses[key]:
             del plan.values[key]
         return value
-    kids = plan.children[key]
-    match e:
-        case Builder(k):
-            value = _apply(path, _THETA[type(e)], k, order)
-        case QPow():
-            exp = e.t_exponent
-            value = _apply(path, LaurentSeries.monomial, exp, order + max(exp, 0))
-        case Const(v):
-            value = _apply(path, LaurentSeries.constant, v, order)
-        case Binary(left, right):
-            node = f"{path}/{type(e).__name__}"
-            lhs = _eval(left, order, f"{node}.left", plan, kids[0])
-            rhs = _eval(right, order, f"{node}.right", plan, kids[1])
-            value = _apply(node, _BINARY[type(e)], lhs, rhs)
-        case PowInt(base, exponent):
-            base = _eval(base, order, f"{path}/PowInt.base", plan, kids[0])
-            value = _apply(f"{path}/PowInt", pow, base, exponent)
-        case Sqrt(arg):
-            arg = _eval(arg, order, f"{path}/Sqrt.arg", plan, kids[0])
-            value = _apply(f"{path}/Sqrt", LaurentSeries.sqrt, arg)
+    cls, fields = type(e), e._values(e)
+    if not cls.arity:
+        value = _apply(path, _LEAVES[cls], *fields, order)
+    else:
+        node = f"{path}/{cls.__name__}"
+        args = []
+        for sub, name, kid in zip(fields, cls.__match_args__, plan.children[key]):
+            args.append(_eval(sub, order, f"{node}.{name}", plan, kid))
+        value = _apply(node, _OPERATORS[cls], *args, *fields[cls.arity :])
     if plan.uses[key] > 0:
         plan.values[key] = value
     return value

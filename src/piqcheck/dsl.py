@@ -23,12 +23,16 @@ bounded by ``exact.MAX_ORDER``: a larger one is a :class:`ParseError` at
 its exponent, and a ValueError from the :class:`QPow` constructor.  Like a
 series coefficient, a ``Const`` or ``QPow`` number that is a float is a TypeError.
 
-Each node records the depth of its tree when it is built: a leaf is 1
-level deep, any other node one more than its deepest child.  A tree more
-than :data:`MAX_DEPTH` levels deep, or with brackets and ``sqrt`` calls
-nested deeper than that, raises :class:`ParseError` at the operator or
-bracket that goes past the limit.  A deeper tree built through the API is
-refused with ValueError by :func:`to_text` and by ``catalog.evaluate``.
+A node's first ``arity`` fields are its subtrees, and its other fields
+plain values: ``Binary`` has arity 2, ``PowInt`` and ``Sqrt`` 1, a leaf 0.
+Each walk over the nodes reads its subtrees from there.  So does
+``Expr.__post_init__``, the one place that records the depth of a tree when
+its root is built: a leaf is 1 level deep, any other node one more than its
+deepest subtree.  A tree more than :data:`MAX_DEPTH` levels deep, or with
+brackets and ``sqrt`` calls nested deeper than that, raises
+:class:`ParseError` at the operator or bracket that goes past the limit.
+A deeper tree built through the API is refused with ValueError by
+:func:`to_text` and by ``catalog.evaluate``.
 
 Parse failures raise :class:`ParseError`, an ``exact.UsageError`` and so a
 ValueError, carrying the byte offset into the UTF-8 encoding of the input
@@ -57,6 +61,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .exact import MAX_ORDER, UsageError, _frac, _Frozen, exact_str
 
@@ -100,17 +105,27 @@ class QPowNotQuarterIntegral(ParseError):
 
 
 class Expr(_Frozen):
-    """Base class for identity expression nodes."""
+    """Base class for identity expression nodes.
+
+    The first ``arity`` fields of a node are its subtrees, and the rest are
+    plain values; a leaf has arity 0.
+    """
 
     __slots__ = ()
-    # class data, not annotated fields, so equality, hash and repr ignore both
-    depth = 1  # levels of the node's tree, set by each node with children
+    # class data, not annotated fields, so equality, hash and repr ignore them
+    arity = 0  # how many of the first fields are subtrees
+    depth = 1  # levels of the node's tree, set when a node with subtrees is built
     level = 4  # print precedence: 1 for + and -, 2 for * and /, 3 for ^, 4 for an atom
 
-    def _set_depth(self, *children) -> None:
-        """One more than the deepest child; a child that is not a node is a leaf."""
-        depth = 1 + max(c.depth if isinstance(c, Expr) else 1 for c in children)
-        object.__setattr__(self, "depth", depth)
+    def __post_init__(self) -> None:
+        """Record the depth: one more than the deepest subtree; a subtree that
+        is not a node counts as a leaf."""
+        if self.arity:
+            depth = 2  # one level above a subtree that is a leaf or not a node
+            for sub in self._values(self)[: self.arity]:
+                if isinstance(sub, Expr) and sub.depth >= depth:
+                    depth = sub.depth + 1
+            object.__setattr__(self, "depth", depth)
 
 
 class Builder(Expr):
@@ -158,10 +173,6 @@ class QPow(Expr):
             raise ValueError(_QPOW_RANGE)
         object.__setattr__(self, "r", r)
 
-    @property
-    def t_exponent(self) -> int:
-        return int(4 * self.r)
-
 
 class Const(Expr):
     value: Fraction
@@ -176,8 +187,7 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def __post_init__(self) -> None:
-        self._set_depth(self.left, self.right)
+    arity = 2
 
 
 class Add(Binary):
@@ -204,19 +214,19 @@ class PowInt(Expr):
     base: Expr
     exponent: int
 
+    arity = 1
     level = 3
 
     def __post_init__(self) -> None:
         if not isinstance(self.exponent, int):
             raise ValueError("power exponent must be an integer")
-        self._set_depth(self.base)
+        super().__post_init__()
 
 
 class Sqrt(Expr):
     arg: Expr
 
-    def __post_init__(self) -> None:
-        self._set_depth(self.arg)
+    arity = 1
 
 
 # ----------------------------------------------------------------------
@@ -331,19 +341,15 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.kind in ("+", "-"):
+    def expr(self, level: int = 1) -> Expr:
+        """Operands joined left to right by the infix operators of one grammar
+        level: level 1 is ``expr`` (+ and -), whose operand is level 2, ``term``
+        (* and /), whose operand is a factor."""
+        operand = self.factor if level == 2 else partial(self.expr, 2)
+        node = operand()
+        while (cls := _INFIX.get(self.kind)) is not None and cls.level == level:
             op = self._advance()
-            node = _INFIX[op[0]](node, self.term())
-            self._checked(node.depth, op)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.kind in ("*", "/"):
-            op = self._advance()
-            node = _INFIX[op[0]](node, self.factor())
+            node = cls(node, operand())
             self._checked(node.depth, op)
         return node
 

@@ -476,11 +476,11 @@ def _compare(*pairs: tuple[str, LaurentSeries, LaurentSeries]) -> tuple[ParamChe
     return tuple(checks)
 
 
-def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -> ParamSeriesReport:
+def check_param_series(degree: int, order: int) -> ParamSeriesReport:
     """Evaluate one degree's ``_alpha_beta*`` at series and compare alpha and beta.
 
     m is ``theta.m_series``; degree 5 also takes the positive-branch root of
-    the modulus there, and flipping its branch must falsify the check, while
+    the modulus there, and the other branch falsifies the check, while
     degree 3 takes no root.  alpha and beta are compared with
     ``theta.alpha_series`` and ``theta.beta_series``.  The order must pass
     :func:`exact.check_order`.
@@ -495,8 +495,7 @@ def check_param_series(degree: int, order: int, flip_rho_branch: bool = False) -
     if degree == 3:
         series = _alpha_beta3(m)
     else:
-        root = _modulus5(m).sqrt()
-        series = _alpha_beta5(m, -root if flip_rho_branch else root)
+        series = _alpha_beta5(m, _modulus5(m).sqrt())
     checks = _compare(
         ("alpha", series["alpha"], theta.alpha_series(degree, order)),
         ("beta", series["beta"], theta.beta_series(degree, order)),

@@ -585,7 +585,9 @@ class LaurentSeries(_Ring, _Frozen):
         inverse = _reciprocal(rhs._g, rhs._nums, n)._times(rhs._den, 1)
         return self._mul(inverse).shift(-rhs.valuation)
 
-    # not _Field's lift(c) / self: c known to self.order, not to self's precision, moves the order
+    # c / self knows c to self's precision, not to self.order: a quotient keeps
+    # the lesser precision of its operands, so c known only to self.order would
+    # cut -self.valuation terms off the quotient when self.valuation < 0
     def __rtruediv__(self, other) -> LaurentSeries:
         if not isinstance(other, (int, Fraction, float)):
             return NotImplemented

@@ -113,11 +113,14 @@ def test_criterion_3_degree5_replay(capsys):
         )
 
 
-def test_criterion_4_parametrization_bridge(capsys):
+def test_criterion_4_parametrization_bridge(capsys, monkeypatch):
     deg3 = modular.check_param_series(3, 120)
     deg5 = modular.check_param_series(5, 160)
-    flipped = modular.check_param_series(5, 160, flip_rho_branch=True)
-    ok = deg3.verified and deg5.verified and not flipped.verified
+    alpha_beta5 = modular._alpha_beta5
+    monkeypatch.setattr(modular, "_alpha_beta5", lambda m, rho: alpha_beta5(m, -rho))
+    flipped = modular.check_param_series(5, 160)
+    named = all(c.first_failure_exponent is not None for c in flipped.checks if not c.holds)
+    ok = deg3.verified and deg5.verified and not flipped.verified and named
     with capsys.disabled():
         _report(
             "criterion 4: parametrization bridge at orders 120/160; "

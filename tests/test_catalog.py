@@ -4,11 +4,12 @@ import re
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import piqcheck
-from piqcheck import catalog, exact, modular, series, theta
+from piqcheck import catalog, dsl, exact, modular, series, theta
 from piqcheck.catalog import EvalError, UnknownIdentity, evaluate, verify_sides
 from piqcheck.dsl import Const, Div, Expr, Mul, Pi, Sqrt, Sub, parse
 from piqcheck.series import LaurentSeries
@@ -47,6 +48,16 @@ def test_evaluate_error_carries_node_path():
     with pytest.raises(EvalError) as exc:
         evaluate(bad, 40)
     assert "Div" in str(exc.value)
+    # one failure at each inner node class, and the paths through its fields
+    for text, path in (
+        ("1/(Pi(q)-Pi(q))", "/Div"),
+        ("(Pi(q)-Pi(q))^(-2)", "/PowInt"),
+        ("sqrt(Pi(q))^2", "/PowInt.base/Sqrt"),
+        ("sqrt(Pi(q)) - 1", "/Sub.left/Sqrt"),
+    ):
+        with pytest.raises(EvalError) as exc:
+            evaluate(parse(text), 40)
+        assert exc.value.path == path, text
 
 
 def test_gosper_four_constant_identity_reduces_to_constant():
@@ -187,6 +198,58 @@ def test_a_failing_subtree_fails_again_at_each_of_its_own_paths():
     assert plan.values == {}
     report = verify_sides("user", rhs, lhs, 64)
     assert report.status == "error" and report.error.startswith("/Mul.left/Mul.right/Sqrt: ")
+
+
+def test_the_walk_takes_another_leaf_table_with_the_same_plan(monkeypatch):
+    def shape(e, order):
+        # the test's own walk: a node's class name, then its fields, each node
+        # field as its own shape; a node with no node field also gets the order
+        values = e._values(e)
+        if not any(isinstance(v, Expr) for v in values):
+            return (type(e).__name__, *values, order)
+        return (type(e).__name__, *(shape(v, order) if isinstance(v, Expr) else v for v in values))
+
+    def tag(cls):
+        return lambda *args: (cls.__name__, *args)
+
+    sides = [side for rec in catalog.list_identities() for side in (rec.lhs, rec.rhs)]
+    steps = []
+    apply = catalog._apply
+    monkeypatch.setattr(catalog, "_apply", lambda path, *rest: steps.append(path) or apply(path, *rest))
+
+    def run():
+        """The sides' values on one plan, with the steps taken and the plan's keys."""
+        steps.clear()
+        plan = catalog._Plan(64, sides)
+        values = [evaluate(side, 64, plan) for side in sides]
+        assert plan.values == {} and set(plan.uses) == {0}
+        return values, (len(steps), len(plan.children), plan.keys)
+
+    _, series_counts = run()
+    monkeypatch.setattr(catalog, "_LEAVES", {cls: tag(cls) for cls in catalog._LEAVES})
+    monkeypatch.setattr(catalog, "_OPERATORS", {cls: tag(cls) for cls in catalog._OPERATORS})
+    values, tuple_counts = run()
+    assert values == [shape(side, 64) for side in sides]
+    # one step per distinct subtree under either pair of tables
+    assert tuple_counts == series_counts and series_counts[0] == series_counts[1]
+
+
+def test_each_node_class_is_in_one_table_with_its_subtrees_first():
+    concrete = {
+        cls for cls in vars(dsl).values()
+        if isinstance(cls, type) and issubclass(cls, Expr) and not cls.__subclasses__()
+    }
+    assert concrete == set(catalog._LEAVES) | set(catalog._OPERATORS)
+    assert not set(catalog._LEAVES) & set(catalog._OPERATORS)
+    for cls in concrete:
+        assert (cls in catalog._OPERATORS) == (cls.arity > 0), cls
+        hints = get_type_hints(cls)
+        node_fields = [hints[name] is Expr for name in cls.__match_args__]
+        assert node_fields == [i < cls.arity for i in range(len(node_fields))], cls
+    # a node of a base class is in neither table, and the walk refuses it
+    for node in (dsl.Builder(1), dsl.Binary(Pi(1), Pi(1))):
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(node, 16)
 
 
 def test_catalog_and_check_param_powers_stay_far_inside_the_power_bound(monkeypatch):

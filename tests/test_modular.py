@@ -263,8 +263,10 @@ def test_check_param_series_degree5():
     assert modular.check_param_series(5, 160).verified
 
 
-def test_check_param_series_wrong_branch_falsified():
-    report = modular.check_param_series(5, 160, flip_rho_branch=True)
+def test_check_param_series_wrong_branch_falsified(monkeypatch):
+    alpha_beta5 = modular._alpha_beta5
+    monkeypatch.setattr(modular, "_alpha_beta5", lambda m, rho: alpha_beta5(m, -rho))
+    report = modular.check_param_series(5, 160)
     assert not report.verified
     assert all(
         c.first_failure_exponent is not None for c in report.checks if not c.holds
