@@ -36,11 +36,13 @@ A deeper tree built through the API is refused with ValueError by
 
 Parse failures raise :class:`ParseError`, an ``exact.UsageError`` and so a
 ValueError, carrying the byte offset into the UTF-8 encoding of the input
-and the set of token descriptions that were expected at that point.  An
-integer literal longer than the interpreter's int string limit
-(``sys.get_int_max_str_digits()``) is one, at the literal.  A builder or
-sqrt call with the wrong number of arguments raises :class:`ArityError`
-instead (same offset semantics).
+and the set of token descriptions that were expected at that point; the
+names and operators in those sets are read from the node classes' own
+spellings (``name``, ``symbol``).  An integer literal longer than the
+interpreter's int string limit (``sys.get_int_max_str_digits()``) is one,
+at the literal.  Builder and sqrt calls share one rule: a call with the
+wrong number of arguments raises :class:`ArityError` instead (same offset
+semantics), and only a sqrt argument, a subtree, counts as a bracket level.
 
 :func:`to_text` renders a tree back to the grammar, spelling every number
 with ``exact.exact_str``; ``parse(to_text(e))`` reproduces ``e`` node for
@@ -227,14 +229,22 @@ class Sqrt(Expr):
     arg: Expr
 
     arity = 1
+    name = "sqrt"
 
 
 # ----------------------------------------------------------------------
 # tokenizer
 
 _SYMBOLS = "+-*/^(){},="
-_BUILDERS = {cls.name: cls for cls in (Pi, Psi, Phi)}
+_CALLS = {cls.name: cls for cls in (Pi, Psi, Phi, Sqrt)}
 _INFIX = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
+# a name is expected only where q is
+_WORDS = {"int": "integer", "name": "'q'", "end": "end of input"}
+
+
+def _expected(*kinds: str) -> frozenset[str]:
+    """How a ParseError lists what it expected: a token kind, a name or a symbol."""
+    return frozenset(_WORDS.get(kind, f"'{kind}'") for kind in kinds)
 
 
 def _byte_offset(text: str, char_pos: int) -> int:
@@ -276,69 +286,47 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.nesting = 0
+        self.kind = self.tokens[0][0]  # the current token's kind
+        self.nesting = 0  # brackets and sqrt calls open around the current token
 
     # -- plumbing ------------------------------------------------------
 
-    @property
-    def current(self) -> tuple:
-        return self.tokens[self.pos]
-
-    @property
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
-
     def _offset(self, token: tuple | None = None) -> int:
-        return _byte_offset(self.text, (token or self.current)[2])
+        return _byte_offset(self.text, (token or self.tokens[self.pos])[2])
 
     def _advance(self) -> tuple:
-        tok = self.current
+        tok = self.tokens[self.pos]
         self.pos += 1
+        self.kind = self.tokens[self.pos][0]
         return tok
 
     def _accept(self, kind: str) -> tuple | None:
-        if self.kind == kind:
-            return self._advance()
-        return None
+        return self._advance() if self.kind == kind else None
 
     def _expect(self, kind: str, *others: str) -> tuple:
         """Consume a token of ``kind``, else raise a ParseError expecting it or ``others``."""
         if self.kind != kind:
-            # a name is expected only where q is
-            expected = {"int": "integer", "name": "'q'"}.get(kind, f"'{kind}'")
-            raise ParseError(
-                f"unexpected {self._describe(self.current)}", self._offset(),
-                frozenset({expected, *others}),
-            )
+            raise self._unexpected(kind, *others)
         return self._advance()
+
+    def _unexpected(self, *expected: str) -> ParseError:
+        """A ParseError at the current token, which is none of the token kinds
+        or names ``expected``."""
+        kind, text = self.tokens[self.pos][:2]
+        found = "end of input" if kind == "end" else f"token {text!r}"
+        return ParseError(f"unexpected {found}", self._offset(), _expected(*expected))
 
     def _checked(self, depth: int, tok: tuple) -> None:
         """A ParseError at tok when depth exceeds MAX_DEPTH."""
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self._offset(tok))
 
-    def _open(self) -> None:
-        """Consume '(', one nesting level deeper."""
-        tok = self._expect("(")
-        self.nesting += 1
-        self._checked(self.nesting, tok)
-
-    @staticmethod
-    def _describe(tok: tuple) -> str:
-        if tok[0] == "end":
-            return "end of input"
-        return f"token {tok[1]!r}"
-
     # -- grammar ---------------------------------------------------------
 
     def parse(self) -> Expr:
         e = self.expr()
         if self.kind != "end":
-            raise ParseError(
-                f"unexpected {self._describe(self.current)}",
-                self._offset(),
-                frozenset({"end of input", "'+'", "'-'", "'*'", "'/'"}),
-            )
+            raise self._unexpected("end", *_INFIX)
         return e
 
     def expr(self, level: int = 1) -> Expr:
@@ -359,45 +347,33 @@ class _Parser:
         if op:
             # after '^' a '(' can only open a negative exponent
             if self.kind == "(":
-                exponent = -self._negative(self._integer)
+                exponent = -self._negative(lambda: self._expect("int")[3])
             else:
-                exponent = self._expect("int", "'('")[3]
+                exponent = self._expect("int", "(")[3]
             node = PowInt(node, exponent)
             self._checked(node.depth, op)
         return node
 
     def atom(self) -> Expr:
-        kind, text, _, _ = tok = self.current
-        if kind == "int":
+        text = self.tokens[self.pos][1]
+        if self.kind == "int":
             return Const(self._rational())
-        if self._at_negative():
+        if self.kind == "(" and self.tokens[self.pos + 1][0] == "-":
             return Const(-self._negative(self._rational))
-        if kind == "(":
-            self._open()
+        if self.kind == "(":
+            self.nesting += 1
+            self._checked(self.nesting, self._advance())
             inner = self.expr()
             self._expect(")")
             self.nesting -= 1
             return inner
-        if kind == "name":
-            if text in _BUILDERS:
-                return self._builder_call(text)
-            if text == "sqrt":
-                return self._sqrt_call()
-            if text == "q":
-                return self._qpower()
-            raise ParseError(
-                f"unknown name {text!r}",
-                self._offset(),
-                frozenset({"'Pi'", "'psi'", "'phi'", "'sqrt'", "'q'"}),
-            )
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            self._offset(),
-            frozenset({"'Pi'", "'psi'", "'phi'", "'sqrt'", "'q'", "integer", "'('"}),
-        )
-
-    def _at_negative(self) -> bool:
-        return self.kind == "(" and self.tokens[self.pos + 1][0] == "-"
+        if text in _CALLS:
+            return self._call(_CALLS[text])
+        if text == "q":
+            return self._qpower()
+        if self.kind == "name":
+            raise ParseError(f"unknown name {text!r}", self._offset(), _expected(*_CALLS, "q"))
+        raise self._unexpected(*_CALLS, "q", "int", "(")
 
     def _negative(self, read):
         """'(' '-' x ')' with x read by read(); returns x."""
@@ -407,9 +383,6 @@ class _Parser:
         self._expect(")")
         return value
 
-    def _integer(self) -> int:
-        return self._expect("int")[3]
-
     def _rational(self, *others: str) -> Fraction:
         tok = self._expect("int", *others)
         value = Fraction(tok[3])
@@ -417,63 +390,53 @@ class _Parser:
         if self.kind == "/" and self.tokens[self.pos + 1][0] == "int":
             self._advance()
             den_tok = self._advance()
-            den = den_tok[3]
-            if den == 0:
+            if den_tok[3] == 0:
                 raise ParseError("rational with zero denominator", self._offset(den_tok))
-            value /= den
+            value /= den_tok[3]
         return value
 
-    def _builder_call(self, name: str) -> Expr:
-        self._advance()  # name
-        self._expect("(")
+    def _call(self, cls: type) -> Expr:
+        """name '(' argument ')': a power of q for a builder, an expression one
+        bracket level deeper for sqrt (whose argument is a subtree)."""
+        name = self._advance()
+        self.nesting += cls.arity
+        self._checked(self.nesting, self._expect("("))
         if self.kind == ")":
-            raise ArityError(f"{name} requires exactly one argument", self._offset())
-        k = self._qarg(name)
+            raise ArityError(f"{cls.name} requires exactly one argument", self._offset())
+        arg = self.expr() if cls.arity else self._qarg(cls.name)
         if self.kind == ",":
-            raise ArityError(f"{name} takes exactly one argument", self._offset())
+            raise ArityError(f"{cls.name} takes exactly one argument", self._offset())
         self._expect(")")
-        return _BUILDERS[name](k)
+        self.nesting -= cls.arity
+        node = cls(arg)
+        self._checked(node.depth, name)
+        return node
 
     def _qarg(self, name: str) -> int:
         tok = self._expect("name")
         if tok[1] != "q":
             raise ParseError(
-                f"{name} argument must be a power of q", self._offset(tok), frozenset({"'q'"})
+                f"{name} argument must be a power of q", self._offset(tok), _expected("q")
             )
-        if self._accept("^"):
-            num = self._expect("int")
-            k = num[3]
-            if k < 1:
-                raise ParseError("builder power must be positive", self._offset(num))
-            return k
-        return 1
-
-    def _sqrt_call(self) -> Expr:
-        name = self._advance()  # sqrt
-        self._open()
-        if self.kind == ")":
-            raise ArityError("sqrt requires exactly one argument", self._offset())
-        inner = self.expr()
-        if self.kind == ",":
-            raise ArityError("sqrt takes exactly one argument", self._offset())
-        self._expect(")")
-        self.nesting -= 1
-        node = Sqrt(inner)
-        self._checked(node.depth, name)
-        return node
+        if not self._accept("^"):
+            return 1
+        num = self._expect("int")
+        if num[3] < 1:
+            raise ParseError("builder power must be positive", self._offset(num))
+        return num[3]
 
     def _qpower(self) -> Expr:
         self._advance()  # q
         self._expect("^")
-        rat_tok = self.current
+        rat_tok = self.tokens[self.pos]
         if self.kind == "(":
             r = -self._negative(self._rational)
+        elif self._accept("{"):
+            rat_tok = self.tokens[self.pos]
+            r = self._rational()
+            self._expect("}")
         else:
-            braced = self._accept("{") is not None
-            rat_tok = self.current
-            r = self._rational() if braced else self._rational("'{'", "'('")
-            if braced:
-                self._expect("}")
+            r = self._rational("{", "(")
         if (4 * r).denominator != 1:
             raise QPowNotQuarterIntegral(r, self._offset(rat_tok))
         if abs(4 * r) > MAX_ORDER:
@@ -524,23 +487,24 @@ def _joins_slash(e: Expr) -> bool:
 
 
 def _render_raw(e: Expr) -> str:
+    # a node of a base class has no spelling (name or symbol) and matches no arm
     match e:
-        case Builder(k):
-            return f"{e.name}(q)" if k == 1 else f"{e.name}(q^{exact_str(k)})"
+        case Builder(k, name=name):
+            return f"{name}(q)" if k == 1 else f"{name}(q^{exact_str(k)})"
         case QPow(r):
             return f"q^({exact_str(r)})" if r < 0 else f"q^{exact_str(r)}"
         case Const(value):
             return f"({exact_str(value)})" if value < 0 else exact_str(value)
-        case Binary(left, right):
+        case Binary(left, right, symbol=symbol):
             operand = _render(right, e.level + 1)
             if isinstance(e, Div) and operand[0].isdigit() and _joins_slash(left):
                 operand = f"({operand})"
-            return f"{_render(left, e.level)} {e.symbol} {operand}"
+            return f"{_render(left, e.level)} {symbol} {operand}"
         case PowInt(base, exponent):
             exponent = f"({exact_str(exponent)})" if exponent < 0 else exact_str(exponent)
             return f"{_render(base, _LEVEL_ATOM)}^{exponent}"
-        case Sqrt(arg):
-            return f"sqrt({_render(arg, _LEVEL_ADD)})"
+        case Sqrt(arg, name=name):
+            return f"{name}({_render(arg, _LEVEL_ADD)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

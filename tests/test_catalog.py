@@ -241,15 +241,21 @@ def test_each_node_class_is_in_one_table_with_its_subtrees_first():
     }
     assert concrete == set(catalog._LEAVES) | set(catalog._OPERATORS)
     assert not set(catalog._LEAVES) & set(catalog._OPERATORS)
+    sample = {Expr: Pi(1), int: 2, Fraction: Fraction(-1, 2)}
     for cls in concrete:
         assert (cls in catalog._OPERATORS) == (cls.arity > 0), cls
         hints = get_type_hints(cls)
         node_fields = [hints[name] is Expr for name in cls.__match_args__]
         assert node_fields == [i < cls.arity for i in range(len(node_fields))], cls
-    # a node of a base class is in neither table, and the walk refuses it
-    for node in (dsl.Builder(1), dsl.Binary(Pi(1), Pi(1))):
+        # and the printer spells it, as text that parses back to it
+        node = cls(*(sample[hints[name]] for name in cls.__match_args__))
+        assert parse(dsl.to_text(node)) == node, cls
+    # a node of a base class is in neither table, and the walk and the printer refuse it
+    for node in (dsl.Builder(1), dsl.Binary(Pi(1), Pi(2))):
         with pytest.raises(TypeError, match="not an expression node"):
             evaluate(node, 16)
+        with pytest.raises(TypeError, match="not an expression node"):
+            dsl.to_text(node)
 
 
 def test_catalog_and_check_param_powers_stay_far_inside_the_power_bound(monkeypatch):

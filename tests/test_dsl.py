@@ -78,7 +78,7 @@ def test_parse_error_offset_and_expected_set():
     with pytest.raises(ParseError) as exc:
         parse("Pi(q")
     assert exc.value.offset == 4
-    assert "')'" in exc.value.expected
+    assert exc.value.expected == {"')'"}
     with pytest.raises(ParseError) as exc:
         parse("Pi(q^2) +")
     assert exc.value.offset == 9
@@ -95,6 +95,13 @@ def test_parse_error_offset_and_expected_set():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.offset, exc.value.expected) == (offset, expected), text
+    for text, message in [
+        ("1/0", "rational with zero denominator at byte 2"),
+        ("Pi(x)", "Pi argument must be a power of q at byte 3 (expected one of: 'q')"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message, text
 
 
 def test_arity_errors_with_offsets():
@@ -107,6 +114,9 @@ def test_arity_errors_with_offsets():
     with pytest.raises(ArityError) as exc:
         parse("sqrt(Pi(q), 2)")
     assert exc.value.offset == 10
+    with pytest.raises(ArityError) as exc:
+        parse("sqrt()")
+    assert str(exc.value) == "sqrt requires exactly one argument at byte 5"
 
 
 def test_byte_offsets_for_non_ascii_input():
@@ -121,7 +131,7 @@ def test_byte_offsets_for_non_ascii_input():
 def test_unknown_name_rejected():
     with pytest.raises(ParseError) as exc:
         parse("theta(q)")
-    assert "'Pi'" in exc.value.expected
+    assert exc.value.expected == {"'Pi'", "'psi'", "'phi'", "'sqrt'", "'q'"}
 
 
 def test_builder_power_must_be_positive():
