@@ -56,6 +56,13 @@ series, the series bridge :mod:`.theta` but no field.  The
 catalog parses its sides on the first lookup of a record, which
 ``expand`` and ``verify --expr``/``--expr-file`` never make.
 
+The process's own command line, ``main()`` with no argument (the installed
+``piqcheck`` script and ``python -m piqcheck.cli``), ends with one
+``gc.freeze()`` once its reports are written: the interpreter's last
+collection at exit skips the frozen objects, and reference counting still
+frees each one.  ``main(argv)`` with a list, as a test or a library caller
+runs it, leaves the collector as it is.
+
 Text output contains no timestamps or timings, so identical invocations
 produce byte-identical stdout; JSON mode carries timing in the clearly marked
 ``elapsed_ms`` field.  The default order is 200 and may be overridden with
@@ -516,8 +523,18 @@ def _plain_args(argv: list) -> SimpleNamespace | None:
 
 
 def main(argv: list | None = None) -> int:
-    # argparse reads sys.argv[1:] the same way, and makes any other argv a list
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        # the process's own command line, which argparse reads the same way; the
+        # process ends next, so once the reports are written what is left moves to
+        # the permanent generation, which the collector's sweep at shutdown skips
+        try:
+            return main(sys.argv[1:])
+        finally:
+            import gc
+
+            gc.freeze()
+    # argparse makes any other argv a list
+    argv = list(argv)
     args = _plain_args(argv)
     if args is None:
         try:

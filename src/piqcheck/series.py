@@ -94,7 +94,8 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, isqrt, lcm
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
+from struct import Struct
 
 from .exact import (
     DivisionByZeroSeries,
@@ -158,6 +159,21 @@ def _pack(vals, width: int, code: str | None) -> int:
     return int.from_bytes(raw, "little") - _halves(width, len(vals))
 
 
+def _unpack(raw: memoryview, width: int, code: str | None, start: int, m: int) -> list[int]:
+    """Slots start, ..., m-1 of raw, each read as unsigned less half a slot; :func:`_pack` reversed.
+
+    With ``code`` the slots are read as native unsigned words in one step;
+    otherwise one pass cuts them into ``width``-byte strings, and each
+    becomes one ``int.from_bytes``.
+    """
+    half = 1 << (8 * width - 1)
+    raw = raw[start * width : m * width]
+    if code:
+        return list(map(sub, raw.cast(code).tolist(), repeat(half)))
+    slots = map(itemgetter(0), Struct(f"{width}s").iter_unpack(raw))
+    return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+
+
 def _slot_width(bits: int, length: int) -> int:
     """Bytes of a signed slot for a sum of ``length`` products of bits_a + bits_b = bits bits."""
     return -(-(bits + length.bit_length() + 2) // 8)
@@ -177,7 +193,7 @@ def _packed_mul(a, b, m: int, square: bool, start: int = 0, bits: int = 0) -> li
     machine a width of at most 8 bytes is rounded up to 1, 2, 4 or 8; the
     lists are then written and the m slots read as native unsigned words,
     one step each.  Wider slots are written one ``to_bytes`` per entry and
-    read one ``int.from_bytes`` per slot.  ``square`` says that a and b are
+    read in one pass by :func:`_unpack`.  ``square`` says that a and b are
     the same list, which is then packed once.  Slots below ``start`` are
     biased but not read.  ``bits``, when given, bounds bits_a + bits_b (a
     caller that multiplies slices of two lists scans them once), and 0 has
@@ -191,17 +207,11 @@ def _packed_mul(a, b, m: int, square: bool, start: int = 0, bits: int = 0) -> li
         code = _WORD_CODES[width]
     x = _pack(a, width, code)
     prod = x * x if square else x * _pack(b, width, code)
-    half = 1 << (8 * width - 1)
     prod += _halves(width, m)
     # the slots above the first m may be negative and the biased top slot may
     # use its sign bit, so the signed conversion gets one spare byte
     raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * width + 1, "little", signed=True))
-    if code:
-        return list(map(sub, raw[start * width : m * width].cast(code).tolist(), repeat(half)))
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(start * width, m * width, width)
-    ]
+    return _unpack(raw, width, code, start, m)
 
 
 def _canonical(valuation: int, order: int, step: int, vals, den: int) -> tuple:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -780,6 +781,30 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     assert cli.main(["no-such-command"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+CALLER_LINES = [
+    ["list"],
+    ["verify", "--id", "EQ1-1", "--order", "64"],
+    ["verify-all", "--order", "64", "--quiet"],
+    ["expand", "--expr", "Pi(q)", "--order", "64"],
+    ["prove-modular", "--degree", "3"],
+    ["check-param", "--degree", "3", "--order", "64"],
+    ["verify", "--order", "x"],
+    ["expand", "--expr", "Pi(q"],
+]
+
+
+def test_caller_lines_cover_every_command():
+    assert {argv[0] for argv in CALLER_LINES} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", CALLER_LINES, ids=" ".join)
+def test_main_with_a_list_keeps_the_callers_collector(capsys, argv):
+    # only the process's own command line, which ends the process, freezes the collector
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    run(capsys, *argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 def argparse_reads(argv) -> dict | None:

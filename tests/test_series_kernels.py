@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 
 from piqcheck import series
 from piqcheck.field import M, QuadExt, RatFunc
-from piqcheck.series import _WORD_CODES, LaurentSeries, NonSquareLeadingCoefficient, _pack
+from piqcheck.series import (
+    _WORD_CODES,
+    LaurentSeries,
+    NonSquareLeadingCoefficient,
+    _pack,
+    _packed_mul,
+    _unpack,
+)
 
 
 def sqrt_fraction(c: Fraction) -> Fraction | None:
@@ -492,6 +499,45 @@ def test_word_packs_spell_the_signed_slot_sum(data):
     want = sum(v << (8 * width * i) for i, v in enumerate(vals))
     assert _pack(vals, width, _WORD_CODES[width]) == want
     assert _pack(vals, width, None) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_slot_reader_matches_a_read_of_each_slot(data):
+    """Slots of 1 to 24 bytes, entries of either sign, read from any start to any end."""
+    width = data.draw(st.integers(1, 24), label="slot bytes")
+    words = sys.byteorder == "little" and width in _WORD_CODES and data.draw(st.booleans())
+    code = _WORD_CODES[width] if words else None
+    half = 1 << (8 * width - 1)
+    edges = st.sampled_from([half - 1, 1 - half, 0, 1, -1])
+    vals = data.draw(st.lists(edges | st.integers(1 - half, half - 1), min_size=1, max_size=200))
+    m = data.draw(st.integers(0, len(vals)), label="end")
+    start = data.draw(st.integers(0, m), label="start")
+    # a spare byte above the slots, as the product's signed conversion leaves one
+    raw = memoryview(b"".join([(v + half).to_bytes(width, "little") for v in vals]) + b"\xff")
+    want = [int.from_bytes(raw[i : i + width], "little") - half for i in range(start * width, m * width, width)]
+    assert want == vals[start:m]
+    assert _unpack(raw, width, code, start, m) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wide_slot_products_match_the_schoolbook_product(data):
+    """Entries past 2**64 need slots wider than 8 bytes; coefficients from any start."""
+    entries = st.integers(-(1 << 90), 1 << 90)
+    a = data.draw(st.lists(entries, min_size=1, max_size=40), label="a")
+    b = data.draw(st.lists(entries, min_size=1, max_size=40), label="b")
+    full = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            full[i + j] += x * y
+    m = data.draw(st.integers(1, len(full)), label="end")
+    start = data.draw(st.integers(0, m), label="start")
+    assert _packed_mul(a, b, m, False, start) == full[start:m]
+    assert _packed_mul(a, a, min(m, 2 * len(a) - 1), True) == [
+        sum(a[i] * a[k - i] for i in range(max(0, k - len(a) + 1), min(k, len(a) - 1) + 1))
+        for k in range(min(m, 2 * len(a) - 1))
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -163,6 +163,44 @@ def test_no_output_mode_imports_json(json_mode):
     assert done.stdout == f"{[cli.EXIT_OK] * len(argvs)} False\n"
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify-all", "--order", "64"], cli.EXIT_OK),
+        (["verify", "--expr-file", str(DATA / "mixed_identities.txt"), "--order", "64"], cli.EXIT_INTERNAL),
+        (["verify", "--expr-file", str(DATA / "refused_identities.txt"), "--order", "64"], cli.EXIT_USAGE),
+    ],
+    ids=["verified", "mixed", "refused"],
+)
+def test_the_program_path_prints_what_a_caller_gets_and_freezes_the_collector(argv, code):
+    # main() reads sys.argv as the installed script and `python -m piqcheck.cli` do;
+    # an atexit handler registered before it must still run, so no path ends in os._exit
+    probe = (
+        "import atexit, contextlib, gc, io, json, sys\n"
+        "from piqcheck import cli\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "def run(argv):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv)\n"
+        "    return [code, out.getvalue(), err.getvalue()]\n"
+        f"caller = run({argv!r})\n"
+        "caller_frozen = gc.get_freeze_count()\n"
+        f"sys.argv = ['piqcheck', *{argv!r}]\n"
+        "program = run(None)\n"
+        "print(json.dumps([caller, caller_frozen, program, gc.get_freeze_count() > 0]))\n"
+    )
+    result, atexit_line = fresh(probe).splitlines()
+    caller, caller_frozen, program, frozen = json.loads(result)
+    assert caller[0] == code and caller[1]
+    assert program == caller
+    assert caller_frozen == 0 and frozen
+    assert atexit_line == "atexit ran"
+
+
 def test_the_registry_is_built_on_first_lookup():
     probe = (
         "from piqcheck import catalog\n"
