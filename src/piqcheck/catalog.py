@@ -5,8 +5,9 @@ Pi_q, Pi_{q^2}, Pi_{q^3}, Pi_{q^6} (with psi-quotient equivalents), the other
 relating Pi_q, Pi_{q^2}, Pi_{q^5}, Pi_{q^10}.  Identities carrying a +/- sign
 pattern are expanded into two records at registration; ids follow the stable
 scheme ``EQ<label>`` with a ``+`` or ``-`` suffix for the sign variants.
-The registry is parsed when a record is first looked up, not at import, so
-evaluating a user expression parses no catalog side.
+The registry is parsed when a record is first looked up, not at import, and
+cached from then on (``functools.cache``), so evaluating a user expression
+parses no catalog side.
 
 Each record stores its two sides as expression trees (see :mod:`.dsl`).
 :func:`verify_sides` is the one comparison: it evaluates two sides as
@@ -35,6 +36,7 @@ identity of the run: that identity was charged for it.
 
 from __future__ import annotations
 
+import functools
 import operator
 import time
 from fractions import Fraction
@@ -135,14 +137,16 @@ class _Plan:
     reach the key: one per side it is the root of, and one per child slot
     of each distinct parent.  A value is kept only while walks remain, and
     a failure keeps nothing, so each later occurrence of a failing subtree
-    raises again with its own path.  A plan belongs to one run: no state is
-    shared between runs or threads.
+    raises again with its own path.  A plan is one run at one order, which
+    it keeps as ``order``: no state is shared between runs or threads, and
+    :func:`evaluate` refuses a plan of another order.
     """
 
     def __init__(self, order: int, sides) -> None:
         check_order(order)
         for side in sides:
             check_depth(side)  # interning recurses once per level
+        self.order = order
         self.keys: dict[tuple, int] = {}
         self.children: list[tuple[int, ...]] = []
         self.uses: list[int] = []
@@ -177,8 +181,8 @@ class _Plan:
         return key
 
 
-def _eval(e: Expr, order: int, path: str, plan: _Plan, key: int) -> LaurentSeries:
-    """The series of e, whose key in plan is ``key``.
+def _eval(e: Expr, path: str, plan: _Plan, key: int) -> LaurentSeries:
+    """The series of e at plan's order, whose key in plan is ``key``.
 
     A value an earlier walk stored is read, and dropped at its last use; a
     value computed here is stored while later walks will reach its key.
@@ -191,12 +195,12 @@ def _eval(e: Expr, order: int, path: str, plan: _Plan, key: int) -> LaurentSerie
         return value
     cls, fields = type(e), e._values(e)
     if not cls.arity:
-        value = _apply(path, _LEAVES[cls], *fields, order)
+        value = _apply(path, _LEAVES[cls], *fields, plan.order)
     else:
         node = f"{path}/{cls.__name__}"
         args = []
         for sub, name, kid in zip(fields, cls.__match_args__, plan.children[key]):
-            args.append(_eval(sub, order, f"{node}.{name}", plan, kid))
+            args.append(_eval(sub, f"{node}.{name}", plan, kid))
         value = _apply(node, _OPERATORS[cls], *args, *fields[cls.arity :])
     if plan.uses[key] > 0:
         plan.values[key] = value
@@ -208,13 +212,17 @@ def evaluate(e: Expr, order: int, plan: _Plan | None = None) -> LaurentSeries:
 
     A tree whose root records a ``depth`` past ``dsl.MAX_DEPTH`` raises
     ValueError; an order :func:`check_order` rejects raises its TypeError or UsageError.
-    ``plan``, when given, is the run's plan, built at this order with e
-    among its sides; its stored subtrees are read instead of evaluated again.
+    ``plan``, when given, is the run's plan, with e among its sides; its
+    stored subtrees are read instead of evaluated again.  A plan built at
+    another order raises ValueError.
     """
     check_order(order)
     check_depth(e)
-    plan = plan or _Plan(order, (e,))
-    return _eval(e, order, "", plan, plan.root(e))
+    if plan is None:
+        plan = _Plan(order, (e,))
+    elif plan.order != order:
+        raise ValueError(f"a plan built at order {plan.order} cannot evaluate at order {order}")
+    return _eval(e, "", plan, plan.root(e))
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +265,10 @@ class VerifyReport(_Frozen):
     elapsed: float = 0.0
 
 
-_RECORDS: dict[str, IdentityRecord] | None = None
-"""The registry by id; None until :func:`_records` first builds it."""
-
-
-def _build_registry() -> dict[str, IdentityRecord]:
+@functools.cache
+def _records() -> dict[str, IdentityRecord]:
+    """The registry by id, parsed on first use and then kept: a run that reads
+    no record parses no side."""
     records: dict[str, IdentityRecord] = {}
 
     def register(label: str, lhs_text: str, rhs_text: str, sign: str | None = None) -> None:
@@ -430,18 +437,6 @@ def _build_registry() -> dict[str, IdentityRecord]:
     return records
 
 
-def _records() -> dict[str, IdentityRecord]:
-    """The registry, parsed on first use: a run that reads no record parses no side.
-
-    The finished dictionary is published in one assignment, so a concurrent
-    first use sees either no registry or all of it.
-    """
-    global _RECORDS
-    if _RECORDS is None:
-        _RECORDS = _build_registry()
-    return _RECORDS
-
-
 def list_identities() -> tuple[IdentityRecord, ...]:
     """All registered identities, sorted by id."""
     records = _records()
@@ -468,8 +463,8 @@ def verify_sides(
 ) -> VerifyReport:
     """Compare two expression sides as series; the core of :func:`verify`.
 
-    ``plan`` is the run's plan (see :func:`evaluate`); without one, the two
-    sides get their own, so a subtree they share is evaluated once.
+    ``plan`` is the run's plan at this order (see :func:`evaluate`); without
+    one, the two sides get their own, so a subtree they share is evaluated once.
     """
     started = time.perf_counter()
     plan = plan or _Plan(order, (lhs, rhs))
@@ -495,10 +490,10 @@ def verify_sides(
     return report("falsified", valid_order=diff.order, first_failure=failure)
 
 
-def verify(ident: str, order: int = DEFAULT_ORDER, plan: _Plan | None = None) -> VerifyReport:
-    """Verify a registered identity at the given t-order, within the run of ``plan``."""
+def verify(ident: str, order: int = DEFAULT_ORDER) -> VerifyReport:
+    """Verify a registered identity at the given t-order."""
     rec = get_identity(ident)
-    return verify_sides(rec.id, rec.lhs, rec.rhs, order, plan)
+    return verify_sides(rec.id, rec.lhs, rec.rhs, order)
 
 
 def verify_all(order: int = DEFAULT_ORDER) -> list[VerifyReport]:
@@ -509,4 +504,4 @@ def verify_all(order: int = DEFAULT_ORDER) -> list[VerifyReport]:
     """
     records = list_identities()
     plan = _Plan(order, [side for rec in records for side in (rec.lhs, rec.rhs)])
-    return [verify(rec.id, order, plan) for rec in records]
+    return [verify_sides(rec.id, rec.lhs, rec.rhs, order, plan) for rec in records]

@@ -127,7 +127,7 @@ class Expr(_Frozen):
             for sub in self._values(self)[: self.arity]:
                 if isinstance(sub, Expr) and sub.depth >= depth:
                     depth = sub.depth + 1
-            object.__setattr__(self, "depth", depth)
+            vars(self)["depth"] = depth  # class data, not a field
 
 
 class Builder(Expr):
@@ -173,14 +173,14 @@ class QPow(Expr):
             raise ValueError(f"q^{text} is not representable: 4*{text} is not an integer")
         if abs(4 * r) > MAX_ORDER:
             raise ValueError(_QPOW_RANGE)
-        object.__setattr__(self, "r", r)
+        self._fill(r)
 
 
 class Const(Expr):
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _frac(self.value))
+        self._fill(_frac(self.value))
 
 
 class Binary(Expr):

@@ -169,9 +169,12 @@ class _Frozen:
     methods below derive ``__init__`` (positional or keyword arguments, then
     ``__post_init__``, looked up on the instance at each call), ``==`` (same
     class, equal fields), ``hash`` and ``repr`` of the fields.  Assigning or
-    deleting an attribute raises AttributeError; a class that normalizes a
-    field sets it in ``__post_init__`` with ``object.__setattr__``.  No code
-    is generated, so defining such a class costs no more than a plain one.
+    deleting an attribute raises AttributeError.  Every field is written by
+    :meth:`_fill`: ``__init__`` fills the bound arguments, a ``__post_init__``
+    that normalizes a field or a class's own ``__init__`` fills what it
+    computes, and :meth:`_of` builds a value from fields already in stored
+    form, such as an operation's result, without ``__init__``.  No code is
+    generated, so defining such a class costs no more than a plain one.
     """
 
     __slots__ = ()
@@ -192,11 +195,21 @@ class _Frozen:
             cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
 
     def __init__(self, *args, **kwargs) -> None:
-        names = self.__match_args__
-        if kwargs or len(args) != len(names):
+        if kwargs or len(args) != len(self.__match_args__):
             args = self._bind(args, kwargs)
-        vars(self).update(zip(names, args))
+        self._fill(*args)
         self.__post_init__()
+
+    def _fill(self, *fields) -> None:
+        """Write the first len(fields) fields of self, in order: the one field writer."""
+        vars(self).update(zip(self.__match_args__, fields))
+
+    @classmethod
+    def _of(cls, *fields):
+        """The value whose fields are ``fields``, already in stored form; no ``__init__`` runs."""
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:

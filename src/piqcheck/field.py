@@ -10,9 +10,10 @@ Three layers, all immutable with canonical forms so equality is structural:
 
 A polynomial is stored once, in one canonical integer form, the way a
 Laurent series is: integer numerators with no trailing zeros over one
-positive denominator coprime to their content.  ``coeffs`` is a Fraction
-view built when it is read.  The form is unique, so equality and hashing
-compare the stored integers, and the kernels read them directly:
+positive denominator coprime to their content.  :func:`_poly_form` makes
+it, for the constructor and for each result (``Poly._build``).  ``coeffs``
+is a Fraction view built when it is read.  The form is unique, so equality
+and hashing compare the stored integers, and the kernels read them directly:
 
   * ``Poly.__mul__`` multiplies the numerator lists over the product of the
     two denominators;
@@ -34,6 +35,8 @@ denominator is monic), ``a`` and ``b`` are built when read.
 :func:`_reduced` makes the form: it divides the parts exactly by their
 primitive gcd (by Gauss's lemma it divides each over Z; no chain when a
 part is constant), then by their content, and makes D's lead positive.
+The constructors store what it returns; a result of the arithmetic is
+built from it by ``_Frozen._of``, which runs no ``__init__``.
 
 One arithmetic, in the private base of both classes, forms each result on
 the kernels and reduces it once.  With u = U / V:
@@ -162,6 +165,19 @@ def _zz_add(a, b) -> list[int]:
     return out
 
 
+def _poly_form(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The stored (numerators, denominator) of nums / den; den is a nonzero int."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    c = gcd(den, *nums)  # |den| when nums is empty, so zero gets den 1
+    if den < 0:
+        c = -c
+    if c != 1:
+        nums, den = [x // c for x in nums], den // c
+    return tuple(nums), den
+
+
 class Poly(_Ring, _Frozen):
     """Dense polynomial sum(coeffs[i] * m^i), stored as _nums[i] / _den.
 
@@ -173,27 +189,12 @@ class Poly(_Ring, _Frozen):
     _den: int
 
     def __init__(self, coeffs) -> None:
-        self._set(*_scaled_ints(tuple(map(_frac, coeffs))))
-
-    def _set(self, nums, den: int) -> None:
-        """Store nums / den in canonical form; den is a nonzero int."""
-        nums = list(nums)
-        while nums and not nums[-1]:
-            nums.pop()
-        c = gcd(den, *nums)  # |den| when nums is empty, so zero gets den 1
-        if den < 0:
-            c = -c
-        if c != 1:
-            nums, den = [x // c for x in nums], den // c
-        object.__setattr__(self, "_nums", tuple(nums))
-        object.__setattr__(self, "_den", den)
+        self._fill(*_poly_form(*_scaled_ints(tuple(map(_frac, coeffs)))))
 
     @classmethod
     def _build(cls, nums, den: int) -> Poly:
         """The polynomial with coefficients nums[i] / den, in canonical form."""
-        self = object.__new__(cls)
-        self._set(nums, den)
-        return self
+        return cls._of(*_poly_form(nums, den))
 
     def __repr__(self) -> str:
         return f"Poly(coeffs={exact_repr(self.coeffs)})"
@@ -306,20 +307,21 @@ def _common_factor(parts) -> list[int] | None:
     return g
 
 
-def _reduced(parts, coprime: bool = False) -> list:
-    """Integer polynomials over their common factor and content, the last with a positive lead.
+def _reduced(parts, coprime: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The stored form of integer polynomials: tuples over their common factor
+    and content, the last with a positive lead.
 
     The last part is nonzero, and is 1 when the others are all zero.  The
     common factor is one :func:`poly_gcd` chain, skipped if ``coprime``.
     """
     if not any(parts[:-1]):
-        return [*parts[:-1], (1,)]
+        return ((),) * (len(parts) - 1) + ((1,),)
     if not coprime and (g := _common_factor([p for p in parts if p])):
         parts = [_zz_divmod(p, g)[0] for p in parts]
     c = gcd(*chain.from_iterable(parts))
     if parts[-1][-1] < 0:
         c = -c
-    return parts if c == 1 else [[x // c for x in p] for p in parts]
+    return tuple(map(tuple, parts if c == 1 else ([x // c for x in p] for p in parts)))
 
 
 def _parts(x, name: str = "") -> tuple | None:
@@ -350,10 +352,8 @@ class _Quotient(_Ring, _Frozen):
 
     def _new(self, a, b, d, coprime: bool = False):
         """(a + b*s) / d, d != 0, reduced, of self's class and modulus."""
-        a, b, d = _reduced((a, b, d), coprime)
-        new = object.__new__(type(self))
-        vars(new).update(vars(self), _num=tuple(a), _rad=tuple(b), _den=tuple(d))
-        return new
+        # the fields after the stored form, QuadExt's modulus, are self's
+        return self._of(*_reduced((a, b, d), coprime), *self._values(self)[3:])
 
     def _lift(self, other):
         """other in self's class and modulus; None unless it is one or a rational value."""
@@ -439,7 +439,7 @@ class RatFunc(_Quotient):
         (a, b), (c, d) = _parts(num, "RatFunc() argument 'num'"), _parts(den, "RatFunc() argument 'den'")
         if not c:
             raise DivisionByZeroRatFunc("rational function with zero denominator")
-        vars(self).update(vars(self._new(_zz_mul(a, d), (), _zz_mul(b, c))))
+        self._fill(*_reduced((_zz_mul(a, d), (), _zz_mul(b, c))))
 
     def __repr__(self) -> str:
         return f"RatFunc(num={self.num!r}, den={self.den!r})"
@@ -479,9 +479,9 @@ class QuadExt(_Quotient):
 
     def __init__(self, a, b, u) -> None:
         (na, da), (nb, db), _ = (_parts(x, f"QuadExt() argument {n!r}") for x, n in zip((a, b, u), "abu"))
-        vars(self)["u"] = u if isinstance(u, RatFunc) else RatFunc(u)
         # coprime when a or b is zero: the parts are then the other's reduced form
-        vars(self).update(vars(self._new(_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db), not (na and nb))))
+        parts = _reduced((_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db)), not (na and nb))
+        self._fill(*parts, u if isinstance(u, RatFunc) else RatFunc(u))
 
     def __repr__(self) -> str:
         return f"QuadExt(a={self.a!r}, b={self.b!r}, u={self.u!r})"

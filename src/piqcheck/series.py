@@ -33,7 +33,10 @@ numerator up to the order, is zero.  The form is unique, so two series are
 equal exactly when their valuation, order, g, numerators and denominator
 are.  The zero-to-order series has no numerators, ``valuation == order`` and
 g = 0, so precision keeps propagating through cancellations.  ``coeffs``
-gives the whole window as a tuple of Fractions, built on each read.
+gives the whole window as a tuple of Fractions, built on each read.  The
+constructor brings its coefficients to this form; every operation forms
+its result in it and builds the series with ``_Frozen._of``, which runs no
+``__init__``.
 
 Coefficients are exact: the constructor accepts ints, Fractions and anything
 else ``Fraction`` parses exactly, and rejects floats with ``TypeError``; every
@@ -339,27 +342,12 @@ class LaurentSeries(_Ring, _Frozen):
         if len(coeffs) > window:
             raise ValueError("coefficient list longer than order - valuation")
         nums, den = _scaled_ints(coeffs)
-        self._set(*_canonical(valuation, order, 1, nums, den))
-
-    def _set(self, valuation: int, order: int, g: int, nums: tuple[int, ...], den: int) -> None:
-        setter = object.__setattr__
-        setter(self, "valuation", valuation)
-        setter(self, "order", order)
-        setter(self, "_g", g)
-        setter(self, "_nums", nums)
-        setter(self, "_den", den)
-
-    @classmethod
-    def _raw(cls, valuation: int, order: int, g: int, nums: tuple[int, ...], den: int) -> LaurentSeries:
-        """A series from parts that are already in canonical form."""
-        self = object.__new__(cls)
-        self._set(valuation, order, g, nums, den)
-        return self
+        self._fill(*_canonical(valuation, order, 1, nums, den))
 
     @classmethod
     def _build(cls, valuation: int, order: int, step: int, vals, den: int = 1) -> LaurentSeries:
         """The series with vals[j] / den at offset j*step, brought to canonical form."""
-        return cls._raw(*_canonical(valuation, order, step, vals, den))
+        return cls._of(*_canonical(valuation, order, step, vals, den))
 
     def __repr__(self) -> str:
         return (
@@ -374,7 +362,7 @@ class LaurentSeries(_Ring, _Frozen):
     def zero(order: int) -> LaurentSeries:
         """The canonical zero-to-order series."""
         _check_int(order, "order")
-        return LaurentSeries._raw(order, order, 0, (), 1)
+        return LaurentSeries._of(order, order, 0, (), 1)
 
     @staticmethod
     def constant(value, order: int) -> LaurentSeries:
@@ -505,7 +493,7 @@ class LaurentSeries(_Ring, _Frozen):
         return LaurentSeries._build(start, order, step, out, den)
 
     def __neg__(self) -> LaurentSeries:
-        return LaurentSeries._raw(
+        return LaurentSeries._of(
             self.valuation, self.order, self._g, tuple(map(neg, self._nums)), self._den
         )
 
@@ -530,7 +518,7 @@ class LaurentSeries(_Ring, _Frozen):
             # a one-term factor c * t^e / d scales the other one
             one, other = (self, rhs) if len(self._nums) == 1 else (rhs, self)
             if one is other:  # c^2 / d^2 is in lowest terms, as c / d is
-                return LaurentSeries._raw(val, val + n, 0, (self._nums[0] ** 2,), den)
+                return LaurentSeries._of(val, val + n, 0, (self._nums[0] ** 2,), den)
             other = other.truncate(other.valuation + n)
             return other._times(one._nums[0], one._den, one.valuation)
         step = gcd(self._g, rhs._g)
@@ -568,7 +556,7 @@ class LaurentSeries(_Ring, _Frozen):
         g, h = gcd(c, self._den), gcd(d, *self._nums)
         c //= g
         nums = tuple(v // h * c for v in self._nums) if h != 1 or c != 1 else self._nums
-        return LaurentSeries._raw(
+        return LaurentSeries._of(
             self.valuation + shift, self.order + shift, self._g, nums, d // h * (self._den // g)
         )
 
@@ -637,7 +625,7 @@ class LaurentSeries(_Ring, _Frozen):
     def shift(self, j: int) -> LaurentSeries:
         """Multiply by the exact monomial t^j (shifts the knowledge window too)."""
         _check_int(j, "j")
-        return LaurentSeries._raw(self.valuation + j, self.order + j, self._g, self._nums, self._den)
+        return LaurentSeries._of(self.valuation + j, self.order + j, self._g, self._nums, self._den)
 
     def sqrt(self) -> LaurentSeries:
         """Positive-branch square root.

@@ -145,9 +145,9 @@ def beta_series(n: int, order: int) -> LaurentSeries:
 def rho_series(order: int) -> LaurentSeries:
     """Positive-branch sqrt(m^3 - 2m^2 + 5m) for the degree-5 multiplier m.
 
-    The radicand has constant term 4, so the root starts at 2.
+    The radicand, ``modular._modulus5`` at the multiplier series, has
+    constant term 4, so the root starts at 2.
     """
-    m = m_series(5, order)
-    m2 = m * m
-    radicand = m2 * m - m2.scale(2) + m.scale(5)
-    return radicand.sqrt()
+    from .modular import _modulus5  # here, so that a catalog run loads no modular
+
+    return _modulus5(m_series(5, order)).sqrt()

@@ -143,7 +143,7 @@ def test_a_non_int_order_is_a_type_error_before_any_series(order, monkeypatch):
     def unbuilt(*args):
         raise AssertionError("a series was built for a rejected order")
 
-    monkeypatch.setattr(LaurentSeries, "_set", unbuilt)
+    monkeypatch.setattr(LaurentSeries, "_fill", unbuilt)
     with pytest.raises(TypeError, match="order must be an int"):
         evaluate(parse("Pi(q) + 1"), order)
     with pytest.raises(TypeError, match="order must be an int"):
@@ -185,6 +185,22 @@ def test_a_plan_evaluates_each_distinct_subtree_once_and_keeps_no_value_past_its
     # one step per distinct subtree, far fewer than the sides' nodes
     assert len(paths) == len(plan.children) < sum(map(size, sides)) // 2
     assert plan.values == {} and set(plan.uses) == {0}
+
+
+def test_a_plan_is_one_run_at_one_order():
+    s, lhs, rhs = parse("Pi(q)^2"), parse("Pi(q)^2 * psi(q)"), parse("psi(q) * Pi(q)^2")
+    plan = catalog._Plan(64, (s, lhs, rhs))
+    evaluate(s, 64, plan)  # keeps Pi(q)^2 at order 64 for the other sides
+    # read at order 800, the kept value would cut the valid order to 66
+    for run in (lambda: verify_sides("x", lhs, rhs, 800, plan), lambda: evaluate(lhs, 800, plan)):
+        with pytest.raises(ValueError, match="order 64 .* order 800"):
+            run()
+    # a refused call reads and drops nothing, so the plan's own run goes on
+    assert plan.order == 64
+    alone = verify_sides("x", lhs, rhs, 64)
+    assert report_fields(verify_sides("x", lhs, rhs, 64, plan)) == report_fields(alone)
+    assert plan.values == {}
+    assert verify_sides("x", lhs, rhs, 800).valid_order == 802
 
 
 def test_a_failing_subtree_fails_again_at_each_of_its_own_paths():
@@ -278,5 +294,5 @@ def test_catalog_and_check_param_powers_stay_far_inside_the_power_bound(monkeypa
         assert all(e <= 8 and s._den == 1 for s, e in bases)
         assert max(max(map(int.bit_length, s._nums)) for s, _ in bases) <= 5 * isqrt(order)
     nums = (2 ** (10 * isqrt(exact.MAX_ORDER)) - 1,) * exact.MAX_ORDER
-    stand_in = LaurentSeries._raw(0, exact.MAX_ORDER, 1, nums, 1)
+    stand_in = LaurentSeries._of(0, exact.MAX_ORDER, 1, nums, 1)
     assert stand_in._power_bits(8) <= 30_000 <= series.MAX_POWER_BITS // 30

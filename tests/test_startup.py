@@ -54,7 +54,7 @@ def test_user_expressions_load_no_field_tower_and_no_catalog_record(argv):
         "from piqcheck import catalog, cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        f"print(json.dumps([code, {LOADED}, catalog._RECORDS is None]))\n"
+        f"print(json.dumps([code, {LOADED}, catalog._records.cache_info().currsize == 0]))\n"
     )
     code, loaded, no_records = json.loads(fresh(probe))
     assert code == cli.EXIT_OK
@@ -204,9 +204,10 @@ def test_the_program_path_prints_what_a_caller_gets_and_freezes_the_collector(ar
 def test_the_registry_is_built_on_first_lookup():
     probe = (
         "from piqcheck import catalog\n"
-        "print(catalog._RECORDS is None, len(catalog.known_ids()), len(catalog._RECORDS))\n"
+        "cached = catalog._records.cache_info\n"
+        "print(cached().currsize == 0, len(catalog.known_ids()), cached().currsize)\n"
     )
-    assert fresh(probe) == "True 31 31\n"
+    assert fresh(probe) == "True 31 1\n"
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

@@ -209,6 +209,6 @@ def test_builders_refuse_a_short_or_non_int_order(build, order, error, monkeypat
     def unbuilt(*args):
         raise AssertionError("a series was built for a rejected order")
 
-    monkeypatch.setattr(LaurentSeries, "_set", unbuilt)
+    monkeypatch.setattr(LaurentSeries, "_fill", unbuilt)
     with pytest.raises(error, match="order must be"):
         build(order)
