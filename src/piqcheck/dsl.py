@@ -168,19 +168,19 @@ class QPow(Expr):
 
     def __post_init__(self) -> None:
         r = _frac(self.r)
-        if (4 * r).denominator != 1:
+        if 4 % r.denominator:
             text = exact_str(r)
             raise ValueError(f"q^{text} is not representable: 4*{text} is not an integer")
-        if abs(4 * r) > MAX_ORDER:
+        if abs(r.numerator) * 4 > MAX_ORDER * r.denominator:
             raise ValueError(_QPOW_RANGE)
-        self._fill(r)
+        self._fill((r,))
 
 
 class Const(Expr):
     value: Fraction
 
     def __post_init__(self) -> None:
-        self._fill(_frac(self.value))
+        self._fill((_frac(self.value),))
 
 
 class Binary(Expr):
@@ -385,15 +385,15 @@ class _Parser:
 
     def _rational(self, *others: str) -> Fraction:
         tok = self._expect("int", *others)
-        value = Fraction(tok[3])
+        den = 1
         # consume '/' only when an integer follows, so 3/psi(q) stays a term
         if self.kind == "/" and self.tokens[self.pos + 1][0] == "int":
             self._advance()
             den_tok = self._advance()
-            if den_tok[3] == 0:
+            den = den_tok[3]
+            if den == 0:
                 raise ParseError("rational with zero denominator", self._offset(den_tok))
-            value /= den_tok[3]
-        return value
+        return Fraction(tok[3], den)
 
     def _call(self, cls: type) -> Expr:
         """name '(' argument ')': a power of q for a builder, an expression one
@@ -437,9 +437,9 @@ class _Parser:
             self._expect("}")
         else:
             r = self._rational("{", "(")
-        if (4 * r).denominator != 1:
+        if 4 % r.denominator:
             raise QPowNotQuarterIntegral(r, self._offset(rat_tok))
-        if abs(4 * r) > MAX_ORDER:
+        if abs(r.numerator) * 4 > MAX_ORDER * r.denominator:
             raise ParseError(_QPOW_RANGE, self._offset(rat_tok))
         return QPow(r)
 

@@ -197,10 +197,10 @@ class _Frozen:
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self.__match_args__):
             args = self._bind(args, kwargs)
-        self._fill(*args)
+        self._fill(args)
         self.__post_init__()
 
-    def _fill(self, *fields) -> None:
+    def _fill(self, fields: tuple) -> None:
         """Write the first len(fields) fields of self, in order: the one field writer."""
         vars(self).update(zip(self.__match_args__, fields))
 
@@ -208,7 +208,7 @@ class _Frozen:
     def _of(cls, *fields):
         """The value whose fields are ``fields``, already in stored form; no ``__init__`` runs."""
         self = object.__new__(cls)
-        self._fill(*fields)
+        self._fill(fields)
         return self
 
     @classmethod

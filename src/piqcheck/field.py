@@ -10,10 +10,10 @@ Three layers, all immutable with canonical forms so equality is structural:
 
 A polynomial is stored once, in one canonical integer form, the way a
 Laurent series is: integer numerators with no trailing zeros over one
-positive denominator coprime to their content.  :func:`_poly_form` makes
-it, for the constructor and for each result (``Poly._build``).  ``coeffs``
-is a Fraction view built when it is read.  The form is unique, so equality
-and hashing compare the stored integers, and the kernels read them directly:
+positive denominator coprime to their content.  ``Poly._build`` makes it,
+for the constructor and for each result.  ``coeffs`` is a Fraction view
+built when it is read.  The form is unique, so equality and hashing
+compare the stored integers, and the kernels read them directly:
 
   * ``Poly.__mul__`` multiplies the numerator lists over the product of the
     two denominators;
@@ -165,19 +165,6 @@ def _zz_add(a, b) -> list[int]:
     return out
 
 
-def _poly_form(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """The stored (numerators, denominator) of nums / den; den is a nonzero int."""
-    nums = list(nums)
-    while nums and not nums[-1]:
-        nums.pop()
-    c = gcd(den, *nums)  # |den| when nums is empty, so zero gets den 1
-    if den < 0:
-        c = -c
-    if c != 1:
-        nums, den = [x // c for x in nums], den // c
-    return tuple(nums), den
-
-
 class Poly(_Ring, _Frozen):
     """Dense polynomial sum(coeffs[i] * m^i), stored as _nums[i] / _den.
 
@@ -189,12 +176,20 @@ class Poly(_Ring, _Frozen):
     _den: int
 
     def __init__(self, coeffs) -> None:
-        self._fill(*_poly_form(*_scaled_ints(tuple(map(_frac, coeffs)))))
+        self._fill(self._values(Poly._build(*_scaled_ints(tuple(map(_frac, coeffs))))))
 
     @classmethod
     def _build(cls, nums, den: int) -> Poly:
-        """The polynomial with coefficients nums[i] / den, in canonical form."""
-        return cls._of(*_poly_form(nums, den))
+        """The polynomial with coefficients nums[i] / den, in canonical form; den is a nonzero int."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        c = gcd(den, *nums)  # |den| when nums is empty, so zero gets den 1
+        if den < 0:
+            c = -c
+        if c != 1:
+            nums, den = [x // c for x in nums], den // c
+        return cls._of(tuple(nums), den)
 
     def __repr__(self) -> str:
         return f"Poly(coeffs={exact_repr(self.coeffs)})"
@@ -439,7 +434,7 @@ class RatFunc(_Quotient):
         (a, b), (c, d) = _parts(num, "RatFunc() argument 'num'"), _parts(den, "RatFunc() argument 'den'")
         if not c:
             raise DivisionByZeroRatFunc("rational function with zero denominator")
-        self._fill(*_reduced((_zz_mul(a, d), (), _zz_mul(b, c))))
+        self._fill(_reduced((_zz_mul(a, d), (), _zz_mul(b, c))))
 
     def __repr__(self) -> str:
         return f"RatFunc(num={self.num!r}, den={self.den!r})"
@@ -481,7 +476,7 @@ class QuadExt(_Quotient):
         (na, da), (nb, db), _ = (_parts(x, f"QuadExt() argument {n!r}") for x, n in zip((a, b, u), "abu"))
         # coprime when a or b is zero: the parts are then the other's reduced form
         parts = _reduced((_zz_mul(na, db), _zz_mul(nb, da), _zz_mul(da, db)), not (na and nb))
-        self._fill(*parts, u if isinstance(u, RatFunc) else RatFunc(u))
+        self._fill((*parts, u if isinstance(u, RatFunc) else RatFunc(u)))
 
     def __repr__(self) -> str:
         return f"QuadExt(a={self.a!r}, b={self.b!r}, u={self.u!r})"

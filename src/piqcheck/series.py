@@ -50,11 +50,9 @@ coarser onto that step with zeros.  A product whose factors' steps are
 r > 1 apart splits the finer factor's list into its r residue classes
 instead, and multiplies each by the coarser factor's own list
 (:data:`SPLIT_MIN_BYTES`); a quotient's divisor is inverted on its own
-lattice.  The recurrence runs on Python ints and its result list is
-brought back to canonical form: leading and trailing zeros dropped, g read
-from the offsets of the nonzero entries, content divided out of the
-denominator.  For the catalog's series, which in t live on lattices of step
-4 or 8, that makes the quadratic recurrences 16 to 64 times shorter.
+lattice.  Kernels run on Python ints, and each result list is brought back
+to canonical form: leading and trailing zeros dropped, g read from the
+offsets of the nonzero entries, content divided out of the denominator.
 
   * Product: a factor with a single term c * t^e / d scales the other
     factor's numerators by c.  Both factors are in lowest terms, so the
@@ -74,9 +72,10 @@ denominator.  For the catalog's series, which in t live on lattices of step
     canonical form and the window, so the quotients of a run by one
     divisor invert it once.
   * Square root: of a / d, computed as sqrt(a * d) / d, so that its leading
-    term isqrt(a[0] * d) is an integer.  Each step sums every symmetric pair
-    of products once and divides by twice that leading term, exactly when
-    it divides the sum and as a Fraction when it does not.
+    term isqrt(a[0] * d) is an integer.  Entry k is the radicand's less the
+    pairs of earlier entries summing to k, over twice that leading term: an
+    int when it divides, else a Fraction.  The pairs come by halving blocks,
+    one packed product per block (:func:`_gather_pairs`, :data:`SQRT_BLOCK`).
 
 A power first bounds the size of each coefficient of its result
 (:data:`MAX_POWER_BITS`).
@@ -97,7 +96,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from struct import Struct
 
 from .exact import (
@@ -119,8 +118,8 @@ from .exact import (
 
 _ZERO = Fraction(0)
 
-# unsigned native formats by item size, for writing and reading word-sized product slots
-_WORD_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
+# signed native formats by item size, for writing and reading word-sized product slots
+_WORD_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "bhilq"}
 
 
 MAX_POWER_BITS = 1_000_000
@@ -149,32 +148,31 @@ def _halves(width: int, n: int) -> int:
 def _pack(vals, width: int, code: str | None) -> int:
     """The signed integer sum(vals[i] * 256**(width*i)), each |vals[i]| < 256**width // 2.
 
-    Each entry plus half a slot is written as an unsigned slot: all in one
-    step with ``code``, the native unsigned word format of ``width`` bytes,
-    and otherwise one ``to_bytes`` per entry, joined once.  The halves are
-    then taken off the integer the slots spell.
+    Each entry is written as a two's-complement slot: all in one step with
+    ``code``, the native signed word format of ``width`` bytes, and
+    otherwise one ``to_bytes`` per entry, joined once.  Read unsigned, the
+    bytes spell the sum plus a slot above each negative entry, whose top bit
+    is set; one mask of those bits takes these borrows off.
     """
-    half = 1 << (8 * width - 1)
     if code:
-        raw = array(code, [v + half for v in vals]).tobytes()
+        raw = array(code, vals).tobytes()
     else:
-        raw = b"".join([(v + half).to_bytes(width, "little") for v in vals])
-    return int.from_bytes(raw, "little") - _halves(width, len(vals))
+        raw = b"".join([v.to_bytes(width, "little", signed=True) for v in vals])
+    u = int.from_bytes(raw, "little")
+    return u - ((u & _halves(width, len(vals))) << 1)
 
 
 def _unpack(raw: memoryview, width: int, code: str | None, start: int, m: int) -> list[int]:
-    """Slots start, ..., m-1 of raw, each read as unsigned less half a slot; :func:`_pack` reversed.
+    """Slots start, ..., m-1 of raw, each read as a two's-complement integer.
 
-    With ``code`` the slots are read as native unsigned words in one step;
-    otherwise one pass cuts them into ``width``-byte strings, and each
-    becomes one ``int.from_bytes``.
+    With ``code`` they are read as native signed words in one step, and
+    otherwise cut into ``width``-byte strings in one pass, one signed
+    ``int.from_bytes`` each.
     """
-    half = 1 << (8 * width - 1)
     raw = raw[start * width : m * width]
     if code:
-        return list(map(sub, raw.cast(code).tolist(), repeat(half)))
-    slots = map(itemgetter(0), Struct(f"{width}s").iter_unpack(raw))
-    return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+        return raw.cast(code).tolist()
+    return [int.from_bytes(s, "little", signed=True) for (s,) in Struct(f"{width}s").iter_unpack(raw)]
 
 
 def _slot_width(bits: int, length: int) -> int:
@@ -185,22 +183,22 @@ def _slot_width(bits: int, length: int) -> int:
 def _packed_mul(a, b, m: int, square: bool, start: int = 0, bits: int = 0) -> list[int]:
     """Coefficients start, ..., m-1 of the product of the integer lists a and b.
 
-    Kronecker substitution: each list is packed into one integer with a slot
-    of ``width`` bytes per entry, and the two are multiplied once (CPython
-    multiplies long integers by Karatsuba).  Every product coefficient is
-    less than min(len(a), len(b)) * 2**(bits_a + bits_b) in absolute value,
-    so it fits a signed slot of bits_a + bits_b + bitlen(min length) + 1
-    bits; the width keeps one bit more and rounds up to whole bytes.  Half a
-    slot added to each of the first m slots makes them non-negative, so they
-    are read back as unsigned integers less that half.  On a little-endian
-    machine a width of at most 8 bytes is rounded up to 1, 2, 4 or 8; the
-    lists are then written and the m slots read as native unsigned words,
-    one step each.  Wider slots are written one ``to_bytes`` per entry and
-    read in one pass by :func:`_unpack`.  ``square`` says that a and b are
-    the same list, which is then packed once.  Slots below ``start`` are
-    biased but not read.  ``bits``, when given, bounds bits_a + bits_b (a
-    caller that multiplies slices of two lists scans them once), and 0 has
-    it read from the lists.
+    Kronecker substitution: each list is packed into one integer, a signed
+    slot of ``width`` bytes per entry (:func:`_pack`), and the two are
+    multiplied once (CPython multiplies long integers by Karatsuba).  Every
+    product coefficient is less than min(len(a), len(b)) * 2**(bits_a +
+    bits_b) in absolute value, so it fits a signed slot of bits_a + bits_b +
+    bitlen(min length) + 1 bits; the width keeps one bit more and rounds up
+    to whole bytes.  A negative coefficient borrows from the slot above; with
+    h half a slot in each of the first m, ``(prod + h) ^ h`` holds those m
+    slots in plain two's complement, which :func:`_unpack` reads signed (the
+    slots above may be negative, so the conversion keeps a spare byte).  On
+    a little-endian machine a width of at most 8 bytes is rounded up to 1,
+    2, 4 or 8, and the lists are written and the slots read as native signed
+    words, one step each.  ``square`` says that a and b are the same list,
+    which is then packed once.  Slots below ``start`` are not read.
+    ``bits``, when given, bounds bits_a + bits_b (a caller that multiplies
+    slices of two lists scans them once), and 0 has it read from the lists.
     """
     bits = bits or max(map(int.bit_length, a)) + max(map(int.bit_length, b))
     width = _slot_width(bits, min(len(a), len(b)))
@@ -210,11 +208,9 @@ def _packed_mul(a, b, m: int, square: bool, start: int = 0, bits: int = 0) -> li
         code = _WORD_CODES[width]
     x = _pack(a, width, code)
     prod = x * x if square else x * _pack(b, width, code)
-    prod += _halves(width, m)
-    # the slots above the first m may be negative and the biased top slot may
-    # use its sign bit, so the signed conversion gets one spare byte
-    raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * width + 1, "little", signed=True))
-    return _unpack(raw, width, code, start, m)
+    h = _halves(width, m)
+    raw = ((prod + h) ^ h).to_bytes((len(a) + len(b) - 1) * width + 1, "little", signed=True)
+    return _unpack(memoryview(raw), width, code, start, m)
 
 
 def _canonical(valuation: int, order: int, step: int, vals, den: int) -> tuple:
@@ -254,6 +250,44 @@ Python 3.11): splitting every such product took 7.1, 26.6, 352, 0.34 and
 88 ms, splitting none 5.3, 33.3, 579, 0.41 and 97 ms, and this cutoff 5.4,
 26.1, 352, 0.33 and 77 ms; cutoffs of 32 to 128 bytes were within 8% of it
 on each set."""
+
+SQRT_BLOCK = 16
+"""Lattice points of the least block of a square root's halving; a power of two.
+
+An entry of such a block sums the pairs whose larger index lies in its own
+block term by term; :func:`_gather_pairs` brings it every other pair.  Best
+of 7, interleaved (2-core x86-64 host, Python 3.11): the 18 roots of the
+``user-mixed`` files of seeds 7, 11 and 23, one unstrided root at order 3200
+and the Fraction roots of ``1 + Pi(q) + q^{1/2}*phi(q^3)`` at orders 160
+and 400 took 26, 13.3, 8.4 and 52 ms at 8; 22, 11.9, 10.5 and 61 ms at 16;
+21, 12.2, 15.3 and 78 ms at 32; 22, 11.9, 20 and 117 ms at 64; and 52, 96,
+38 and 393 ms in one block, the term-by-term recurrence of earlier versions."""
+
+
+def _gather_pairs(root: list, rest: list, m: int, whole: bool) -> None:
+    """Take off rest[k] the pairs root[i] * root[k - i] of :meth:`LaurentSeries.sqrt` due at m.
+
+    In the halving of [0, 2^j), [l, m + h) with h = m & -m and l = m - h is
+    the block whose left half ends at m.  For k in [m, m + h) and below
+    len(rest) its pairs are those of root[1:m]^2 when l = 0, and otherwise
+    2 * root[l:m] * root[1:2h], as j < 2h <= l <= i.  Unless ``whole``, the
+    lists are multiplied as integers over their common denominators.
+    """
+    h = m & -m
+    l = m - h
+    a = root[l or 1 : m]
+    b = root[1 : min(2 * h, len(rest) - l)] if l else a
+    first = (l or 1) + 1  # the index of the product's slot 0
+    end = min(m + h, len(rest), len(a) + len(b) - 1 + first)
+    if not whole:
+        (a, da), (b, db) = _scaled_ints(a), _scaled_ints(b)
+    pairs = _packed_mul(a, b, end - first, not l, m - first)
+    if l:
+        pairs = map(add, pairs, pairs)
+    if not whole:
+        pairs = map(Fraction, pairs, repeat(da * db))
+    rest[m:end] = map(sub, rest[m:end], pairs)
+
 
 RECIPROCAL_CACHE_SIZE = 32
 """Reciprocals the quotients keep, dropping the least recently used.
@@ -342,7 +376,7 @@ class LaurentSeries(_Ring, _Frozen):
         if len(coeffs) > window:
             raise ValueError("coefficient list longer than order - valuation")
         nums, den = _scaled_ints(coeffs)
-        self._fill(*_canonical(valuation, order, 1, nums, den))
+        self._fill(_canonical(valuation, order, 1, nums, den))
 
     @classmethod
     def _build(cls, valuation: int, order: int, step: int, vals, den: int = 1) -> LaurentSeries:
@@ -650,14 +684,19 @@ class LaurentSeries(_Ring, _Frozen):
                 f"leading coefficient {exact_str(self.leading_coefficient)}"
                 " is not the square of a rational"
             )
-        sq += [0] * (-(-n // step) - len(sq))
+        sq += [0] * (-(-n // step) - len(sq))  # each sq[k] less the pairs gathered so far
         twice = 2 * root[0]
-        for k in range(1, len(sq)):
-            h = (k - 1) // 2  # pairs (i, k - i) with 1 <= i < k - i
-            acc = sq[k] - 2 * sum(map(mul, root[1 : h + 1], root[k - 1 : k - h - 1 : -1]))
-            if not k % 2:
-                acc -= root[k // 2] ** 2
-            root.append(_exact_div(acc, twice))
+        whole = True  # no root entry so far is a Fraction
+        for l in range(0, len(sq), SQRT_BLOCK):
+            if l:
+                _gather_pairs(root, sq, l, whole)
+            for k in range(l or 1, min(l + SQRT_BLOCK, len(sq))):
+                lo = max(l, k // 2 + 1)  # pairs (i, k - i), lo <= i < k, are the block's own
+                acc = sq[k] - 2 * sum(map(mul, root[lo:k], root[k - lo : 0 : -1]))
+                if not (l or k % 2):
+                    acc -= root[k // 2] ** 2
+                root.append(_exact_div(acc, twice))
+            whole = whole and Fraction not in map(type, root[l:])
         root, den = _scaled_ints(root)
         val = self.valuation // 2
         return LaurentSeries._build(val, val + n, step, root, d * den)

@@ -12,7 +12,9 @@ to one packed big-integer multiply; the ``verify_all_1600`` and
 ``expand_quotient_760`` files before quotients began to read the divisor on
 its own lattice and one-term factors became a scale; the
 ``verify_all_800.jsonl`` file before quotients by divisors with lead +-1
-became products by a memoized Newton reciprocal.  The
+became products by a memoized Newton reciprocal; the
+``expand_sqrt_fraction_160`` and ``expand_sqrt_unstrided_720`` files before
+square roots gathered their pair sums by packed products.  The
 ``check_param_*.jsonl`` files were re-recorded when ``check-param`` began
 to evaluate the tables' own parametrization at series: its two checks are
 now named ``alpha`` and ``beta``, in that order, and nothing else in them
@@ -45,6 +47,10 @@ MIXED = str(DATA / "mixed_identities.txt")
 EXPAND_MIXED = "(Pi(q) + q^{1/4}*phi(q^3)/2)^3 * psi(q^5) / (3 - Pi(q^2))"
 # an off-lattice numerator over a divisor whose lattice is 20 times coarser
 EXPAND_QUOTIENT = "(Pi(q) + q^{1/4}*phi(q^3)/2) / psi(q^5)"
+# an unstrided radicand whose root has Fraction coefficients
+SQRT_FRACTION = "sqrt(1 + Pi(q) + q^{1/2}*phi(q^3))"
+# an unstrided square perturbed at q^160: every pair sum below t^640 must cancel
+SQRT_UNSTRIDED = "sqrt((1 + q^{1/4}*phi(q) - q^{1/2}*psi(q^3))^2 + 4*q^{160})"
 
 GOLDEN = [
     ("list.txt", ["list"], cli.EXIT_OK),
@@ -55,6 +61,8 @@ GOLDEN = [
     ("expand_mixed_400.txt", ["expand", "--expr", EXPAND_MIXED, "--order", "400"], cli.EXIT_OK),
     ("expand_sqrt_pi_q_pi_q9_200.txt", ["expand", "--expr", "sqrt(Pi(q)*Pi(q^9))", "--order", "200"], cli.EXIT_OK),
     ("expand_sqrt_4_9_40.txt", ["expand", "--expr", "sqrt(4/9 + q^{3/4})", "--order", "40"], cli.EXIT_OK),
+    ("expand_sqrt_fraction_160.txt", ["expand", "--expr", SQRT_FRACTION, "--order", "160"], cli.EXIT_OK),
+    ("expand_sqrt_unstrided_720.txt", ["expand", "--expr", SQRT_UNSTRIDED, "--order", "720"], cli.EXIT_OK),
     ("check_param_5_120.txt", ["check-param", "--degree", "5", "--order", "120"], cli.EXIT_OK),
     ("check_param_3_120.txt", ["check-param", "--degree", "3", "--order", "120"], cli.EXIT_OK),
     ("prove_modular.txt", ["prove-modular"], cli.EXIT_OK),

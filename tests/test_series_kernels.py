@@ -14,7 +14,7 @@ from functools import reduce
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from piqcheck import series
@@ -501,10 +501,22 @@ def test_word_packs_spell_the_signed_slot_sum(data):
     assert _pack(vals, width, None) == want
 
 
+@pytest.mark.parametrize("width", range(1, 25))
+def test_packs_of_negative_edge_entries_take_each_borrow_off(width):
+    """Runs of 1 - half, -1 and mixed signs: every negative slot borrows from the one above."""
+    half = 1 << (8 * width - 1)
+    words = sys.byteorder == "little" and width in _WORD_CODES
+    for vals in ([1 - half] * 7, [-1] * 5, [1 - half, half - 1] * 3, [half - 1, -1, 0, 1 - half, 1], [1 - half]):
+        want = sum(v << (8 * width * i) for i, v in enumerate(vals))
+        assert _pack(vals, width, None) == want
+        if words:
+            assert _pack(vals, width, _WORD_CODES[width]) == want
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_slot_reader_matches_a_read_of_each_slot(data):
-    """Slots of 1 to 24 bytes, entries of either sign, read from any start to any end."""
+    """Two's-complement slots of 1 to 24 bytes, entries of either sign, read from any start to any end."""
     width = data.draw(st.integers(1, 24), label="slot bytes")
     words = sys.byteorder == "little" and width in _WORD_CODES and data.draw(st.booleans())
     code = _WORD_CODES[width] if words else None
@@ -514,8 +526,12 @@ def test_slot_reader_matches_a_read_of_each_slot(data):
     m = data.draw(st.integers(0, len(vals)), label="end")
     start = data.draw(st.integers(0, m), label="start")
     # a spare byte above the slots, as the product's signed conversion leaves one
-    raw = memoryview(b"".join([(v + half).to_bytes(width, "little") for v in vals]) + b"\xff")
-    want = [int.from_bytes(raw[i : i + width], "little") - half for i in range(start * width, m * width, width)]
+    spare = data.draw(st.sampled_from([b"\x00", b"\xff"]), label="spare byte")
+    raw = memoryview(b"".join([v.to_bytes(width, "little", signed=True) for v in vals]) + spare)
+    want = [
+        int.from_bytes(raw[i : i + width], "little", signed=True)
+        for i in range(start * width, m * width, width)
+    ]
     assert want == vals[start:m]
     assert _unpack(raw, width, code, start, m) == want
 
@@ -538,6 +554,49 @@ def test_wide_slot_products_match_the_schoolbook_product(data):
         sum(a[i] * a[k - i] for i in range(max(0, k - len(a) + 1), min(k, len(a) - 1) + 1))
         for k in range(min(m, 2 * len(a) - 1))
     ]
+
+
+@st.composite
+def long_radicands(draw):
+    """Radicands on a lattice of step 1 to 4 whose roots span up to ~300 lattice points.
+
+    The root's count of lattice points is drawn next to series.SQRT_BLOCK, its
+    multiples and the powers of two, and in its top quarter, as often as
+    anywhere else.  A third are
+    squares of a series of integers, a third squares of a series with
+    rational entries, and the rest have small integer entries after a square
+    lead, so most of their root's entries are Fractions.
+    """
+    g = draw(st.sampled_from([1, 1, 2, 3, 4]), label="step")
+    b = series.SQRT_BLOCK
+    near = sorted({c + e for c in (b, 2 * b, 3 * b, 4 * b, 64, 128, 256) for e in (-1, 0, 1)})
+    cap = 300 // g
+    longest = st.integers(cap * 3 // 4, cap)
+    points = draw(st.sampled_from([p for p in near if p <= cap]) | st.integers(1, cap) | longest, label="points")
+    window = (points - 1) * g + 1 + draw(st.integers(0, g - 1), label="past the last point")
+    val = draw(st.integers(-4, 4), label="root valuation")
+    kind = draw(st.sampled_from(["integer square", "rational square", "non-square"]))
+    if kind == "integer square":
+        entries, lead, scale = st.integers(-99, 99), draw(st.sampled_from([1, -1, 3])), 1
+    elif kind == "rational square":
+        entries = st.integers(-9, 9) | st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)])
+        lead, scale = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 7)])), 1
+    else:
+        entries, lead, scale = st.integers(-2, 2), draw(square_leads), 2
+    coeffs = [0] * window
+    coeffs[0] = lead
+    coeffs[g::g] = draw(st.lists(entries, min_size=points - 1, max_size=points - 1), label="entries")
+    x = LaurentSeries(scale * val, coeffs, scale * val + window)
+    return x * x if scale == 1 else x
+
+
+# no shrinking: each reference root of ~300 points takes up to 0.2 s, and a
+# failing example would spend minutes shrinking before it is reported
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(long_radicands())
+def test_long_square_roots_match_reference(x):
+    """Roots that gather their pairs by packed products, on both sides of each block's edge."""
+    same_and_canonical(x.sqrt(), ref_sqrt(x))
 
 
 # ----------------------------------------------------------------------
